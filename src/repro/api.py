@@ -138,7 +138,7 @@ class Toolset:
 
     def new_simulator(self, kind="compiled", cache=None, jobs=None,
                       verify_schedule=False, observer=None,
-                      on_self_modify=None, backend="auto", tiering="off"):
+                      on_self_modify=None, backend="auto"):
         """Create a fresh simulator.
 
         ``kind`` is one of ``interpretive``, ``predecoded`` (compiled
@@ -157,11 +157,7 @@ class Toolset:
         see :mod:`repro.resilience`).  ``backend`` (table-based kinds)
         selects the execution backend -- ``auto``, ``python``,
         ``module`` or ``native`` (compiled C bursts; falls back to the
-        Python path when no C toolchain is available).  ``tiering``
-        (``off``/``auto``/``aggressive`` or a
-        :class:`repro.sim.tiering.TierPolicy`) enables adaptive tiered
-        execution: profile-hot windows are promoted to richer
-        representations mid-run (see :mod:`repro.sim.tiering`).
+        Python path when no C toolchain is available).
         """
         from repro.sim import create_simulator
 
@@ -169,7 +165,7 @@ class Toolset:
                                 verify_schedule=verify_schedule,
                                 observer=observer,
                                 on_self_modify=on_self_modify,
-                                backend=backend, tiering=tiering)
+                                backend=backend)
 
     def new_observer(self, program=None, **kwargs):
         """Create a :class:`repro.obs.Observer` for this model.

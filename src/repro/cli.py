@@ -295,20 +295,6 @@ def sim_main(argv=None):
         "with --resume, the backend stamped into the checkpoint)",
     )
     parser.add_argument(
-        "--tiering", default=None, choices=("off", "auto", "aggressive"),
-        help="adaptive tiered execution for the table-based kinds: "
-        "start at the cheap base tier and promote profile-hot windows "
-        "to unfolded tables -- and, where the analysis proofs admit, "
-        "to compiled native bursts -- mid-run; 'aggressive' polls "
-        "earlier and promotes more (default: off; with --resume, the "
-        "mode stamped into the checkpoint)",
-    )
-    parser.add_argument(
-        "--tier-report", metavar="PATH",
-        help="with --tiering: write the versioned, cycle-stamped "
-        "promotion/demotion timeline as JSON to PATH",
-    )
-    parser.add_argument(
         "--max-cycles", type=int, default=50_000_000,
         help="abort after this many cycles",
     )
@@ -429,8 +415,8 @@ def sim_main(argv=None):
             cache = SimulationCache(args.cache_dir)
         # Resume ergonomics: flags the user left unset re-apply the
         # configuration stamped into the checkpoint (a timeout resumed
-        # with bare `--resume` must not silently revert a native or
-        # tiered run to the defaults); flags given explicitly win.
+        # with bare `--resume` must not silently revert a native run to
+        # the defaults); flags given explicitly win.
         checkpoint = None
         if args.resume:
             from repro.resilience.checkpoint import Checkpoint
@@ -439,20 +425,13 @@ def sim_main(argv=None):
         backend = args.backend
         if backend is None:
             backend = checkpoint.backend if checkpoint is not None else "auto"
-        tiering = args.tiering
-        if tiering is None:
-            tiering = checkpoint.tiering if checkpoint is not None else "off"
         if args.kind in ("interpretive", "predecoded") and args.backend is None:
             backend = "auto"  # untabled kinds reject a stamped backend
-        if (args.kind in ("interpretive", "predecoded")
-                or backend == "native") and args.tiering is None:
-            tiering = "off"  # stamped tiering does not apply here
         observer = _make_observer(args, model, program)
         simulator = create_simulator(
             model, args.kind, cache=cache, jobs=args.jobs,
             verify_schedule=args.verify_schedule, observer=observer,
             on_self_modify=args.on_self_modify, backend=backend,
-            tiering=tiering,
         )
         load_start = time.perf_counter()
         simulator.load_program(program)
@@ -461,9 +440,8 @@ def sim_main(argv=None):
             simulator.restore(checkpoint)
             print(
                 "resumed from %s at cycle %d (taken under -k %s, "
-                "backend %s, tiering %s)"
-                % (args.resume, checkpoint.cycles, checkpoint.kind,
-                   backend, tiering),
+                "backend %s)"
+                % (args.resume, checkpoint.cycles, checkpoint.kind, backend),
                 file=sys.stderr,
             )
         checkpoint_path = args.checkpoint_file
@@ -520,28 +498,14 @@ def sim_main(argv=None):
                         "%s=%d" % item for item in cache.stats.items()
                     )
                 )
-        manager = simulator.tier_manager
         if args.stats_json:
             payload = stats.to_dict()
             payload["kind"] = simulator.kind
             payload["load_seconds"] = load_time
-            if manager is not None:
-                payload["tier_timeline"] = manager.timeline_report()[
-                    "events"
-                ]
             with open(args.stats_json, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, indent=2, sort_keys=True)
                 handle.write("\n")
             print("wrote %s" % args.stats_json, file=sys.stderr)
-        if args.tier_report:
-            report = (
-                manager.timeline_report() if manager is not None
-                else {"version": 1, "mode": tiering, "events": []}
-            )
-            with open(args.tier_report, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print("wrote %s" % args.tier_report, file=sys.stderr)
         _write_observer_outputs(observer, args, "repro-sim")
         for dump in args.dump:
             _dump_memory(simulator.state, dump)

@@ -75,8 +75,6 @@ from repro.obs.events import (
     SELF_MODIFY,
     SQUASH,
     STALL,
-    TIER_DEMOTE,
-    TIER_PROMOTE,
     TIMEOUT,
     TRACE_MODE,
     Observer,
@@ -197,8 +195,7 @@ __all__ = [
     "HALT", "HAZARD", "MEM_WRITE", "NATIVE", "NATIVE_FALLBACK",
     "NULL_SINK", "NULL_SPAN", "OBSERVER_MODES", "PROFILE_MODE",
     "REG_WRITE",
-    "RESTORE", "RUN_END", "SELF_MODIFY", "SQUASH", "STALL",
-    "TIER_DEMOTE", "TIER_PROMOTE", "TIMEOUT",
+    "RESTORE", "RUN_END", "SELF_MODIFY", "SQUASH", "STALL", "TIMEOUT",
     "TRACE_FORMATS", "TRACE_MODE",
     "CallbackSink", "FlightRecorder", "JsonLinesSink", "ListSink",
     "MetricsRegistry",

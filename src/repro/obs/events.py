@@ -53,15 +53,12 @@ NATIVE = "native"                       # native artifact outcome (hit/compile)
 NATIVE_FALLBACK = "native.fallback"     # native backend unavailable, degraded
 GUARD_ELIDE = "resilience.guard_elide"  # proof elided fetch instrumentation
 GUARD_REARM = "resilience.guard_rearm"  # elided guard re-armed by a store
-TIER_PROMOTE = "tiering.promote"        # hot window moved to a higher tier
-TIER_DEMOTE = "tiering.demote"          # window left a tier (SMC, failure)
 
 EVENT_KINDS = (
     FETCH, BUBBLE, SQUASH, STALL, FLUSH, HALT,
     FALLBACK, HAZARD, REG_WRITE, MEM_WRITE, CACHE, RUN_END,
     SELF_MODIFY, GUARD_RESOLVE, CHECKPOINT, RESTORE, TIMEOUT, FAULT,
     NATIVE, NATIVE_FALLBACK, GUARD_ELIDE, GUARD_REARM,
-    TIER_PROMOTE, TIER_DEMOTE,
 )
 
 # -- observer modes ----------------------------------------------------------
@@ -378,33 +375,6 @@ class Observer:
                 metrics.bump("sim.cycles_by_pc", stray_pc, stray_cycles)
         if last_pc is not None:
             self._last_issue_pc = last_pc
-
-    # -- tiered execution hooks ------------------------------------------------
-
-    def on_tier_promote(self, start, limit, tier, cycle, **args):
-        """A hot window was promoted to a higher execution tier.
-
-        ``tier`` is the tier entered (``"unfolded"`` / ``"native"``);
-        ``cycle`` is the simulated cycle the promotion committed at (a
-        burst/poll boundary).
-        """
-        metrics = self.metrics
-        metrics.inc("tiering.promotions")
-        metrics.bump("tiering.promotions_by_tier", tier)
-        self.emit(TIER_PROMOTE, start=start, limit=limit, tier=tier,
-                  cycle=cycle, **args)
-
-    def on_tier_demote(self, start, limit, tier, cycle, cause, **args):
-        """A window left its tier (self-modifying code, build failure).
-
-        ``tier`` is the tier abandoned; ``cause`` explains why
-        (``"self_modify"``, ``"compile_failed"``, ...).
-        """
-        metrics = self.metrics
-        metrics.inc("tiering.demotions")
-        metrics.bump("tiering.demotions_by_cause", cause)
-        self.emit(TIER_DEMOTE, start=start, limit=limit, tier=tier,
-                  cycle=cycle, cause=cause, **args)
 
     # -- flight recorder -------------------------------------------------------
 

@@ -5,10 +5,9 @@ into a stable, JSON-compatible ranking of where simulated time went:
 per-packet attributed cycles (``sim.cycles_by_pc``, maintained by
 trace/profile-mode observers on every backend -- the Python loops
 attribute inline, native bursts flush their telemetry side-buffer) and
-contiguous hot windows grouped from them.  The report is the input a
-tiered-execution pass consumes to decide which regions earn the most
-aggressive backend, and what ``repro-profile`` / ``repro-sim
---profile-out`` serialise.
+contiguous hot windows grouped from them.  The report shows which
+regions earn the most attention, and is what ``repro-profile`` /
+``repro-sim --profile-out`` serialise.
 
 Counters-mode observers skip cycle attribution; for them the report
 falls back to ranking by raw fetch counts and says so in ``basis``.
@@ -17,7 +16,7 @@ falls back to ranking by raw fetch counts and says so in ``basis``.
 from __future__ import annotations
 
 #: Report schema version; bump on any shape change so downstream
-#: consumers (the future tiered-execution pass) can gate on it.
+#: consumers can gate on it.
 REPORT_VERSION = 1
 
 #: A packet must own at least this share of attributed cycles to seed a
@@ -30,7 +29,7 @@ DEFAULT_MAX_GAP = 4
 
 
 def hot_region_report(observer, top=None, hot_share=DEFAULT_HOT_SHARE,
-                      max_gap=DEFAULT_MAX_GAP, extents=None):
+                      max_gap=DEFAULT_MAX_GAP):
     """Rank packets and contiguous windows by attributed cycles.
 
     Returns a JSON-compatible dict::
@@ -56,18 +55,9 @@ def hot_region_report(observer, top=None, hot_share=DEFAULT_HOT_SHARE,
     ``top`` truncates the packet ranking (windows always consider every
     hot packet); ``hot_share`` is the minimum cycle share for a packet
     to seed a window; ``max_gap`` is the maximum address gap between
-    hot packets merged into one window.
-
-    ``extents`` optionally maps each packet start to the program words
-    the packet spans (``{pc: words}``, e.g. built from a simulation
-    table's slots).  With it, window grouping measures gaps from where
-    the previous packet *ends* rather than where it starts, and each
-    window's ``limit`` covers the member words of its final packet --
-    without it (extent 1 assumed), a multi-word packet whose last word
-    is the final table slot would be silently cut out of the window a
-    consumer promotes.  ``end`` stays the last hot packet's start
-    address for backwards compatibility; ``limit`` is the exclusive end
-    of the covered range.
+    hot packets merged into one window.  Every packet counts as one
+    word wide: ``end`` is the last hot packet's start address and
+    ``limit`` is ``end + 1``.
     """
     metrics = observer.metrics
     attributed = metrics.family("sim.cycles_by_pc")
@@ -99,8 +89,7 @@ def hot_region_report(observer, top=None, hot_share=DEFAULT_HOT_SHARE,
         })
     packets.sort(key=lambda entry: (-entry["cycles"], entry["pc"]))
 
-    windows = _group_windows(weights, total, hot_share, max_gap,
-                             extents=extents)
+    windows = _group_windows(weights, total, hot_share, max_gap)
 
     gauges = metrics.gauges
     report = {
@@ -118,42 +107,24 @@ def hot_region_report(observer, top=None, hot_share=DEFAULT_HOT_SHARE,
     return report
 
 
-def _group_windows(weights, total, hot_share, max_gap, extents=None):
-    """Contiguous runs of hot packets, ranked by their summed cycles.
-
-    ``extents`` (``{pc: words}``) makes grouping packet-extent aware:
-    the gap to the next hot packet is measured from the previous
-    packet's *last* member word, and the produced ``limit`` is the
-    exclusive end of the final packet's words.  Without extents every
-    packet is assumed one word wide -- which both splits windows of
-    adjacent multi-word packets and, at the program-end boundary,
-    reports a ``limit`` that drops the member words of a multi-word
-    final packet.
-    """
+def _group_windows(weights, total, hot_share, max_gap):
+    """Contiguous runs of hot packets, ranked by their summed cycles."""
     if not total:
         return []
     hot = sorted(
         pc for pc, cycles in weights.items()
         if cycles / total >= hot_share
     )
-
-    def extent_of(pc):
-        if extents is None:
-            return 1
-        return max(1, int(extents.get(pc, 1)))
-
     windows = []
     for pc in hot:
         if windows and pc - windows[-1]["limit"] < max_gap:
             windows[-1]["end"] = pc
-            windows[-1]["limit"] = max(
-                windows[-1]["limit"], pc + extent_of(pc)
-            )
+            windows[-1]["limit"] = pc + 1
             windows[-1]["packets"] += 1
             windows[-1]["cycles"] += weights[pc]
         else:
             windows.append({
-                "start": pc, "end": pc, "limit": pc + extent_of(pc),
+                "start": pc, "end": pc, "limit": pc + 1,
                 "packets": 1, "cycles": weights[pc],
             })
     for window in windows:

@@ -44,15 +44,6 @@ def program_digest(program):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _tiering_mode(simulator):
-    """The simulator's tiering configuration as a plain mode string."""
-    tiering = getattr(simulator, "tiering", "off")
-    if tiering in (None, "off"):
-        return "off"
-    mode = getattr(tiering, "mode", None)
-    return mode if mode is not None else str(tiering)
-
-
 def _body_digest(body):
     blob = json.dumps(body, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -76,14 +67,14 @@ class Checkpoint:
     stall_cycles: int
     state: Dict[str, object] = field(repr=False)
     # Run-configuration metadata: how the snapshotting simulator was
-    # configured.  Restore does not require them to match (checkpoints
-    # stay kind- and backend-portable); they exist so a resume can
+    # configured.  Restore does not require it to match (checkpoints
+    # stay kind- and backend-portable); it exists so a resume can
     # *re-apply* the original configuration instead of silently
     # reverting to defaults (``repro-sim --resume`` does exactly that).
-    # Older checkpoint files simply lack the keys and load with the
-    # defaults below.
+    # Older checkpoint files simply lack the key and load with the
+    # default below; run-config keys this version no longer reads are
+    # ignored.
     backend: str = "auto"
-    tiering: str = "off"
 
     # -- capture / validation ----------------------------------------------
 
@@ -109,7 +100,6 @@ class Checkpoint:
             stall_cycles=control.stall_cycles,
             state=simulator.state.snapshot(),
             backend=getattr(simulator, "backend", "auto"),
-            tiering=_tiering_mode(simulator),
         )
 
     def validate_for(self, simulator):
@@ -157,7 +147,6 @@ class Checkpoint:
             "stall_cycles": self.stall_cycles,
             "state": self.state,
             "backend": self.backend,
-            "tiering": self.tiering,
         }
 
     @classmethod
@@ -186,7 +175,6 @@ class Checkpoint:
                 stall_cycles=payload["stall_cycles"],
                 state=payload["state"],
                 backend=payload.get("backend", "auto"),
-                tiering=payload.get("tiering", "off"),
             )
         except KeyError as exc:
             raise CheckpointError(

@@ -141,9 +141,7 @@ class FaultInjector:
         """Make simulation compilation raise inside the block.
 
         Covers both the direct compiler path and the portable-table
-        builder (which load-time cache misses *and* tiered window
-        promotions go through), so the fault also reaches background
-        promotion builds.
+        builder (which load-time cache misses go through).
         """
         from repro.simcc import portable
         from repro.simcc.compiler import SimulationCompiler

@@ -51,83 +51,6 @@ from repro.tools.objfile import Program
 GUARD_POLICIES = ("error", "recompile", "interpret")
 
 
-def splice_table_window(table, mini, engine=None, mode="refresh", pcs=None):
-    """Swap a window of ``mini``'s slots into live ``table``, bit-exactly.
-
-    The one mechanism behind both coherence repair and tiered promotion:
-    ``SimulationTable.make_frontend`` closures capture ``table.slots``
-    by reference, so patching the dict in place is immediately visible
-    to the running engine at the next fetch -- no engine restart, no
-    re-entry protocol beyond flushing engine-side memoisation
-    (``engine.flush_interned()``, when the engine interns window
-    transitions that may embed the old slots).
-
-    ``pcs`` restricts the splice to those packet starts (promotions
-    must exclude patch-program tail packets whose extents were clipped
-    by the window limit); ``None`` splices every slot of ``mini``.
-
-    ``mode`` selects the safety semantics:
-
-    ``"refresh"``
-        the self-modify path: program words *changed*, so the packet's
-        cross-packet hazard analysis is void -- force
-        ``schedule_safety`` to ``"unknown"`` (dynamically-composed
-        path) for every spliced packet.
-    ``"promote"``
-        the tiering path: program words are *unchanged*, only the slot
-        representation got richer (e.g. sequenced -> instantiated), so
-        the whole-program hazard analysis stays valid -- keep the
-        table's original ``schedule_safety``.  Additionally adopt the
-        mini table's per-packet lowered IR and absint proofs (creating
-        the dicts on tables built at a level that skipped them), so a
-        later native promotion of the same window can admit it.
-
-    Returns ``{pc: words}`` for the spliced packets, the shape the
-    guard's cover map refresh consumes.
-    """
-    if mode not in ("refresh", "promote"):
-        raise ReproError("unknown splice mode %r" % (mode,))
-    updates = {}
-    for pc, slot in mini.slots.items():
-        if pcs is not None and pc not in pcs:
-            continue
-        table.slots[pc] = slot
-        table.has_control[pc] = mini.has_control.get(pc, True)
-        if table.schedule_safety is not None and mode == "refresh":
-            # The incremental compile cannot see cross-packet hazards
-            # against untouched neighbours, so force these packets
-            # onto the dynamically-composed path.
-            table.schedule_safety[pc] = "unknown"
-        if table.items_by_stage is not None and mini.items_by_stage:
-            items = mini.items_by_stage.get(pc)
-            if items is not None:
-                table.items_by_stage[pc] = items
-        if mode == "promote":
-            if mini.ir_by_stage:
-                ir = mini.ir_by_stage.get(pc)
-                if ir is not None:
-                    if table.ir_by_stage is None:
-                        table.ir_by_stage = {}
-                    table.ir_by_stage[pc] = ir
-            mini_proofs = getattr(mini, "proofs", None)
-            if mini_proofs:
-                proof = mini_proofs.get(pc)
-                if proof is not None:
-                    if table.proofs is None:
-                        table.proofs = {}
-                    table.proofs[pc] = proof
-        elif table.ir_by_stage is not None and mini.ir_by_stage:
-            ir = mini.ir_by_stage.get(pc)
-            if ir is not None:
-                table.ir_by_stage[pc] = ir
-        updates[pc] = slot.words
-    if engine is not None:
-        flush = getattr(engine, "flush_interned", None)
-        if flush is not None:
-            flush()
-    return updates
-
-
 class GuardedMemory(list):
     """Program-memory storage that notifies the guard on item stores.
 
@@ -504,9 +427,26 @@ class TableGuardTarget:
         return sim.table.slots[pc], updates
 
     def _merge(self, mini):
-        return splice_table_window(
-            self._sim.table, mini, mode="refresh"
-        )
+        table = self._sim.table
+        updates = {}
+        for pc, slot in mini.slots.items():
+            table.slots[pc] = slot
+            table.has_control[pc] = mini.has_control.get(pc, True)
+            if table.schedule_safety is not None:
+                # The incremental compile cannot see cross-packet hazards
+                # against untouched neighbours, so force these packets
+                # onto the dynamically-composed path.
+                table.schedule_safety[pc] = "unknown"
+            if table.items_by_stage is not None and mini.items_by_stage:
+                items = mini.items_by_stage.get(pc)
+                if items is not None:
+                    table.items_by_stage[pc] = items
+            if table.ir_by_stage is not None and mini.ir_by_stage:
+                ir = mini.ir_by_stage.get(pc)
+                if ir is not None:
+                    table.ir_by_stage[pc] = ir
+            updates[pc] = slot.words
+        return updates
 
     def _segment_limit(self, pc, default):
         for base, end in self._ranges:

@@ -79,9 +79,7 @@ def run_reference(spec):
 
     model = _resolve_model(spec.model)
     program = Program.from_dict(spec.program)
-    simulator = create_simulator(
-        model, spec.kind, backend=spec.backend, tiering=spec.tiering
-    )
+    simulator = create_simulator(model, spec.kind, backend=spec.backend)
     simulator.load_program(program)
     stats = simulator.run(spec.max_cycles)
     return {

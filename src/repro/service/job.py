@@ -48,7 +48,6 @@ class JobSpec:
     name: str = "job"
     kind: str = "compiled"
     backend: str = "auto"
-    tiering: str = "off"
     max_cycles: int = 50_000_000
     max_wall_seconds: Optional[float] = None
     checkpoint_every: int = 2_000
@@ -180,7 +179,6 @@ def spec_summary(spec):
         "name": spec.name,
         "kind": spec.kind,
         "backend": spec.backend,
-        "tiering": spec.tiering,
         "max_cycles": spec.max_cycles,
         "max_wall_seconds": spec.max_wall_seconds,
         "checkpoint_every": spec.checkpoint_every,

@@ -250,7 +250,6 @@ class Supervisor:
                 "degradations": list(job.degradations),
                 "kind": job.spec.kind,
                 "backend": job.spec.backend,
-                "tiering": job.spec.tiering,
                 "cycles": job.cycles,
                 "cause": (job.failure or {}).get("cause"),
                 "error": job.error,
@@ -595,7 +594,6 @@ class Supervisor:
             }
             spec.kind = "interpretive"
             spec.backend = "auto"   # untabled kinds take no backend
-            spec.tiering = "off"    # ... and no tiering
             job.degradations.append(action)
             self.metrics.bump(
                 "service.degradations", "compile_to_interpretive"

@@ -109,7 +109,7 @@ def run_job(conn, message, cache_dir):
             model, spec.kind, cache=cache, observer=observer,
             on_self_modify=(spec.on_self_modify
                             if spec.on_self_modify != "off" else None),
-            backend=spec.backend, tiering=spec.tiering,
+            backend=spec.backend,
         )
         simulator.load_program(program)
         resume_cycles = 0

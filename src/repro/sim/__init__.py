@@ -47,7 +47,7 @@ SIM_BACKENDS = ("auto", "python", "module", "native")
 
 def create_simulator(model, kind="compiled", cache=None, jobs=None,
                      verify_schedule=False, observer=None,
-                     on_self_modify=None, backend="auto", tiering="off"):
+                     on_self_modify=None, backend="auto"):
     """Instantiate a simulator of the given ``kind`` for ``model``.
 
     ``cache`` (a :class:`repro.simcc.cache.SimulationCache`) and
@@ -66,39 +66,12 @@ def create_simulator(model, kind="compiled", cache=None, jobs=None,
     ``backend`` (table-based kinds only) selects the execution backend
     (see :data:`SIM_BACKENDS`); ``native`` degrades gracefully to the
     Python path when no C compiler is available -- it never errors.
-    ``tiering`` (table-based kinds, non-native backends) enables
-    adaptive tiered execution -- ``"auto"`` or ``"aggressive"`` (or a
-    :class:`repro.sim.tiering.TierPolicy`) promotes profile-hot windows
-    to richer representations mid-run; see :mod:`repro.sim.tiering`.
     """
     if backend not in SIM_BACKENDS:
         raise ReproError(
             "unknown simulation backend %r (expected one of %s)"
             % (backend, ", ".join(SIM_BACKENDS))
         )
-    tiering_on = tiering not in (None, "off")
-    if tiering_on:
-        from repro.sim.tiering import TIERING_MODES, TierPolicy
-
-        if (not isinstance(tiering, TierPolicy)
-                and tiering not in TIERING_MODES):
-            raise ReproError(
-                "unknown tiering mode %r (choose from %s)"
-                % (tiering, ", ".join(TIERING_MODES))
-            )
-        if kind in ("interpretive", "predecoded"):
-            raise ReproError(
-                "tiering requires a table-based simulator kind "
-                "(compiled, static, unfolded or unfolded_static)"
-            )
-        if backend == "native":
-            raise ReproError(
-                "tiering and backend='native' are mutually exclusive: "
-                "the native backend compiles everything eagerly, "
-                "tiering promotes hot windows lazily"
-            )
-    else:
-        tiering = "off"
     if kind in ("interpretive", "predecoded"):
         if backend not in ("auto", "python"):
             raise ReproError(
@@ -113,27 +86,23 @@ def create_simulator(model, kind="compiled", cache=None, jobs=None,
     elif kind == "compiled":
         simulator = CompiledSimulator(model, level="sequenced",
                                       cache=cache, jobs=jobs,
-                                      observer=observer, backend=backend,
-                                      tiering=tiering)
+                                      observer=observer, backend=backend)
     elif kind == "unfolded":
         simulator = CompiledSimulator(model, level="instantiated",
                                       cache=cache, jobs=jobs,
-                                      observer=observer, backend=backend,
-                                      tiering=tiering)
+                                      observer=observer, backend=backend)
     elif kind == "static":
         simulator = StaticScheduledSimulator(model, level="sequenced",
                                              cache=cache, jobs=jobs,
                                              verify_schedule=verify_schedule,
                                              observer=observer,
-                                             backend=backend,
-                                             tiering=tiering)
+                                             backend=backend)
     elif kind == "unfolded_static":
         simulator = StaticScheduledSimulator(model, level="instantiated",
                                              cache=cache, jobs=jobs,
                                              verify_schedule=verify_schedule,
                                              observer=observer,
-                                             backend=backend,
-                                             tiering=tiering)
+                                             backend=backend)
     else:
         raise ReproError(
             "unknown simulator kind %r (expected one of %s)"

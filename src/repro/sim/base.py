@@ -167,13 +167,6 @@ class Simulator:
             raise SimulationError("no program loaded")
         return self._engine
 
-    @property
-    def tier_manager(self):
-        """The :class:`repro.sim.tiering.TierManager` steering adaptive
-        tiered execution, or None when tiering is off (or no program is
-        loaded yet)."""
-        return getattr(self._engine, "manager", None)
-
     # -- resilience: write guard ----------------------------------------------
 
     def enable_write_guard(self, policy):

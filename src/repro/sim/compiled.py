@@ -75,21 +75,6 @@ def maybe_wrap_native(simulator, engine):
                           module)
 
 
-def maybe_wrap_tiered(simulator, engine):
-    """Wrap ``engine`` for adaptive tiering when the simulator asks.
-
-    ``simulator.tiering`` is a mode string (``off``/``auto``/
-    ``aggressive``) or a :class:`repro.sim.tiering.TierPolicy`; ``off``
-    returns the engine unwrapped.
-    """
-    from repro.sim.tiering import TieredEngine, TierPolicy
-
-    policy = TierPolicy.coerce(getattr(simulator, "tiering", "off"))
-    if policy is None:
-        return engine
-    return TieredEngine(simulator, engine, policy)
-
-
 class CompiledSimulator(Simulator):
     """Compiled simulator.
 
@@ -98,21 +83,17 @@ class CompiledSimulator(Simulator):
     (compiling and storing on the first miss).  ``jobs`` fans a cold
     compile out over a worker pool (see :mod:`repro.simcc.parallel`).
     ``backend`` selects the execution backend (see
-    :data:`repro.sim.SIM_BACKENDS`).  ``tiering`` enables adaptive
-    tiered execution (see :mod:`repro.sim.tiering`): ``"auto"`` /
-    ``"aggressive"`` (or a :class:`~repro.sim.tiering.TierPolicy`)
-    promote profile-hot windows to richer representations mid-run.
+    :data:`repro.sim.SIM_BACKENDS`).
     """
 
     def __init__(self, model, level="sequenced", cache=None, jobs=None,
-                 observer=None, backend="auto", tiering="off"):
+                 observer=None, backend="auto"):
         super().__init__(model, observer=observer)
         self._level = level
         self._simcc = generate_simulation_compiler(model, validate=False)
         self._cache = cache
         self._jobs = jobs
         self.backend = backend
-        self.tiering = tiering
         self.table = None
 
     @property
@@ -139,4 +120,4 @@ class CompiledSimulator(Simulator):
             self.model, self.state, self.control,
             self.table.make_frontend(self.model),
         )
-        return maybe_wrap_tiered(self, maybe_wrap_native(self, engine))
+        return maybe_wrap_native(self, engine)

@@ -389,8 +389,7 @@ class StaticScheduledSimulator(Simulator):
     """
 
     def __init__(self, model, level="sequenced", cache=None, jobs=None,
-                 verify_schedule=False, observer=None, backend="auto",
-                 tiering="off"):
+                 verify_schedule=False, observer=None, backend="auto"):
         super().__init__(model, observer=observer)
         self._level = level
         self._simcc = generate_simulation_compiler(model, validate=False)
@@ -398,7 +397,6 @@ class StaticScheduledSimulator(Simulator):
         self._jobs = jobs
         self._verify_schedule = verify_schedule
         self.backend = backend
-        self.tiering = tiering
         self.table = None
         self._column_counter = 0
         self._backend = ir.PythonExecBackend()
@@ -427,7 +425,6 @@ class StaticScheduledSimulator(Simulator):
         from repro.sim.compiled import (
             build_simulation_table,
             maybe_wrap_native,
-            maybe_wrap_tiered,
         )
 
         self.table = build_simulation_table(self, program)
@@ -439,7 +436,7 @@ class StaticScheduledSimulator(Simulator):
             column_compiler=column_compiler,
             verify_schedule=self._verify_schedule,
         )
-        return maybe_wrap_tiered(self, maybe_wrap_native(self, engine))
+        return maybe_wrap_native(self, engine)
 
     def _compile_column(self, pcs, slots):
         """Fuse a whole pipeline column into one generated function.

@@ -38,7 +38,6 @@ import marshal
 import os
 import sys
 import tempfile
-import threading
 from collections import OrderedDict
 
 from repro.lisa.database import model_to_json
@@ -52,10 +51,10 @@ from repro.simcc.portable import PortableTable
 #: 5: portable tables persist per-packet abstract-interpretation
 #:    proofs (:mod:`repro.analysis.absint`); prior-rev entries are
 #:    clean misses reported once as ``prior_format``.
-#: 6: *partial* (windowed) table payloads for tiered promotion: entries
-#:    are additionally keyed by an optional packet-address window and
-#:    carry it in the payload, so hot-window promotions warm-start from
-#:    cached artifacts; prior-rev entries are clean misses.
+#: 6: payloads may carry a ``window`` key (``None`` on every
+#:    whole-program table); it is no longer written and is ignored on
+#:    load.  Do not bump for its removal: whole-program digests are
+#:    unchanged, so existing v6 entries stay warm.
 FORMAT_VERSION = 6
 
 _MAGIC = b"repro-simtab\n"
@@ -110,15 +109,8 @@ def model_digest(model):
     return digest
 
 
-def table_digest(model, program, level, window=None):
-    """The content address of one compiled simulation.
-
-    ``window`` (an inclusive-exclusive ``(start, limit)`` packet-address
-    range) keys a *partial* table holding only the packets starting in
-    that range -- the unit of tiered promotion.  A windowed entry never
-    aliases the whole-program entry for the same (model, program,
-    level).
-    """
+def table_digest(model, program, level):
+    """The content address of one compiled simulation."""
     digest = hashlib.sha256()
     digest.update(b"repro-simtab:%d\n" % FORMAT_VERSION)
     digest.update(model_digest(model).encode("ascii"))
@@ -128,8 +120,6 @@ def table_digest(model, program, level, window=None):
     )
     digest.update(b"\n")
     digest.update(level.encode("utf-8"))
-    if window is not None:
-        digest.update(b"\nwindow:%d-%d" % (int(window[0]), int(window[1])))
     return digest.hexdigest()
 
 
@@ -150,11 +140,6 @@ class SimulationCache:
         self.root = os.fspath(root)
         self._max_memory = max(0, int(max_memory_entries))
         self._memory = OrderedDict()
-        # Single-flight build deduplication: digest -> lock.  Concurrent
-        # get-or-build calls for the same entry (background tier
-        # promotions racing) serialise here so the builder runs once.
-        self._flights = {}
-        self._flights_mutex = threading.Lock()
         self.stats = {
             "memory_hits": 0,
             "disk_hits": 0,
@@ -166,7 +151,6 @@ class SimulationCache:
             "native_hits": 0,
             "native_misses": 0,
             "native_stores": 0,
-            "single_flight_waits": 0,
         }
 
     # -- high-level entry point ---------------------------------------------
@@ -212,9 +196,9 @@ class SimulationCache:
 
     # -- portable-table access ----------------------------------------------
 
-    def load_portable(self, model, program, level, window=None):
+    def load_portable(self, model, program, level):
         """The cached portable table, or None on a miss."""
-        digest = table_digest(model, program, level, window=window)
+        digest = table_digest(model, program, level)
         portable = self._memory_get(digest)
         if portable is not None:
             self.stats["memory_hits"] += 1
@@ -227,14 +211,14 @@ class SimulationCache:
         self.stats["misses"] += 1
         return None
 
-    def store_portable(self, model, program, level, portable, window=None):
+    def store_portable(self, model, program, level, portable):
         """Persist a portable table under its content address.
 
         An unwritable store (read-only filesystem, ``root`` pointing at
         a file, disk full) must never break simulation: the entry still
         lands in the in-process LRU and the failure is only counted.
         """
-        digest = table_digest(model, program, level, window=window)
+        digest = table_digest(model, program, level)
         try:
             self._disk_put(digest, portable)
             self.stats["stores"] += 1
@@ -242,61 +226,6 @@ class SimulationCache:
             self.stats["store_errors"] += 1
         self._memory_put(digest, portable)
         return digest
-
-    def load_or_build_portable(self, model, program, level, builder,
-                               window=None):
-        """Single-flight get-or-build of a (possibly windowed) table.
-
-        Concurrent calls for the same (model, program, level, window)
-        run ``builder()`` exactly once: losers block on the winner's
-        flight lock, then re-check the cache and pick up the published
-        entry (counted as ``single_flight_waits``).  Used by the tiered
-        execution manager, whose background promotions of the same hot
-        window would otherwise compile the same artifact repeatedly.
-        """
-        digest = table_digest(model, program, level, window=window)
-        portable = self.load_portable(model, program, level, window=window)
-        if portable is not None:
-            return portable
-        with self._flight_lock(digest) as won:
-            if not won:
-                self.stats["single_flight_waits"] += 1
-                portable = self.load_portable(model, program, level,
-                                              window=window)
-                if portable is not None:
-                    return portable
-            portable = builder()
-            self.store_portable(model, program, level, portable,
-                                window=window)
-        return portable
-
-    def _flight_lock(self, digest):
-        """Context manager serialising builders of one entry.
-
-        Yields True for the flight that created the lock (the probable
-        builder), False for flights that had to queue behind it.
-        """
-        cache = self
-
-        class _Flight:
-            def __enter__(self):
-                with cache._flights_mutex:
-                    lock = cache._flights.get(digest)
-                    self.won = lock is None
-                    if lock is None:
-                        lock = cache._flights[digest] = threading.Lock()
-                    self.lock = lock
-                self.lock.acquire()
-                return self.won
-
-            def __exit__(self, *exc):
-                self.lock.release()
-                with cache._flights_mutex:
-                    if cache._flights.get(digest) is self.lock:
-                        del cache._flights[digest]
-                return False
-
-        return _Flight()
 
     def module_source(self, model, program, level="sequenced", jobs=None):
         """The standalone emitted module for ``program``, served from the
@@ -432,7 +361,6 @@ class SimulationCache:
                 "model": portable.model_name,
                 "program": portable.program_name,
                 "level": portable.level,
-                "window": portable.window,
             },
             "table": portable.to_payload(),
         }

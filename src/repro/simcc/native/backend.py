@@ -78,7 +78,7 @@ def _load(so_path):
 
 
 def build_native_module(model, table, cache=None, observer=None,
-                        telemetry=False, admit_pcs=None):
+                        telemetry=False):
     """The burst module for ``table``, or ``None`` when unavailable.
 
     ``None`` always means "use the Python path"; the reason is emitted
@@ -88,19 +88,13 @@ def build_native_module(model, table, cache=None, observer=None,
     count per-packet dispatches and attributed cycles into a side-region
     of the state buffer; it caches under its own artifact key (the
     generated C differs), so plain and instrumented artifacts coexist.
-
-    ``admit_pcs`` restricts native rendering to a set of packet starts
-    (window-scoped promotion); the admitted set shapes the generated C,
-    so each distinct set has its own artifact key and a repeat run with
-    the same promotion loads its artifact without compiling.
     """
     from repro import obs as _obs
 
     try:
         state_layout = L.StateLayout.build(model)
         source, plan = cgen.render_native_source(
-            table, model, state_layout, telemetry=telemetry,
-            admit_pcs=admit_pcs,
+            table, model, state_layout, telemetry=telemetry
         )
     except L.NativeUnsupported as exc:
         return _fallback(observer, str(exc), model=model.name)

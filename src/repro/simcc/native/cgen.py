@@ -600,8 +600,7 @@ def render_stage_function(name, funcs, renderer):
     return "\n".join(lines)
 
 
-def render_native_source(table, model, state_layout, telemetry=False,
-                         admit_pcs=None):
+def render_native_source(table, model, state_layout, telemetry=False):
     """Render the full burst module for ``table``.
 
     Returns ``(c_source, plan)``; ``plan.native_pcs`` names the packets
@@ -613,14 +612,6 @@ def render_native_source(table, model, state_layout, telemetry=False,
     inline.  With ``telemetry=False`` the output is byte-identical to
     the un-instrumented module -- profiling requested is the only thing
     that ever changes the generated C.
-
-    ``admit_pcs`` restricts native rendering to that set of packet
-    starts (the tiering pass promotes hot windows only); packets
-    outside it take the per-fetch Python fallback with reason
-    ``"outside admitted window"``.  The dispatch table still spans the
-    whole program, so the same burst driver serves any admitted set,
-    and the admitted set shapes the generated C -- distinct sets cache
-    under distinct artifact keys.
     """
     pmem_name = model.config.program_memory
     depth = model.pipeline.depth
@@ -669,9 +660,6 @@ def render_native_source(table, model, state_layout, telemetry=False,
 
     stage_lists = {}
     for pc in pcs:
-        if admit_pcs is not None and pc not in admit_pcs:
-            reasons[pc] = "outside admitted window"
-            continue
         funcs_by_stage = ir_by_stage.get(pc)
         if funcs_by_stage is None:
             reasons[pc] = "no lowered IR"

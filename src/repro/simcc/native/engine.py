@@ -64,23 +64,8 @@ class NativePipeline:
         self._inner = inner
         self._state = state
         self._control = control
-        self._observer = None
-        # Packets the guard permanently demoted (self-modifying code):
-        # they survive module swaps, a promoted replacement module must
-        # never serve them either.
-        self._demoted = set()
-        self._bind_module(module)
-        #: Per-window dispatch counters, surfaced through observability.
-        self.dispatch_counts = {
-            "bursts": 0,
-            "native_cycles": 0,
-            "python_cycles": 0,
-            "need_python_exits": 0,
-            "traps": 0,
-        }
-
-    def _bind_module(self, module):
         self._module = module
+        self._observer = None
         layout = module.layout
         plan = module.plan
         self._telemetry = getattr(module, "telemetry", None)
@@ -90,29 +75,23 @@ class NativePipeline:
         )
         self._buf_addr = self._buf.buffer_info()[0]
         # Packets that must run through the Python path: table packets
-        # the analysis rejected (plus guard-invalidated ones).  Table
-        # holes and out-of-range addresses stay native -- the burst
-        # fetches them as trap pseudo-slots like the front-end.
-        self._python_pcs = set(plan.reasons) | self._demoted
+        # the analysis rejected (plus, later, guard-invalidated ones).
+        # Table holes and out-of-range addresses stay native -- the
+        # burst fetches them as trap pseudo-slots like the front-end.
+        self._python_pcs = set(plan.reasons)
         self._ok = array("q", b"\x01\x00\x00\x00\x00\x00\x00\x00"
                          * plan.n_pc)
         for pc in self._python_pcs:
-            if plan.pc_base <= pc < plan.pc_limit:
-                self._ok[pc - plan.pc_base] = 0
+            self._ok[pc - plan.pc_base] = 0
         self._ok_addr = self._ok.buffer_info()[0]
-
-    def adopt_module(self, module):
-        """Swap in a replacement burst module at a burst boundary.
-
-        The tiering pass widens the admitted set incrementally; each
-        widening is a fresh compiled artifact.  Adoption rebuilds the
-        buffer and dispatch gates for the new module while preserving
-        the accumulated ``dispatch_counts`` and -- crucially -- every
-        guard-demoted packet: a packet invalidated by a self-modifying
-        write stays on the Python path no matter what admitted set a
-        later promotion compiled.
-        """
-        self._bind_module(module)
+        #: Per-window dispatch counters, surfaced through observability.
+        self.dispatch_counts = {
+            "bursts": 0,
+            "native_cycles": 0,
+            "python_cycles": 0,
+            "need_python_exits": 0,
+            "traps": 0,
+        }
 
     # -- delegation ---------------------------------------------------------
 
@@ -175,7 +154,6 @@ class NativePipeline:
             if plan.pc_base <= pc < plan.pc_limit:
                 self._ok[pc - plan.pc_base] = 0
             self._python_pcs.add(pc)
-            self._demoted.add(pc)
 
     # -- execution ----------------------------------------------------------
 

@@ -60,12 +60,6 @@ class PortableTable:
     :class:`repro.simcc.ir.IRFunction` objects in a fixed (pc-major,
     stage-minor) order; ``table_spec`` maps each program address to
     ``(per_stage_names, words, insn_count)``.
-
-    ``window`` marks a *partial* table: the ``(start, limit)``
-    packet-address range it was built for (see
-    :mod:`repro.simcc.partial`).  ``None`` is a whole-program table.
-    Partial tables bind like any other; the tier manager splices their
-    bound slots into a live whole-program table.
     """
 
     level: str
@@ -78,7 +72,6 @@ class PortableTable:
     word_count: int
     schedule_safety: Optional[Dict[int, str]] = None
     proofs: Optional[Dict[int, object]] = None
-    window: Optional[Tuple[int, int]] = None
     _code: Optional[object] = field(default=None, repr=False, compare=False)
     _namespace: Optional[dict] = field(default=None, repr=False, compare=False)
 
@@ -186,7 +179,6 @@ class PortableTable:
                 if self.schedule_safety is not None else None
             ),
             "proofs": self._proofs_payload(),
-            "window": self.window,
             "code": self.code() if with_code else None,
         }
 
@@ -231,10 +223,6 @@ class PortableTable:
             ),
             instruction_count=payload["instruction_count"],
             word_count=payload["word_count"],
-            window=(
-                tuple(payload["window"])
-                if payload.get("window") is not None else None
-            ),
             _code=payload.get("code"),
         )
 

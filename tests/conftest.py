@@ -38,6 +38,11 @@ def _verify_ir_everywhere():
 
 # A small but feature-complete model used by unit tests that need full
 # control over the description (distinct from the shipped tinydsp).
+#: The run-config key that checkpoint bodies and service job specs
+#: carried while the tiered-execution layer existed.  Checkpoints still
+#: load with it; job specs reject it as an unknown field.
+REMOVED_TIER_KEY = "tier" + "ing"
+
 TESTMODEL_SOURCE = r"""
 MODEL testmodel;
 RESOURCE {

@@ -18,7 +18,7 @@ from repro.cli import sim_main
 from repro.resilience import CHECKPOINT_FORMAT, Checkpoint, RunBudget
 from repro.sim import SIM_KINDS, create_simulator
 from repro.support.errors import CheckpointError
-from tests.conftest import TESTMODEL_SOURCE
+from tests.conftest import REMOVED_TIER_KEY, TESTMODEL_SOURCE
 
 LOOP_SOURCE = """
         ldi r1, 20
@@ -351,27 +351,38 @@ class TestCliRoundTrip:
         assert "halted" in out
 
 
+def _add_removed_tier_key(path, mode="aggressive"):
+    """Rewrite a checkpoint file the way the previous format wrote it:
+    the removed key in the body, covered by the body digest."""
+    import hashlib
+
+    with open(path, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    body = document["body"]
+    body[REMOVED_TIER_KEY] = mode
+    document["digest"] = hashlib.sha256(
+        json.dumps(body, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
+
+
 class TestRunConfigMetadata:
-    """Checkpoints stamp how the run was configured (backend, tiering)
-    so a resume can re-apply the configuration instead of silently
+    """Checkpoints stamp how the run was configured (backend) so a
+    resume can re-apply the configuration instead of silently
     reverting to defaults."""
 
-    def test_capture_stamps_backend_and_tiering(
-        self, testmodel, loop_program
-    ):
-        simulator = create_simulator(
-            testmodel, "compiled", backend="python", tiering="aggressive"
-        )
+    def test_capture_stamps_backend(self, testmodel, loop_program):
+        simulator = create_simulator(testmodel, "compiled", backend="python")
         simulator.load_program(loop_program)
         for _ in range(MID_RUN_CYCLE):
             simulator.step()
         checkpoint = simulator.checkpoint()
         assert checkpoint.backend == "python"
-        assert checkpoint.tiering == "aggressive"
+        assert REMOVED_TIER_KEY not in checkpoint.to_payload()
 
         clone = Checkpoint.from_payload(checkpoint.to_payload())
         assert clone.backend == "python"
-        assert clone.tiering == "aggressive"
 
     def test_legacy_payload_defaults_to_auto_off(
         self, testmodel, loop_program
@@ -380,12 +391,10 @@ class TestRunConfigMetadata:
             testmodel, "compiled", loop_program
         )
         payload = checkpoint.to_payload()
-        # a file written before the metadata existed lacks the keys
+        # a file written before the metadata existed lacks the key
         del payload["backend"]
-        del payload["tiering"]
         legacy = Checkpoint.from_payload(payload)
         assert legacy.backend == "auto"
-        assert legacy.tiering == "off"
 
     def test_restore_stays_config_portable(self, testmodel, loop_program,
                                            reference_runs):
@@ -428,14 +437,12 @@ class TestCliResumeConfig:
         with pytest.raises(SystemExit) as excinfo:
             sim_main([
                 lisa_file, asm_file, "--backend", "python",
-                "--tiering", "aggressive",
                 "--max-cycles", "15", "--checkpoint-file", ckpt,
             ])
         assert excinfo.value.code == 3
         capsys.readouterr()
         loaded = load_checkpoint(ckpt)
         assert loaded.backend == "python"
-        assert loaded.tiering == "aggressive"
 
         # uninterrupted reference
         assert sim_main([lisa_file, asm_file, "--dump", "dmem:7"]) == 0
@@ -447,7 +454,7 @@ class TestCliResumeConfig:
             lisa_file, asm_file, "--resume", ckpt, "--dump", "dmem:7",
         ]) == 0
         captured = capsys.readouterr()
-        assert "backend python, tiering aggressive" in captured.err
+        assert "backend python)" in captured.err
         assert captured.out == reference
 
     def test_explicit_flags_override_stamped_ones(
@@ -461,8 +468,35 @@ class TestCliResumeConfig:
             ])
         capsys.readouterr()
         assert sim_main([
-            lisa_file, asm_file, "--resume", ckpt,
-            "--tiering", "off", "--backend", "auto",
+            lisa_file, asm_file, "--resume", ckpt, "--backend", "auto",
         ]) == 0
         err = capsys.readouterr().err
-        assert "backend auto, tiering off" in err
+        assert "backend auto)" in err
+
+    def test_previous_format_checkpoint_resumes_bit_exact(
+        self, tmp_path, lisa_file, asm_file, capsys
+    ):
+        # A checkpoint body carrying the removed run-config key (as the
+        # previous format stamped it) still passes the digest check,
+        # validates against the program and resumes bit-exact.
+        ckpt = str(tmp_path / "legacy.ckpt")
+        with pytest.raises(SystemExit) as excinfo:
+            sim_main([
+                lisa_file, asm_file, "--backend", "python",
+                "--max-cycles", "15", "--checkpoint-file", ckpt,
+            ])
+        assert excinfo.value.code == 3
+        capsys.readouterr()
+        _add_removed_tier_key(ckpt)
+        loaded = load_checkpoint(ckpt)
+        assert loaded.backend == "python"
+        assert loaded.cycles == 15
+
+        assert sim_main([lisa_file, asm_file, "--dump", "dmem:7"]) == 0
+        reference = capsys.readouterr().out
+        assert sim_main([
+            lisa_file, asm_file, "--resume", ckpt, "--dump", "dmem:7",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "at cycle 15" in captured.err
+        assert captured.out == reference

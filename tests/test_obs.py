@@ -554,13 +554,9 @@ class TestGlobalObserver:
 
 
 class TestHotWindowExtents:
-    """Packet-extent-aware window grouping in ``hot_region_report``.
-
-    Regression: without extents, a multi-word packet whose last member
-    word closes the program was reported with a ``limit`` at its start
-    address + 1 -- a consumer promoting the window would silently drop
-    the packet's trailing words at the program-end boundary.
-    """
+    """``hot_region_report`` groups windows by packet start address:
+    every packet counts as one word wide, so ``limit`` is the last hot
+    packet's start + 1 and adjacent multi-word packets stay apart."""
 
     @staticmethod
     def _observer_with(weights):
@@ -569,33 +565,9 @@ class TestHotWindowExtents:
             observer.metrics.bump("sim.cycles_by_pc", pc, cycles)
         return observer
 
-    def test_final_packet_extent_reaches_limit(self):
-        observer = self._observer_with({0: 60, 5: 40})
-        report = obs.hot_region_report(
-            observer, max_gap=4, extents={0: 5, 5: 5}
-        )
-        assert len(report["windows"]) == 1
-        window = report["windows"][0]
-        assert window["start"] == 0
-        assert window["end"] == 5  # last packet *start*, for compat
-        assert window["limit"] == 10  # ...but the limit covers it all
-
     def test_without_extents_multiword_packets_split(self):
         observer = self._observer_with({0: 60, 5: 40})
         report = obs.hot_region_report(observer, max_gap=4)
         assert [w["start"] for w in report["windows"]] == [0, 5]
         assert all(w["limit"] == w["start"] + 1
                    for w in report["windows"])
-
-    def test_gap_measured_from_packet_end(self):
-        # Hot packets at 0 (3 words) and 6: gap is 3 words from the
-        # first packet's end -- mergeable; from its start it would be
-        # 6 words -- split.
-        observer = self._observer_with({0: 50, 6: 50})
-        merged = obs.hot_region_report(
-            observer, max_gap=4, extents={0: 3, 6: 1}
-        )
-        assert len(merged["windows"]) == 1
-        assert merged["windows"][0]["limit"] == 7
-        split = obs.hot_region_report(observer, max_gap=4)
-        assert len(split["windows"]) == 2

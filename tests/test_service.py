@@ -54,6 +54,7 @@ from repro.support.errors import (
     SimulationTimeout,
 )
 from repro.tools.objfile import Program
+from tests.conftest import REMOVED_TIER_KEY
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -127,6 +128,12 @@ class TestJobSpec:
         data = fir_spec.to_dict()
         data["prioritee"] = 7
         with pytest.raises(ReproError, match="prioritee"):
+            JobSpec.from_dict(data)
+
+    def test_rejects_removed_tier_field(self, fir_spec):
+        data = fir_spec.to_dict()
+        data[REMOVED_TIER_KEY] = "off"
+        with pytest.raises(ReproError, match="unknown job spec field"):
             JobSpec.from_dict(data)
 
 
@@ -532,3 +539,22 @@ class TestHttpService:
     def test_bad_spec_is_rejected(self, http_service):
         with pytest.raises(ServiceError, match="model"):
             http_service.submit({"name": "incomplete"})
+
+    def test_removed_tier_field_is_400(self, http_service, fir_spec):
+        import urllib.error
+        import urllib.request
+
+        data = dict(fir_spec.to_dict())
+        data[REMOVED_TIER_KEY] = "aggressive"
+        request = urllib.request.Request(
+            http_service.base_url + "/v1/jobs",
+            data=json.dumps(data).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
+        assert "unknown job spec field" in error
+        assert http_service.jobs() == []

@@ -717,123 +717,52 @@ class TestFaultHarnessCorruption:
         assert kinds == ["cache_corruption", "cache_format_spoof"]
 
 
-def _race_window_build(root, rounds):
-    """Worker for the windowed-artifact race (spawn-safe).
+class TestExistingEntriesStayWarm:
+    """Whole-program entries written before windowed payloads were
+    dropped must still hit: their digests are unchanged and a stored
+    ``"window": None`` key is ignored on load."""
 
-    Each round runs the tiered promotion build path --
-    ``build_window_table`` through the cache's single-flight
-    get-or-build -- against the one shared windowed content address.
-    """
-    from repro.simcc.partial import build_window_table
+    #: ``table_digest`` values of the test model/program at format 6,
+    #: computed when payloads still carried a ``window`` key.
+    PINNED = {
+        "sequenced":
+            "69e4d5e4faf9437d78953703b65e1932a352a74483aecbb1dcc2b043a2b3a535",
+        "instantiated":
+            "3d29f5376d8e88488f135f4da6491981b6867b35733b35efc9c88be143fd4b62",
+    }
 
-    model = compile_source(TESTMODEL_SOURCE, "testmodel.lisa")
-    from repro.api import build_toolset
+    @pytest.mark.parametrize("level", sorted(PINNED))
+    def test_digest_is_pinned(self, testmodel, program, level):
+        assert cache_mod.FORMAT_VERSION == 6
+        assert table_digest(testmodel, program, level) == self.PINNED[level]
 
-    program = build_toolset(model).assembler.assemble_text(PROGRAM_TEXT)
-    cache = SimulationCache(root, max_memory_entries=0)
-    for _ in range(rounds):
-        portable = build_window_table(
-            model, program, 0, 5, level="instantiated", cache=cache
-        )
-        if portable.window != (0, 5):
-            raise RuntimeError("window lost: %r" % (portable.window,))
-    if cache.stats["store_errors"]:
-        raise RuntimeError(
-            "store_errors=%d" % cache.stats["store_errors"]
-        )
-    if cache.stats["corrupt_entries"]:
-        raise RuntimeError(
-            "corrupt_entries=%d" % cache.stats["corrupt_entries"]
-        )
+    def test_payload_with_window_key_loads(self, testmodel, program, cache):
+        import marshal
+        import os
+        import sys
 
+        portable = build_portable_table(testmodel, program)
+        digest = table_digest(testmodel, program, "sequenced")
+        table = dict(portable.to_payload(), window=None)
+        payload = {
+            "meta": {
+                "format": cache_mod.FORMAT_VERSION,
+                "python": "%d.%d" % sys.version_info[:2],
+                "digest": digest,
+                "model": portable.model_name,
+                "program": portable.program_name,
+                "level": portable.level,
+                "window": None,
+            },
+            "table": table,
+        }
+        path = cache.entry_path(digest)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as handle:
+            handle.write(cache_mod._MAGIC + marshal.dumps(payload))
 
-class TestWindowedEntries:
-    """Format v6: windowed (partial) table payloads for tiered
-    promotion -- distinct content addresses, single-flight builds, and
-    atomic publication under racing processes."""
-
-    def test_window_changes_digest(self, testmodel, program):
-        plain = table_digest(testmodel, program, "instantiated")
-        windowed = table_digest(testmodel, program, "instantiated",
-                                window=(0, 5))
-        other = table_digest(testmodel, program, "instantiated",
-                             window=(0, 4))
-        assert len({plain, windowed, other}) == 3
-
-    def test_window_round_trips(self, testmodel, program, cache):
-        from repro.simcc.partial import (
-            build_window_table,
-            extract_window_program,
-        )
-
-        built = build_window_table(testmodel, program, 0, 5,
-                                   level="instantiated", cache=cache)
-        assert built.window == (0, 5)
-        assert cache.stats["stores"] == 1
-
-        patch = extract_window_program(testmodel, program, 0, 5)
-        reader = SimulationCache(cache.root, max_memory_entries=0)
-        loaded = reader.load_portable(testmodel, patch, "instantiated",
-                                      window=(0, 5))
-        assert loaded is not None
-        assert loaded.window == (0, 5)
-        assert reader.stats["disk_hits"] == 1
-
-    def test_single_flight_builds_once(self, testmodel, program, cache):
-        import threading
-
-        from repro.simcc.partial import extract_window_program
-
-        patch = extract_window_program(testmodel, program, 0, 5)
-        built = []
-        gate = threading.Event()
-
-        def builder():
-            gate.wait(10)
-            built.append(1)
-            return build_portable_table(testmodel, patch, "instantiated")
-
-        def flight():
-            cache.load_or_build_portable(
-                testmodel, patch, "instantiated", builder, window=(0, 5)
-            )
-
-        flights = [threading.Thread(target=flight) for _ in range(4)]
-        for thread in flights:
-            thread.start()
-        gate.set()
-        for thread in flights:
-            thread.join(timeout=60)
-        assert len(built) == 1
-        assert cache.stats["single_flight_waits"] >= 1
-        assert cache.stats["stores"] == 1
-
-    def test_racing_processes_leave_coherent_windowed_entry(
-            self, testmodel, program, tmp_path):
-        import multiprocessing
-
-        from repro.simcc.partial import extract_window_program
-
-        root = str(tmp_path / "shared-simtab")
-        context = multiprocessing.get_context("spawn")
-        workers = [
-            context.Process(target=_race_window_build, args=(root, 8))
-            for _ in range(2)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=120)
-        for worker in workers:
-            assert not worker.is_alive(), "racing windowed builder hung"
-            assert worker.exitcode == 0
-
-        # A fresh reader gets a clean disk hit on the windowed address.
-        patch = extract_window_program(testmodel, program, 0, 5)
-        reader = SimulationCache(root, max_memory_entries=0)
-        loaded = reader.load_portable(testmodel, patch, "instantiated",
-                                      window=(0, 5))
-        assert loaded is not None
-        assert loaded.window == (0, 5)
-        assert reader.stats["disk_hits"] == 1
-        assert reader.stats["corrupt_entries"] == 0
+        bound = _load(testmodel, program, cache)
+        assert cache.stats["disk_hits"] == 1
+        assert cache.stats["corrupt_entries"] == 0
+        assert cache.stats["misses"] == 0
+        assert bound.word_count == 5
