@@ -99,7 +99,7 @@ class _Cursor:
         token = self.peek()
         if token is None or token.kind != "ident":
             raise BehaviorError(
-                "expected identifier, found %s" % token,
+                "expected identifier, found %s" % (token,),
                 None if token is None else token.location,
             )
         return self.next()
@@ -122,7 +122,7 @@ class BehaviorParser:
         if not self._cursor.at_end():
             token = self._cursor.peek()
             raise BehaviorError(
-                "unexpected trailing token %s in expression" % token,
+                "unexpected trailing token %s in expression" % (token,),
                 token.location,
             )
         return expr
@@ -284,7 +284,7 @@ class BehaviorParser:
                 return ast.Index(token.text, index, token.location)
             return ast.Name(token.text, token.location)
         raise BehaviorError(
-            "unexpected token %s in expression" % token, token.location
+            "unexpected token %s in expression" % (token,), token.location
         )
 
 

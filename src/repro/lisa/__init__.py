@@ -9,7 +9,7 @@ The flow mirrors the paper's Figure 5:
   the simulation-compiler generator and the tool generators work.
 """
 
-from repro.lisa.lexer import Lexer, Token, tokenize
+from repro.lisa.lexer import Token, tokenize
 from repro.lisa.parser import parse_source
 from repro.lisa.semantics import compile_ast, compile_source
 from repro.lisa.model import (
@@ -21,7 +21,6 @@ from repro.lisa.model import (
 )
 
 __all__ = [
-    "Lexer",
     "Token",
     "tokenize",
     "parse_source",

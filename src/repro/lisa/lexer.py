@@ -20,11 +20,17 @@ Token kinds:
     Operators and delimiters; ``text`` holds the exact spelling.
 ``eof``
     End of input (always the final token).
+
+Identifiers and digits are ASCII.  The scanner is one regular expression
+matched at the current position: the ``skip`` group takes whitespace and
+comments, then exactly one token group matches.  Input no token accepts
+matches the empty ``error`` group and is diagnosed off the fast path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.support.bitutils import BitPattern
 from repro.support.diagnostics import SourceLocation
@@ -39,16 +45,6 @@ _PUNCTUATION = [
     "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "?", ".", "@",
 ]
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-)
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-
-# Digit sets are frozensets on purpose: membership tests use _peek(),
-# which returns "" at end of input, and "" is "in" every *string*.
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-_BIN_DIGITS = frozenset("01xX")
-
 _ESCAPES = {
     "n": "\n",
     "t": "\t",
@@ -58,9 +54,34 @@ _ESCAPES = {
     "\\": "\\",
 }
 
+_STRING_BODY = r'"(?:[^"\\\n]|\\[nrt0"\\])*'
 
-@dataclass(frozen=True)
-class Token:
+# ``error`` matches the empty string, so a token group always matches
+# after the longest ``skip`` and the engine never backtracks into it.
+# The number lookaheads also exclude their own digits, so a shorter
+# prefix of a rejected literal cannot match instead.  A "/" before "*"
+# opens a comment that ``skip`` could not close.
+_SCANNER = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*)"
+    r"(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>%s)"
+    r"|(?P<hex>0[xX][0-9a-fA-F]+)"
+    r"|(?P<bin>0[bB][01]+(?![01xX]))"
+    r"|(?P<bits>0[bB][01xX]+)"
+    r"|(?P<dec>[0-9]+(?![A-Za-z0-9_]))"
+    r"|(?P<string>%s\")"
+    r"|(?P<eof>\Z)"
+    r"|(?P<error>))"
+    % ("|".join(r"/(?!\*)" if p == "/" else re.escape(p)
+                for p in _PUNCTUATION), _STRING_BODY),
+    re.DOTALL,
+)
+_STRING_PREFIX = re.compile(_STRING_BODY)
+_ESCAPE = re.compile(r"\\(.)")
+_DIGITS = re.compile(r"[0-9]*")
+
+
+class Token(NamedTuple):
     """One lexical token."""
 
     kind: str
@@ -80,156 +101,84 @@ class Token:
         return "%s(%r)" % (self.kind, self.text)
 
 
-class Lexer:
-    """Streaming tokenizer over one source text."""
-
-    def __init__(self, source, filename="<string>"):
-        self._source = source
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    def tokens(self):
-        """Yield every token in the source, ending with one ``eof`` token."""
-        while True:
-            self._skip_whitespace_and_comments()
-            if self._pos >= len(self._source):
-                yield Token("eof", "", None, self._location())
-                return
-            yield self._next_token()
-
-    # -- internals -------------------------------------------------------
-
-    def _location(self):
-        return SourceLocation(self._filename, self._line, self._col)
-
-    def _peek(self, ahead=0):
-        pos = self._pos + ahead
-        if pos < len(self._source):
-            return self._source[pos]
-        return ""
-
-    def _advance(self, count=1):
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            if self._source[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    def _skip_whitespace_and_comments(self):
-        while self._pos < len(self._source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-            else:
-                return
-
-    def _skip_block_comment(self):
-        start = self._location()
-        self._advance(2)
-        while self._pos < len(self._source):
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance(2)
-                return
-            self._advance()
-        raise LisaSyntaxError("unterminated block comment", start)
-
-    def _next_token(self):
-        ch = self._peek()
-        if ch in _IDENT_START:
-            return self._lex_ident()
-        if ch.isdigit():
-            return self._lex_number()
-        if ch == '"':
-            return self._lex_string()
-        return self._lex_punct()
-
-    def _lex_ident(self):
-        loc = self._location()
-        start = self._pos
-        while self._peek() in _IDENT_CONT:
-            self._advance()
-        text = self._source[start : self._pos]
-        return Token("ident", text, text, loc)
-
-    def _lex_number(self):
-        loc = self._location()
-        start = self._pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self._peek() in _HEX_DIGITS:
-                self._advance()
-            text = self._source[start : self._pos]
-            if len(text) == 2:
-                raise LisaSyntaxError("incomplete hex literal %r" % text, loc)
-            return Token("int", text, int(text, 16), loc)
-        if self._peek() == "0" and self._peek(1) in ("b", "B"):
-            self._advance(2)
-            digit_start = self._pos
-            while self._peek() in _BIN_DIGITS:
-                self._advance()
-            digits = self._source[digit_start : self._pos]
-            text = self._source[start : self._pos]
-            if not digits:
-                raise LisaSyntaxError("incomplete binary literal %r" % text, loc)
-            if "x" in digits or "X" in digits:
-                return Token("bits", text, BitPattern.parse(digits), loc)
-            return Token("int", text, int(digits, 2), loc)
-        while self._peek().isdigit():
-            self._advance()
-        text = self._source[start : self._pos]
-        if self._peek() in _IDENT_START:
-            raise LisaSyntaxError(
-                "invalid character %r after number %r" % (self._peek(), text),
-                self._location(),
-            )
-        return Token("int", text, int(text, 10), loc)
-
-    def _lex_string(self):
-        loc = self._location()
-        self._advance()  # opening quote
-        chars = []
-        while True:
-            if self._pos >= len(self._source) or self._peek() == "\n":
-                raise LisaSyntaxError("unterminated string literal", loc)
-            ch = self._peek()
-            if ch == '"':
-                self._advance()
-                text = "".join(chars)
-                return Token("string", '"%s"' % text, text, loc)
-            if ch == "\\":
-                escape = self._peek(1)
-                if escape not in _ESCAPES:
-                    raise LisaSyntaxError(
-                        "unknown escape sequence \\%s" % escape, self._location()
-                    )
-                chars.append(_ESCAPES[escape])
-                self._advance(2)
-            else:
-                chars.append(ch)
-                self._advance()
-
-    def _lex_punct(self):
-        loc = self._location()
-        for punct in _PUNCTUATION:
-            if self._source.startswith(punct, self._pos):
-                self._advance(len(punct))
-                return Token("punct", punct, punct, loc)
-        raise LisaSyntaxError(
-            "unexpected character %r" % self._peek(), loc
-        )
-
-
 def tokenize(source, filename="<string>"):
     """Tokenize ``source`` into a list ending with an ``eof`` token."""
-    return list(Lexer(source, filename).tokens())
+    tokens = []
+    append = tokens.append
+    scan = _SCANNER.match
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    while True:
+        match = scan(source, pos)
+        kind = match.lastgroup
+        start, end = match.span(kind)
+        if start != pos:
+            newlines = source.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, start) + 1
+        location = SourceLocation(filename, line, start - line_start + 1)
+        text = source[start:end]
+        if kind == "ident" or kind == "punct":
+            append(Token(kind, text, text, location))
+        elif kind == "dec":
+            append(Token("int", text, int(text), location))
+        elif kind == "hex":
+            append(Token("int", text, int(text, 16), location))
+        elif kind == "bin":
+            append(Token("int", text, int(text[2:], 2), location))
+        elif kind == "bits":
+            append(Token("bits", text, BitPattern.parse(text[2:]), location))
+        elif kind == "string":
+            value = text[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(_unescape, value)
+            append(Token("string", '"%s"' % value, value, location))
+        elif kind == "eof":
+            append(Token("eof", "", None, location))
+            return tokens
+        else:
+            raise _syntax_error(source, start, location)
+        pos = end
+
+
+def _unescape(match):
+    return _ESCAPES[match.group(1)]
+
+
+def _syntax_error(source, pos, location):
+    """The error for the input at ``pos``, which no token accepts."""
+
+    def at(offset):
+        return SourceLocation(location.filename, location.line,
+                              location.column + offset)
+
+    if source.startswith("/*", pos):
+        return LisaSyntaxError("unterminated block comment", location)
+    char = source[pos]
+    if char == '"':
+        # Valid characters and escapes run up to the first bad one: a bad
+        # escape, or the newline or end of input that ends the string.
+        end = _STRING_PREFIX.match(source, pos).end()
+        if source.startswith("\\", end):
+            return LisaSyntaxError(
+                "unknown escape sequence \\%s" % source[end + 1:end + 2],
+                at(end - pos),
+            )
+        return LisaSyntaxError("unterminated string literal", location)
+    prefix = source[pos:pos + 2]
+    if prefix in ("0x", "0X"):
+        return LisaSyntaxError("incomplete hex literal %r" % prefix, location)
+    if prefix in ("0b", "0B"):
+        return LisaSyntaxError(
+            "incomplete binary literal %r" % prefix, location
+        )
+    digits = _DIGITS.match(source, pos).group()
+    if digits:
+        return LisaSyntaxError(
+            "invalid character %r after number %r"
+            % (source[pos + len(digits)], digits),
+            at(len(digits)),
+        )
+    return LisaSyntaxError("unexpected character %r" % char, location)

@@ -95,7 +95,7 @@ class _TokenStream:
         token = self.peek()
         if token.kind != "int":
             raise LisaSyntaxError(
-                "expected integer, found %s" % token, token.location
+                "expected integer, found %s" % (token,), token.location
             )
         return self.next()
 
@@ -167,7 +167,7 @@ class Parser:
                 operations.append(self._parse_operation())
             else:
                 raise LisaSyntaxError(
-                    "expected RESOURCE, CONFIG or OPERATION, found %s" % token,
+                    "expected RESOURCE, CONFIG or OPERATION, found %s" % (token,),
                     token.location,
                 )
         return ast.ModelAst(
@@ -232,7 +232,7 @@ class Parser:
             s.expect_punct(";")
             return ast.PipelineAst(name, stages, token.location)
         raise LisaSyntaxError(
-            "expected a resource declaration, found %s" % token, token.location
+            "expected a resource declaration, found %s" % (token,), token.location
         )
 
     # -- CONFIG -----------------------------------------------------------
@@ -271,7 +271,7 @@ class Parser:
             s.next()
             return token.value
         raise LisaSyntaxError(
-            "expected CONFIG argument, found %s" % token, token.location
+            "expected CONFIG argument, found %s" % (token,), token.location
         )
 
     # -- OPERATION --------------------------------------------------------
@@ -312,7 +312,7 @@ class Parser:
             else:
                 raise LisaSyntaxError(
                     "expected a section keyword, IF or SWITCH, found %s"
-                    % token,
+                    % (token,),
                     token.location,
                 )
         return items
@@ -378,7 +378,7 @@ class Parser:
                 cases.append(ast.SwitchCaseAst(None, items, token.location))
             else:
                 raise LisaSyntaxError(
-                    "expected CASE or DEFAULT, found %s" % token,
+                    "expected CASE or DEFAULT, found %s" % (token,),
                     token.location,
                 )
         s.expect_punct("}")
@@ -456,7 +456,7 @@ class Parser:
             else:
                 raise LisaSyntaxError(
                     "expected GROUP, INSTANCE, LABEL or REFERENCE, found %s"
-                    % token,
+                    % (token,),
                     token.location,
                 )
         s.expect_punct("}")
@@ -495,7 +495,7 @@ class Parser:
                 )
             else:
                 raise LisaSyntaxError(
-                    "expected coding element, found %s" % token,
+                    "expected coding element, found %s" % (token,),
                     token.location,
                 )
         s.expect_punct("}")
@@ -523,7 +523,7 @@ class Parser:
                 s.next()
             else:
                 raise LisaSyntaxError(
-                    "expected syntax element, found %s" % token,
+                    "expected syntax element, found %s" % (token,),
                     token.location,
                 )
         s.expect_punct("}")

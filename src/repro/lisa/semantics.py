@@ -13,6 +13,7 @@ from repro.behavior.runtime import INTRINSIC_NAMES
 from repro.lisa import ast
 from repro.lisa import model as m
 from repro.lisa.parser import parse_source
+from repro.support.bitutils import BitPattern
 from repro.support.diagnostics import DiagnosticSink
 from repro.support.errors import BehaviorError, CodingError, LisaSemanticError
 
@@ -32,6 +33,16 @@ _CONFIG_KEYS = frozenset(
         "DEFINE",
     ]
 )
+
+
+def _concat(high, width, value, care):
+    """``high`` (a ``(width, value, care)`` triple) above a low pattern."""
+    high_width, high_value, high_care = high
+    return (
+        high_width + width,
+        (high_value << width) | value,
+        (high_care << width) | care,
+    )
 
 
 def compile_source(source, filename="<string>", sink=None):
@@ -663,47 +674,38 @@ class _Analyzer:
     # -- coding ambiguity ---------------------------------------------------
 
     def _discriminators(self, op_name, cache):
-        """Flattened bit patterns of an operation's coding.
+        """Flattened ``(width, value, care)`` patterns of an operation's
+        coding, as for :class:`BitPattern`.
 
         Nested groups expand into the cartesian product of their
         alternatives (capped); labels become don't-cares.
         """
         if op_name in cache:
             return cache[op_name]
-        from repro.support.bitutils import BitPattern
-
         op = self._operations[op_name]
-        # The accumulator starts as a single empty pattern (None stands in
-        # for "zero-width", which BitPattern cannot represent).
-        accum = [None]
-
-        def concat(base, pattern):
-            if base is None:
-                return pattern
-            return base.concat(pattern)
-
+        accum = [(0, 0, 0)]  # one zero-width pattern
         for element in op.coding:
             if isinstance(element, m.CodingPattern):
-                accum = [concat(a, element.pattern) for a in accum]
-            elif isinstance(element, m.CodingLabel):
+                pattern = element.pattern
                 accum = [
-                    concat(a, BitPattern.any(element.width)) for a in accum
+                    _concat(a, pattern.width, pattern.value, pattern.care)
+                    for a in accum
                 ]
+            elif isinstance(element, m.CodingLabel):
+                accum = [_concat(a, element.width, 0, 0) for a in accum]
             else:
                 alternatives = op.child_slots()[element.name]
                 expanded = []
                 for alt in alternatives:
                     for sub in self._discriminators(alt, cache):
                         for a in accum:
-                            expanded.append(concat(a, sub))
+                            expanded.append(_concat(a, *sub))
                             if len(expanded) > _MAX_DISCRIMINATORS:
                                 break
                 if len(expanded) > _MAX_DISCRIMINATORS:
                     # Fall back to fully unconstrained bits for this slot.
                     width = self._group_width(op, element.name)
-                    expanded = [
-                        concat(a, BitPattern.any(width)) for a in accum
-                    ]
+                    expanded = [_concat(a, width, 0, 0) for a in accum]
                 accum = expanded
         cache[op_name] = accum
         return accum
@@ -725,13 +727,21 @@ class _Analyzer:
                         )
 
     def _check_pair(self, op, slot_name, name_a, name_b, cache):
-        for pat_a in self._discriminators(name_a, cache):
-            for pat_b in self._discriminators(name_b, cache):
-                if pat_a.width == pat_b.width and pat_a.overlaps(pat_b):
+        patterns_a = self._discriminators(name_a, cache)
+        patterns_b = self._discriminators(name_b, cache)
+        for width_a, value_a, care_a in patterns_a:
+            for width_b, value_b, care_b in patterns_b:
+                # Some word matches both when they agree on every bit
+                # both care about.
+                if width_a == width_b and not (
+                    (value_a ^ value_b) & care_a & care_b
+                ):
                     raise CodingError(
                         "ambiguous coding: alternatives %r and %r of %r in "
                         "operation %r overlap (%s vs %s)"
-                        % (name_a, name_b, slot_name, op.name, pat_a, pat_b)
+                        % (name_a, name_b, slot_name, op.name,
+                           BitPattern(width_a, value_a, care_a),
+                           BitPattern(width_b, value_b, care_b))
                     )
 
     def _warn_unused(self, model):

@@ -46,9 +46,31 @@ def find_compiler():
     return None
 
 
+#: ``compiler_identity`` results by (resolved path, mtime, size) of the
+#: compiler file: one probe per process, a fresh one once it changes.
+_identities = {}
+
+
 def compiler_identity(cc):
     """A stable identity string for ``cc`` (first ``--version`` line
-    plus the flag set); part of every artifact's cache key."""
+    plus the flag set); part of every artifact's cache key.
+
+    The probe runs once per compiler file and process; replacing or
+    touching the file probes it again.
+    """
+    try:
+        path = os.path.realpath(shutil.which(cc) or cc)
+        info = os.stat(path)
+    except OSError:
+        return _probe_identity(cc)
+    key = (path, info.st_mtime_ns, info.st_size)
+    identity = _identities.get(key)
+    if identity is None:
+        identity = _identities[key] = _probe_identity(cc)
+    return identity
+
+
+def _probe_identity(cc):
     try:
         out = subprocess.run(
             [cc, "--version"], capture_output=True, text=True, timeout=30,

@@ -54,6 +54,13 @@ class TestBasics:
         with pytest.raises(AssemblerError):
             testmodel_tools.assembler.assemble_text("ldi r0, -129")
 
+    @pytest.mark.parametrize("operand", ["²", "١٢"])
+    def test_non_ascii_digit_operand_rejected(self, testmodel_tools,
+                                              operand):
+        with pytest.raises(AssemblerError,
+                           match="line 1: unexpected character"):
+            testmodel_tools.assembler.assemble_text("ldi r1, " + operand)
+
     def test_positive_out_of_range_rejected(self, testmodel_tools):
         with pytest.raises(AssemblerError):
             testmodel_tools.assembler.assemble_text("ldi r0, 256")

@@ -120,6 +120,11 @@ class TestErrors:
         with pytest.raises(LisaSyntaxError):
             tokenize("a $ b")
 
+    @pytest.mark.parametrize("source", ["x = ²;", "a ١٢ b"])
+    def test_non_ascii_digits_rejected(self, source):
+        with pytest.raises(LisaSyntaxError, match="unexpected character"):
+            tokenize(source)
+
 
 class TestTokenHelpers:
     def test_is_punct(self):

@@ -240,8 +240,37 @@ OPERATION insn {
 OPERATION alpha { DECLARE { LABEL k; } CODING { 0b0 k[7] } }
 OPERATION beta { DECLARE { LABEL k; } CODING { 0bx k[7] } }
 """
-        with pytest.raises(CodingError):
+        with pytest.raises(CodingError) as exc_info:
             compile_source(source)
+        assert exc_info.value.message == (
+            "ambiguous coding: alternatives 'alpha' and 'beta' of 'op' in "
+            "operation 'insn' overlap (0b0xxxxxxx vs 0bxxxxxxxx)"
+        )
+
+    def test_first_ambiguous_pair_in_declaration_order_reported(self):
+        # (alpha, gamma) and (beta, gamma) both overlap, and both of
+        # alpha's expanded patterns overlap gamma: the report names the
+        # first pair in declaration order and alpha's first pattern.
+        source = HEADER + """
+OPERATION insn {
+    DECLARE { GROUP op = { alpha || beta || gamma }; }
+    CODING { op }
+}
+OPERATION alpha {
+    DECLARE { GROUP mode = { m0 || m1 }; }
+    CODING { 0b00 mode 0bxxxx }
+}
+OPERATION m0 { CODING { 0b00 } }
+OPERATION m1 { CODING { 0b11 } }
+OPERATION beta { DECLARE { LABEL k; } CODING { 0b01 k[6] } }
+OPERATION gamma { DECLARE { LABEL k; } CODING { 0b0 k[7] } }
+"""
+        with pytest.raises(CodingError) as exc_info:
+            compile_source(source)
+        assert exc_info.value.message == (
+            "ambiguous coding: alternatives 'alpha' and 'gamma' of 'op' in "
+            "operation 'insn' overlap (0b0000xxxx vs 0b0xxxxxxx)"
+        )
 
 
 class TestNameChecking:

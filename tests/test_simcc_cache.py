@@ -393,6 +393,44 @@ class TestNativeArtifacts:
         ) is not None
         assert cache.stats["native_hits"] == 1
 
+    @staticmethod
+    def _fake_cc(path, version):
+        path.write_text("#!/bin/sh\necho '%s'\n" % version)
+        path.chmod(0o755)
+        return str(path)
+
+    def test_compiler_probe_runs_once_per_compiler_file(self, tmp_path,
+                                                        monkeypatch):
+        """Warm jobs reuse the identity; a replaced or touched compiler
+        is probed again."""
+        import os
+        import subprocess
+
+        from repro.simcc.native import toolchain
+
+        probes = []
+        real_run = subprocess.run
+
+        def counting_run(cmd, *args, **kwargs):
+            probes.append(cmd)
+            return real_run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        cc = self._fake_cc(tmp_path / "cc", "fake-cc 1.0")
+        first = toolchain.compiler_identity(cc)
+        assert first == "fake-cc 1.0 | -O2 -shared -fPIC"
+        assert toolchain.compiler_identity(cc) == first
+        assert len(probes) == 1
+
+        self._fake_cc(tmp_path / "cc", "fake-cc 2.0.1")
+        assert toolchain.compiler_identity(cc).startswith("fake-cc 2.0.1 ")
+        assert len(probes) == 2
+
+        info = os.stat(cc)
+        os.utime(cc, ns=(info.st_atime_ns, info.st_mtime_ns + 10 ** 9))
+        toolchain.compiler_identity(cc)
+        assert len(probes) == 3
+
     def test_stale_format_version_misses(self, cache):
         import json
 
