@@ -12,8 +12,8 @@ results predicted by an independent reference interpreter.
 
 from repro import build_toolset, load_model
 from repro.kcc import compile_kernel, evaluate_kernel, parse_kernel
+from repro.obs import Observer, profile_report
 from repro.sim import create_simulator
-from repro.tools.profiler import Profiler
 
 KERNEL = """
 array x[8] @ 0;
@@ -50,7 +50,8 @@ def main():
         simulator.load_program(obj)
         for address, value in enumerate(INPUT):
             simulator.state.write_memory("dmem", address, value)
-        profiler = Profiler(simulator)
+        observer = Observer(record=False)  # metrics only
+        simulator.attach_observer(observer)
         stats = simulator.run(max_cycles=1_000_000)
 
         result = simulator.state.dmem[8:16]
@@ -60,7 +61,7 @@ def main():
             % (target, obj.word_count(model.config.program_memory),
                stats.cycles, result)
         )
-        report = profiler.report()
+        report = profile_report(observer, simulator)
         hot = report.annotate(tools.disassembler, obj, limit=3)
         print("         hottest instructions:")
         for line in hot:

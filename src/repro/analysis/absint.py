@@ -578,35 +578,15 @@ def analyze_packet(funcs_by_stage, model, pmem_name):
 # ---------------------------------------------------------------------------
 
 
-def analyze_table_ir(ir_by_stage, model):
-    """Per-packet proofs for a table's lowered IR (``{pc: proof}``)."""
-    pmem_name = model.config.program_memory
-    return {
-        pc: analyze_packet(funcs_by_stage, model, pmem_name)
-        for pc, funcs_by_stage in ir_by_stage.items()
-    }
-
-
 def table_proofs(table, model):
     """The per-packet proofs behind a bound simulation table.
 
-    Prefers proofs persisted with the (cached) portable table; falls
-    back to analysing the table's lowered IR; returns ``None`` when the
-    table carries neither (hand-built or legacy tables have no proof,
-    so consumers must stay conservative).
+    Tables bound from a portable table carry the proofs computed (or
+    cached) with it; ``None`` means the table has none (the direct
+    level-2 table, hand-built tables), so consumers must stay
+    conservative.
     """
-    proofs = getattr(table, "proofs", None)
-    if proofs is not None:
-        return proofs
-    ir_by_stage = getattr(table, "ir_by_stage", None)
-    if ir_by_stage:
-        proofs = analyze_table_ir(ir_by_stage, model)
-        try:
-            table.proofs = proofs  # memoise on the table
-        except AttributeError:
-            pass
-        return proofs
-    return None
+    return getattr(table, "proofs", None)
 
 
 def table_store_resources(table, model):
@@ -769,7 +749,6 @@ __all__ = [
     "transfer_alu",
     "PacketProof",
     "analyze_packet",
-    "analyze_table_ir",
     "check_ir",
     "surviving_dead_writes",
     "table_proofs",

@@ -155,9 +155,9 @@ class Toolset:
         ``on_self_modify`` arms the program-memory write guard with a
         degradation policy (``error``, ``recompile`` or ``interpret``;
         see :mod:`repro.resilience`).  ``backend`` (table-based kinds)
-        selects the execution backend -- ``auto``, ``python``,
-        ``module`` or ``native`` (compiled C bursts; falls back to the
-        Python path when no C toolchain is available).
+        selects the execution backend -- ``auto``, ``python`` or
+        ``native`` (compiled C bursts; falls back to the Python path
+        when no C toolchain is available).
         """
         from repro.sim import create_simulator
 

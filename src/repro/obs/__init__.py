@@ -12,8 +12,8 @@ the simulation compiler:
   (:mod:`repro.obs.sinks`).
 * **Phase-timing spans** (:mod:`repro.obs.spans`) -- nested wall-clock
   timing around the simulation-compilation steps (decoding,
-  sequencing, instantiation), cache lookup/store and program load; the
-  paper's Figure 6 measurement as a built-in.
+  sequencing, packet formation, analysis), cache lookup/store and
+  program load; the paper's Figure 6 measurement as a built-in.
 * **A metrics registry** (:mod:`repro.obs.metrics`) -- counters,
   gauges and histograms (per-address/per-opcode dispatch counts,
   static-vs-dynamic composition ratio, cache hit rate, CPI, bubble
@@ -90,7 +90,7 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import hot_region_report
+from repro.obs.profile import ProfileReport, hot_region_report, profile_report
 from repro.obs.sinks import (
     NULL_SINK,
     CallbackSink,
@@ -199,9 +199,9 @@ __all__ = [
     "TRACE_FORMATS", "TRACE_MODE",
     "CallbackSink", "FlightRecorder", "JsonLinesSink", "ListSink",
     "MetricsRegistry",
-    "NullSink", "Observer", "Sink", "Span", "TraceEvent",
+    "NullSink", "Observer", "ProfileReport", "Sink", "Span", "TraceEvent",
     "get_observer", "hot_region_report", "install", "opcode_labeler",
-    "span", "text_summary",
+    "profile_report", "span", "text_summary",
     "to_chrome_trace", "to_jsonl_lines", "to_openmetrics", "uninstall",
     "write_metrics", "write_trace",
 ]

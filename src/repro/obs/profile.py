@@ -1,6 +1,18 @@
-"""Profile-guided hot-region reporting.
+"""Profile reports built from one observed run's metrics.
 
-:func:`hot_region_report` turns one observed run's per-packet counters
+:func:`profile_report` builds a :class:`ProfileReport`: per-address
+fetch counts, execute-packet statistics, bubble-cycle attribution and
+a source-annotated hot-spot listing -- the kind of feedback loop
+(simulate, profile, re-schedule) that DSP software development lives
+on.  Any observer feeds it, on every simulator kind; a metrics-only
+``Observer(record=False)`` keeps the event list from growing::
+
+    observer = Observer(record=False)
+    sim.attach_observer(observer)
+    sim.run()
+    report = profile_report(observer, sim)
+
+:func:`hot_region_report` turns the same run's per-packet counters
 into a stable, JSON-compatible ranking of where simulated time went:
 per-packet attributed cycles (``sim.cycles_by_pc``, maintained by
 trace/profile-mode observers on every backend -- the Python loops
@@ -15,6 +27,9 @@ falls back to ranking by raw fetch counts and says so in ``basis``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import Dict
+
 #: Report schema version; bump on any shape change so downstream
 #: consumers can gate on it.
 REPORT_VERSION = 1
@@ -26,6 +41,81 @@ DEFAULT_HOT_SHARE = 0.01
 #: Hot packets at most this many program words apart merge into one
 #: window (packets are multi-word, so adjacency is not pc+1).
 DEFAULT_MAX_GAP = 4
+
+
+@dataclass
+class ProfileReport:
+    """Per-address fetch statistics for one run.
+
+    ``bubbles_by_reason`` attributes every non-issuing cycle to why it
+    issued nothing: ``"stall"`` (a behaviour requested stall cycles),
+    ``"drain"`` (the pipeline emptying after halt) or ``"frontend"``
+    (no slot at the fetch address).  ``packet_sizes`` summarises the
+    execute-packet-level statistics as a ``{size: packets}`` histogram.
+    """
+
+    fetch_counts: Dict[int, int] = field(default_factory=dict)
+    issue_cycles: int = 0
+    bubble_cycles: int = 0
+    total_cycles: int = 0
+    instructions_issued: int = 0
+    squashed_slots: int = 0
+    bubbles_by_reason: Dict[str, int] = field(default_factory=dict)
+    packet_sizes: Dict[int, int] = field(default_factory=dict)
+
+    @property
+    def hottest(self):
+        """Addresses sorted by descending fetch count."""
+        return sorted(
+            self.fetch_counts.items(), key=lambda kv: (-kv[1], kv[0])
+        )
+
+    @property
+    def mean_packet_size(self):
+        """Mean instructions per issued execute packet (NaN if none)."""
+        if not self.issue_cycles:
+            return float("nan")
+        return self.instructions_issued / self.issue_cycles
+
+    def annotate(self, disassembler, program, limit=None):
+        """Hot-spot listing lines: count, address, disassembly."""
+        listing = {}
+        for line in disassembler.disassemble_program(program):
+            address_text, text = line.split(":", 1)
+            listing[int(address_text, 16)] = text.strip()
+        lines = []
+        for address, count in self.hottest[:limit]:
+            lines.append(
+                "%10d  %06x: %s"
+                % (count, address, listing.get(address, "?"))
+            )
+        return lines
+
+
+def profile_report(observer, simulator=None):
+    """Build a :class:`ProfileReport` from any observer's metrics.
+
+    ``total_cycles`` comes from the engine when ``simulator`` is given
+    (matching ``simulator.cycles`` exactly), otherwise from the
+    issue/bubble counters.
+    """
+    metrics = observer.metrics
+    issue = metrics.counter("sim.issue_cycles")
+    bubble = metrics.counter("sim.bubble_cycles")
+    if simulator is not None and simulator.program is not None:
+        total = simulator.engine.cycles
+    else:
+        total = issue + bubble
+    return ProfileReport(
+        fetch_counts=dict(metrics.family("sim.fetch_by_pc")),
+        issue_cycles=issue,
+        bubble_cycles=bubble,
+        total_cycles=total,
+        instructions_issued=metrics.counter("sim.instructions_issued"),
+        squashed_slots=metrics.counter("sim.squashed_slots"),
+        bubbles_by_reason=dict(metrics.family("sim.bubbles_by_reason")),
+        packet_sizes=dict(metrics.family("sim.packet_sizes")),
+    )
 
 
 def hot_region_report(observer, top=None, hot_share=DEFAULT_HOT_SHARE,

@@ -159,6 +159,11 @@ class Checkpoint:
                 "checkpoint format %r is not supported (expected %d)"
                 % (fmt, CHECKPOINT_FORMAT)
             )
+        backend = payload.get("backend", "auto")
+        if backend == "module":
+            # A retired backend: it only chose how a table was built,
+            # never what it computes, so ``auto`` resumes bit-exactly.
+            backend = "auto"
         try:
             return cls(
                 format=fmt,
@@ -174,7 +179,7 @@ class Checkpoint:
                 halted=payload["halted"],
                 stall_cycles=payload["stall_cycles"],
                 state=payload["state"],
-                backend=payload.get("backend", "auto"),
+                backend=backend,
             )
         except KeyError as exc:
             raise CheckpointError(

@@ -356,9 +356,10 @@ class TableGuardTarget:
 
     Serves ``compiled``, ``unfolded``, ``static`` and
     ``unfolded_static`` simulators: packets come from
-    ``SimulationTable.slots`` and a refresh runs the touched region back
-    through the simulation compiler (reusing the cache when one is
-    attached), patching the table in place.
+    ``SimulationTable.slots`` and a refresh builds a table for the
+    touched region the way the simulator built its own (see
+    :func:`repro.sim.compiled.build_simulation_table`), patching the
+    table in place.
     """
 
     coherent = False
@@ -405,6 +406,8 @@ class TableGuardTarget:
 
     def refresh(self, pc):
         """Re-decode the packet at ``pc`` from live memory; patch table."""
+        from repro.sim.compiled import build_simulation_table
+
         sim = self._sim
         state = sim.state
         pmem = getattr(state, self._pmem_name)
@@ -413,17 +416,7 @@ class TableGuardTarget:
         words = [int(word) for word in pmem[pc:pc + extent]]
         patch = Program(name="<recompile:0x%x>" % pc, entry=pc)
         patch.add_segment(self._pmem_name, pc, words)
-        if sim.cache is not None:
-            mini = sim.cache.load_table(
-                sim._simcc, patch, state, sim.control,
-                level=sim.level, observer=sim.observer,
-            )
-        else:
-            mini = sim._simcc.compile(
-                patch, state, sim.control, level=sim.level,
-                observer=sim.observer,
-            )
-        updates = self._merge(mini)
+        updates = self._merge(build_simulation_table(sim, patch))
         return sim.table.slots[pc], updates
 
     def _merge(self, mini):
@@ -437,14 +430,9 @@ class TableGuardTarget:
                 # against untouched neighbours, so force these packets
                 # onto the dynamically-composed path.
                 table.schedule_safety[pc] = "unknown"
-            if table.items_by_stage is not None and mini.items_by_stage:
-                items = mini.items_by_stage.get(pc)
-                if items is not None:
-                    table.items_by_stage[pc] = items
-            if table.ir_by_stage is not None and mini.ir_by_stage:
-                ir = mini.ir_by_stage.get(pc)
-                if ir is not None:
-                    table.ir_by_stage[pc] = ir
+            if mini.ir_by_stage is not None:
+                # Same route as the table itself, so both carry IR.
+                table.ir_by_stage[pc] = mini.ir_by_stage[pc]
             updates[pc] = slot.words
         return updates
 

@@ -79,7 +79,25 @@ class JobSpec:
         spec = cls(**{key: data[key] for key in data})
         spec.dumps = tuple(tuple(entry) for entry in spec.dumps)
         spec.fault_plan = tuple(dict(entry) for entry in spec.fault_plan)
+        spec._check_choices()
         return spec
+
+    def _check_choices(self):
+        """Reject a bad ``kind``/``backend``/``on_self_modify`` at
+        submission: inside a worker the error would look like a compile
+        fault and degrade the job to the interpretive kind."""
+        from repro.resilience.guard import GUARD_POLICIES
+        from repro.sim import SIM_BACKENDS, SIM_KINDS
+
+        for name, choices in (("kind", SIM_KINDS),
+                              ("backend", SIM_BACKENDS),
+                              ("on_self_modify", GUARD_POLICIES + ("off",))):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ReproError(
+                    "job spec field %r is %r (expected one of %s)"
+                    % (name, value, ", ".join(choices))
+                )
 
 
 @dataclass

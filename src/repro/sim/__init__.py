@@ -37,12 +37,12 @@ SIM_KINDS = (
 )
 
 #: Execution backends for the table-based kinds.  ``auto``/``python``
-#: run the in-process exec backend; ``module`` forces the portable-table
-#: (emitted-module) path; ``native`` additionally compiles proven
+#: run the table in Python; ``native`` additionally compiles proven
 #: packets to C and bursts whole pipeline windows per call, falling
-#: back to ``module`` behaviour (with one ``native.fallback`` event)
-#: when no C toolchain is available.
-SIM_BACKENDS = ("auto", "python", "module", "native")
+#: back to the Python path (with one ``native.fallback`` event) when
+#: no C toolchain is available.  With ``native`` (or a cache) the
+#: level-2 kinds bind the portable level-3 code.
+SIM_BACKENDS = ("auto", "python", "native")
 
 
 def create_simulator(model, kind="compiled", cache=None, jobs=None,

@@ -18,30 +18,37 @@ from repro.simcc.generator import generate_simulation_compiler
 
 
 def build_simulation_table(simulator, program):
-    """Shared load-time table construction for the table-based kinds.
+    """Build the simulation table for ``program``: the one place that
+    decides which route a table takes.
 
-    The cache path always rehydrates a *portable* table; without a
-    cache, the ``module``/``native`` backends also force the portable
-    path (portable tables are what the emitted module and the native
-    renderer consume), while ``auto``/``python`` compile directly.
+    * With a cache attached, the cache serves (or compiles and stores)
+      a portable table and binds it.
+    * Level ``sequenced`` on the Python path without a cache is the
+      paper's level-2 table: the simulation compiler binds
+      :class:`~repro.simcc.compiler._BoundBehavior` operations that
+      the AST evaluator runs.
+    * Everything else -- every level-3 table and every native table --
+      compiles a portable table and binds it.  ``compile_portable`` is
+      called directly (not through ``compile``) so each load runs
+      exactly one simulation compile.
     """
+    simcc = simulator._simcc
+    level = simulator._level
     if simulator._cache is not None:
         return simulator._cache.load_table(
-            simulator._simcc, program, simulator.state, simulator.control,
-            level=simulator._level, jobs=simulator._jobs,
+            simcc, program, simulator.state, simulator.control,
+            level=level, jobs=simulator._jobs, observer=simulator.observer,
+        )
+    if level == "sequenced" and simulator.backend != "native":
+        return simcc.compile(
+            program, simulator.state, simulator.control, level=level,
             observer=simulator.observer,
         )
-    if simulator.backend in ("module", "native"):
-        portable = simulator._simcc.compile_portable(
-            program, level=simulator._level, jobs=simulator._jobs,
-            observer=simulator.observer,
-        )
-        return portable.bind(simulator.state, simulator.control)
-    return simulator._simcc.compile(
-        program, simulator.state, simulator.control,
-        level=simulator._level, jobs=simulator._jobs,
+    portable = simcc.compile_portable(
+        program, level=level, jobs=simulator._jobs,
         observer=simulator.observer,
     )
+    return portable.bind(simulator.state, simulator.control)
 
 
 def maybe_wrap_native(simulator, engine):
@@ -81,7 +88,8 @@ class CompiledSimulator(Simulator):
     ``cache`` accepts a :class:`repro.simcc.cache.SimulationCache`; when
     set, load-time simulation compilation is replaced by a cache lookup
     (compiling and storing on the first miss).  ``jobs`` fans a cold
-    compile out over a worker pool (see :mod:`repro.simcc.parallel`).
+    portable compile out over a process pool (see
+    :mod:`repro.simcc.parallel`).
     ``backend`` selects the execution backend (see
     :data:`repro.sim.SIM_BACKENDS`).
     """

@@ -230,9 +230,7 @@ class StaticPipeline:
                         )
                     return None
         if self._column_compiler is not None:
-            compiled = self._column_compiler(pcs, slots)
-            if compiled is not None:
-                return compiled
+            return self._column_compiler(pcs, slots)
         ops = []
         for stage in range(self._depth - 1, -1, -1):
             slot = slots[stage]
@@ -381,8 +379,8 @@ class StaticScheduledSimulator(Simulator):
     instruction (oldest first), re-runs dead-write elimination over the
     combined sequence -- a write superseded by a younger instruction in
     the same cycle is dropped -- and compiles one function per interned
-    occupancy.  Cache-rehydrated tables carry the persisted IR, so they
-    fuse exactly like freshly compiled ones.  ``column_stats``
+    occupancy; every level-3 table is bound from a portable table, so
+    the IR is always there, cached or not.  ``column_stats``
     accumulates the pass counters across every fused column (the
     ``dead_writes_removed`` count is the observable proof that column
     DCE fires).
@@ -448,11 +446,6 @@ class StaticScheduledSimulator(Simulator):
         writing the same cell later in the same cycle.
         """
         table = self.table
-        if table.ir_by_stage is None:
-            # No lowered IR behind this table (hand-built or legacy):
-            # let the caller compose the column from per-stage
-            # functions instead.
-            return None
         ops = []
         for stage in range(self.model.pipeline.depth - 1, -1, -1):
             pc = pcs[stage]

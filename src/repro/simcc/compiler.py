@@ -9,7 +9,8 @@ function.  Building it performs, at simulation-compile time:
 2. decode-time IF/SWITCH variant resolution,
 3. operation sequencing (the per-stage micro-operation schedule),
 4. VLIW execute-packet formation,
-5. at level ``instantiated``, per-instruction Python code generation.
+5. at level ``instantiated``, per-instruction Python code generation
+   (through :mod:`repro.simcc.portable`).
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.behavior import ast as bast
-from repro.behavior.codegen import BehaviorCodegen
 from repro.behavior.evaluator import EvalContext, execute_behavior
 from repro.behavior.runtime import CONTROL_INTRINSICS
 from repro.coding.decoder import InstructionDecoder
 from repro.machine.driver import IssueSlot
 from repro.machine.schedule import build_schedule
 from repro.machine.packets import packet_extent
-from repro.simcc import parallel
-from repro.simcc.ir import PythonExecBackend, ops_have_control
 from repro.support.errors import ReproError, SimulationError
 
 LEVELS = ("sequenced", "instantiated")
@@ -37,17 +35,12 @@ LEVELS = ("sequenced", "instantiated")
 class SimulationTable:
     """The compiled image of one program for one (state, control) pair.
 
-    ``items_by_stage`` carries the decoded (node, behaviour) pairs
-    behind each slot for consumers that re-sequence them; it is ``None``
-    for tables rehydrated from a
-    :class:`repro.simcc.portable.PortableTable` (decoded nodes do not
-    survive serialisation).
-
-    ``ir_by_stage`` carries, at level ``instantiated``, the lowered
-    :class:`repro.simcc.ir.IRFunction` per packet member and stage --
-    the form the static scheduler fuses whole columns from.  Portable
-    tables rebuild it on :meth:`~repro.simcc.portable.PortableTable.
-    bind`, so cache-rehydrated tables fuse columns too.
+    ``ir_by_stage`` carries the lowered :class:`repro.simcc.ir.
+    IRFunction` per packet member and stage -- the form the static
+    scheduler fuses whole columns from and the native backend renders.
+    Every table bound from a :class:`repro.simcc.portable.PortableTable`
+    has it; only the level-2 table :meth:`SimulationCompiler.compile`
+    builds directly has ``None``.
 
     ``schedule_safety`` maps canonical packet starts to hazard verdicts
     from :func:`repro.analysis.schedule_safety` (``hazard_free`` /
@@ -59,14 +52,13 @@ class SimulationTable:
     :class:`repro.analysis.absint.PacketProof` facts (nativisability,
     store-target reachability, per-resource value intervals).  Portable
     tables carry them through :meth:`bind`; ``None`` means no proof is
-    available and consumers (guard elision, native admission) must stay
-    conservative.
+    available (the direct level-2 table) and consumers (guard elision,
+    native admission) must stay conservative.
     """
 
     level: str
     slots: Dict[int, IssueSlot]
     has_control: Dict[int, bool]
-    items_by_stage: Optional[Dict[int, Tuple[Tuple[object, ...], ...]]]
     instruction_count: int = 0
     word_count: int = 0
     schedule_safety: Optional[Dict[int, str]] = None
@@ -132,35 +124,34 @@ class SimulationCompiler:
         compiled-simulation trade-off: per-application, per-simulator
         specialisation in exchange for run-time speed).
 
-        ``jobs`` fans the per-word decode/variant-resolve/schedule work
-        out over a thread pool (see :mod:`repro.simcc.parallel`); the
-        merge is by program order, so the produced table is identical to
-        a serial compile.
+        Level ``sequenced`` binds :class:`_BoundBehavior` operations run
+        by the AST evaluator -- the paper's level 2.  Level
+        ``instantiated`` is :meth:`compile_portable` bound to the pair;
+        ``jobs`` only fans that compile out over a process pool.
 
         ``observer`` records one phase-timing span per simulation-
-        compilation step (decoding, sequencing/instantiation, packet
-        formation, hazard analysis) plus a ``hazard.verdict`` trace
-        event per analysed packet -- the paper's Figure 6 measurement
-        as a built-in.
+        compilation step (decoding, sequencing, packet formation, hazard
+        analysis) plus a ``hazard.verdict`` trace event per analysed
+        packet -- the paper's Figure 6 measurement as a built-in.
         """
         if level not in LEVELS:
             raise ReproError(
                 "unknown simulation level %r (expected one of %s)"
                 % (level, ", ".join(LEVELS))
             )
+        if level == "instantiated":
+            return self.compile_portable(
+                program, level=level, jobs=jobs, observer=observer
+            ).bind(state, control)
         from repro import obs as _obs
 
         model = self._model
         pmem_name = model.config.program_memory
         segments = program.segments_in(pmem_name)
-        variant_cache = {}
-        ctx = EvalContext(state, control, model, variant_cache)
-        codegen = BehaviorCodegen(model, variant_cache)
+        ctx = EvalContext(state, control, model, {})
 
         slots = {}
         has_control = {}
-        items_by_stage = {}
-        ir_by_stage = {} if level == "instantiated" else None
         instruction_count = 0
         word_count = 0
 
@@ -174,46 +165,23 @@ class SimulationCompiler:
                 def read_word(address, _words=words, _base=base):
                     return _words[address - _base]
 
-                # Step 1+2+3: decode and schedule every word once.  The
-                # per-word results are independent, so this phase fans out.
-                def decode_word(task):
-                    pc, word = task
-                    node = self._decoder.decode(word, address=pc)
-                    return self._stage_split(build_schedule(node, model))
+                # Step 1+2+3: decode and schedule every word once.
+                with _obs.span(observer, "simcc.decode", words=len(words)):
+                    per_pc = {}
+                    for offset, word in enumerate(words):
+                        pc = base + offset
+                        node = self._decoder.decode(word, address=pc)
+                        per_pc[pc] = self._stage_split(
+                            build_schedule(node, model)
+                        )
+                instruction_count += len(words)
 
-                tasks = [
-                    (base + offset, word) for offset, word in enumerate(words)
-                ]
-                with _obs.span(observer, "simcc.decode", words=len(tasks)):
-                    staged = parallel.map_tasks(decode_word, tasks, jobs=jobs)
-                per_pc = {
-                    task[0]: stages for task, stages in zip(tasks, staged)
-                }
-                instruction_count += len(tasks)
-
-                # Step 5 (level "instantiated"): lower behaviours into
-                # SimIR, optimise, and compile via the exec backend.
-                ir_per_pc = None
-                if level == "instantiated":
-                    with _obs.span(observer, "simcc.instantiate",
-                                   words=len(per_pc)):
-                        instantiated = {
-                            pc: self._instantiate(
-                                pc, stages, codegen, state, control
-                            )
-                            for pc, stages in per_pc.items()
-                        }
-                    bound = {pc: fns for pc, (fns, _) in instantiated.items()}
-                    ir_per_pc = {
-                        pc: funcs for pc, (_, funcs) in instantiated.items()
+                with _obs.span(observer, "simcc.sequence",
+                               words=len(per_pc)):
+                    bound = {
+                        pc: self._sequence(stages, ctx)
+                        for pc, stages in per_pc.items()
                     }
-                else:
-                    with _obs.span(observer, "simcc.sequence",
-                                   words=len(per_pc)):
-                        bound = {
-                            pc: self._sequence(stages, ctx)
-                            for pc, stages in per_pc.items()
-                        }
 
                 # Step 4: form execute packets for every possible entry pc.
                 with _obs.span(observer, "simcc.packetize",
@@ -235,38 +203,9 @@ class SimulationCompiler:
                             words=extent,
                             insn_count=extent,
                         )
-                        if ir_per_pc is not None:
-                            # Exact: lowering already inlined every
-                            # sub-operation, so the IR scan sees all
-                            # control requests that can run.
-                            has_control[pc] = any(
-                                ops_have_control(func.ops)
-                                for member in members
-                                for stage_funcs in ir_per_pc[member]
-                                for func in stage_funcs
-                            )
-                            ir_by_stage[pc] = tuple(
-                                tuple(
-                                    itertools.chain.from_iterable(
-                                        ir_per_pc[member][stage]
-                                        for member in members
-                                    )
-                                )
-                                for stage in range(self._depth)
-                            )
-                        else:
-                            has_control[pc] = any(
-                                self._stages_have_control(per_pc[member], ctx)
-                                for member in members
-                            )
-                        items_by_stage[pc] = tuple(
-                            tuple(
-                                itertools.chain.from_iterable(
-                                    per_pc[member][stage]
-                                    for member in members
-                                )
-                            )
-                            for stage in range(self._depth)
+                        has_control[pc] = any(
+                            self._stages_have_control(per_pc[member], ctx)
+                            for member in members
                         )
 
             from repro.analysis import schedule_safety
@@ -281,11 +220,9 @@ class SimulationCompiler:
             level=level,
             slots=slots,
             has_control=has_control,
-            items_by_stage=items_by_stage,
             instruction_count=instruction_count,
             word_count=word_count,
             schedule_safety=safety,
-            ir_by_stage=ir_by_stage,
         )
 
     def compile_portable(self, program, level="sequenced", jobs=None,
@@ -321,28 +258,6 @@ class SimulationCompiler:
                 fns.append(_BoundBehavior(behavior.statements, node, ctx))
             bound.append(tuple(fns))
         return tuple(bound)
-
-    def _instantiate(self, pc, stages, codegen, state, control):
-        """Level 3 binding: lower each occupied stage into one optimised
-        :class:`repro.simcc.ir.IRFunction`, compile it through the exec
-        backend, and keep the IR for static column fusion.
-
-        Returns ``(bound, funcs)`` -- parallel per-stage tuples of
-        compiled callables and their lowered IR."""
-        backend = PythonExecBackend()
-        bound = []
-        funcs = []
-        for stage, stage_items in enumerate(stages):
-            if not stage_items:
-                bound.append(())
-                funcs.append(())
-                continue
-            func = codegen.lower_function(
-                "insn_%x_stage_%d" % (pc, stage), stage_items
-            )
-            bound.append((backend.compile_function(func, state, control),))
-            funcs.append((func,))
-        return tuple(bound), tuple(funcs)
 
     def _stages_have_control(self, stages, ctx):
         return any(

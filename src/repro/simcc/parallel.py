@@ -1,31 +1,28 @@
-"""Parallel fan-out for simulation compilation.
+"""Parallel fan-out for portable simulation compilation.
 
 Simulation compilation is embarrassingly parallel per program word: the
 decode / variant-resolve / schedule / codegen work for one word never
 depends on another word.  This module provides a small deterministic
-map over words backed by :mod:`concurrent.futures`:
-
-* **threads** for in-memory table construction (the work produces
-  model-tied Python objects that cannot cross a process boundary),
-* **processes** for portable-table code generation (the work produces
-  plain strings, and generating thousands of specialised function
-  sources is CPU-bound Python that benefits from real parallelism).
+map over words backed by a :mod:`concurrent.futures` process pool --
+the work is CPU-bound Python, so only processes give real parallelism,
+and it produces lowered IR that pickles back to the parent unchanged.
 
 Results are always returned in input order, so a parallel compile is
 bit-identical to the serial one -- parallelism changes wall-clock only,
-never the produced table.  Any pool failure falls back one level
-(processes -> threads -> serial); ``jobs=None``/``jobs=1`` is fully
-serial and allocates no pool.
+never the produced table.  When no pool can start, the map runs
+serially; an exception raised by a task propagates as it would from a
+serial map.  ``jobs=None``/``jobs=1`` is fully serial and allocates no
+pool.
 
 Process pools use the ``fork`` start method so workers inherit the
 (unpicklable) machine model via :data:`_FORK_MODEL`; on platforms
-without ``fork`` the process path is skipped entirely.
+without ``fork`` the map always runs serially.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 # Fan-out below this many items costs more than it saves.
 MIN_PARALLEL_ITEMS = 32
@@ -61,35 +58,33 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def map_tasks(fn, tasks, jobs=None, processes=False, model=None):
+def map_tasks(fn, tasks, jobs=None, model=None):
     """Map ``fn`` over ``tasks``; results in input order.
 
-    With ``processes=True``, ``fn`` must be a module-level function
-    taking one picklable task and returning a picklable result, and
-    ``model`` is made available to workers through :func:`forked_model`.
+    ``fn`` must be a module-level function taking one picklable task
+    and returning a picklable result; ``model`` is made available to
+    workers (and to a serial run) through :func:`forked_model`.
     """
     tasks = list(tasks)
     workers = effective_jobs(jobs, len(tasks))
     global _FORK_MODEL
     _FORK_MODEL = model
     try:
-        if workers == 1 or len(tasks) < MIN_PARALLEL_ITEMS:
+        context = _fork_context()
+        if (workers == 1 or len(tasks) < MIN_PARALLEL_ITEMS
+                or context is None):
             return [fn(task) for task in tasks]
         chunksize = max(1, len(tasks) // (workers * 4))
-        if processes:
-            context = _fork_context()
-            if context is not None:
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=workers, mp_context=context
-                    ) as pool:
-                        return list(pool.map(fn, tasks, chunksize=chunksize))
-                except Exception:
-                    pass  # pool setup/teardown failure: use threads
         try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, tasks, chunksize=chunksize))
-        except Exception:
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       mp_context=context)
+            # map() submits every chunk up front, which forks the
+            # workers; task errors only surface while reading results.
+            results = pool.map(fn, tasks, chunksize=chunksize)
+        except (OSError, NotImplementedError):
+            # No pool can start here (no semaphores, fork refused).
             return [fn(task) for task in tasks]
+        with pool:
+            return list(results)
     finally:
         _FORK_MODEL = None

@@ -1,10 +1,10 @@
 """Portable (state-independent) simulation tables.
 
-:meth:`repro.simcc.compiler.SimulationCompiler.compile` produces a
-:class:`~repro.simcc.compiler.SimulationTable` whose micro-operations
-are bound to one concrete state/control pair -- fast to execute, but
-impossible to persist.  A :class:`PortableTable` is the relocatable
-intermediate between the two: the full result of simulation compilation
+A :class:`~repro.simcc.compiler.SimulationTable` binds its
+micro-operations to one concrete state/control pair -- fast to execute,
+but impossible to persist.  A :class:`PortableTable` is the
+state-independent form such a table is bound from (every table except
+the direct level-2 one): the full result of simulation compilation
 (decode, variant resolution, scheduling, packet formation, operation
 instantiation) expressed as
 
@@ -108,10 +108,9 @@ class PortableTable:
         """Rehydrate into a :class:`SimulationTable` bound to a
         state/control pair, without re-running the simulation compiler.
 
-        The bound table carries no ``items_by_stage`` (the decoded
-        (node, behaviour) pairs do not survive serialisation) but does
-        carry ``ir_by_stage`` rebuilt from the persisted IR, so static
-        level-3 column *fusion* works on cache-rehydrated tables too.
+        The bound table carries ``ir_by_stage`` rebuilt from the
+        persisted IR, so static level-3 column *fusion* works on
+        cache-rehydrated tables too.
         """
         from repro.simcc.compiler import SimulationTable
 
@@ -141,7 +140,6 @@ class PortableTable:
             level=self.level,
             slots=slots,
             has_control=dict(self.has_control),
-            items_by_stage=None,
             instruction_count=self.instruction_count,
             word_count=self.word_count,
             schedule_safety=(
@@ -265,8 +263,8 @@ def _word_functions(model, decoder, depth, pc, word):
 
 # Per-process toolchains for codegen workers, built lazily on the first
 # task so pool start-up stays cheap.  Keyed by model identity because
-# the thread/serial fallback paths run in the parent process, which may
-# compile for several models over its lifetime.
+# the serial fallback runs in the parent process, which may compile for
+# several models over its lifetime.
 _worker_toolchains = {}
 
 
@@ -292,8 +290,8 @@ def build_portable_table(model, program, level="sequenced", jobs=None,
     """Run full simulation compilation into a :class:`PortableTable`.
 
     With ``jobs`` > 1 the per-word decode / variant-resolve / schedule /
-    codegen fan-out runs on a process pool (falling back to threads,
-    then serial); the merge is by program order, so the result is
+    codegen fan-out runs on a process pool (serial when no pool can
+    start); the merge is by program order, so the result is
     bit-identical to a serial build.  ``observer`` records one
     phase-timing span per compilation step.
     """
@@ -320,8 +318,7 @@ def build_portable_table(model, program, level="sequenced", jobs=None,
         with _obs.span(observer, "simcc.decode", words=len(tasks)):
             if parallel.effective_jobs(jobs, len(tasks)) > 1:
                 results = parallel.map_tasks(
-                    _process_word_task, tasks, jobs=jobs, processes=True,
-                    model=model,
+                    _process_word_task, tasks, jobs=jobs, model=model,
                 )
             else:
                 decoder = InstructionDecoder(model)

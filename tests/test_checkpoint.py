@@ -351,15 +351,15 @@ class TestCliRoundTrip:
         assert "halted" in out
 
 
-def _add_removed_tier_key(path, mode="aggressive"):
-    """Rewrite a checkpoint file the way the previous format wrote it:
-    the removed key in the body, covered by the body digest."""
+def _restamp_body(path, **fields):
+    """Rewrite a checkpoint file the way an earlier version wrote it:
+    ``fields`` set in the body, covered by the body digest."""
     import hashlib
 
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
     body = document["body"]
-    body[REMOVED_TIER_KEY] = mode
+    body.update(fields)
     document["digest"] = hashlib.sha256(
         json.dumps(body, sort_keys=True).encode("utf-8")
     ).hexdigest()
@@ -395,6 +395,16 @@ class TestRunConfigMetadata:
         del payload["backend"]
         legacy = Checkpoint.from_payload(payload)
         assert legacy.backend == "auto"
+
+    def test_retired_module_backend_loads_as_auto(
+        self, testmodel, loop_program
+    ):
+        checkpoint = _mid_run_checkpoint(
+            testmodel, "compiled", loop_program
+        )
+        payload = checkpoint.to_payload()
+        payload["backend"] = "module"
+        assert Checkpoint.from_payload(payload).backend == "auto"
 
     def test_restore_stays_config_portable(self, testmodel, loop_program,
                                            reference_runs):
@@ -487,7 +497,7 @@ class TestCliResumeConfig:
             ])
         assert excinfo.value.code == 3
         capsys.readouterr()
-        _add_removed_tier_key(ckpt)
+        _restamp_body(ckpt, **{REMOVED_TIER_KEY: "aggressive"})
         loaded = load_checkpoint(ckpt)
         assert loaded.backend == "python"
         assert loaded.cycles == 15
@@ -499,4 +509,30 @@ class TestCliResumeConfig:
         ]) == 0
         captured = capsys.readouterr()
         assert "at cycle 15" in captured.err
+        assert captured.out == reference
+
+    def test_module_stamped_checkpoint_resumes_bit_exact(
+        self, tmp_path, lisa_file, asm_file, capsys
+    ):
+        # Written when ``module`` was still a backend: the digest covers
+        # the stamped body, and the resume runs it under ``auto``.
+        ckpt = str(tmp_path / "module.ckpt")
+        with pytest.raises(SystemExit) as excinfo:
+            sim_main([
+                lisa_file, asm_file, "-k", "unfolded",
+                "--max-cycles", "15", "--checkpoint-file", ckpt,
+            ])
+        assert excinfo.value.code == 3
+        capsys.readouterr()
+        _restamp_body(ckpt, backend="module")
+        assert load_checkpoint(ckpt).backend == "auto"
+
+        assert sim_main([lisa_file, asm_file, "--dump", "dmem:7"]) == 0
+        reference = capsys.readouterr().out
+        assert sim_main([
+            lisa_file, asm_file, "-k", "unfolded", "--resume", ckpt,
+            "--dump", "dmem:7",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "backend auto)" in captured.err
         assert captured.out == reference

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps import build_adpcm, build_fir, build_gsm
+from repro.apps import build_adpcm, build_fir, build_gsm, build_synthetic
 from repro.bench import load_app_program
 from repro.lisa.semantics import compile_source
 from repro.machine.control import PipelineControl
@@ -33,6 +33,8 @@ from repro.machine.driver import Pipeline
 from repro.machine.state import ProcessorState
 from repro.sim import create_simulator
 from repro.simcc import ir
+from repro.simcc.cache import SimulationCache
+from repro.simcc.compiler import _BoundBehavior
 from repro.simcc.emit import emit_simulator_module
 from repro.simcc.native import NativePipeline, native_available
 
@@ -483,6 +485,76 @@ def test_native_checkpoint_round_trips_both_directions():
             assert tail.engine.dispatch_counts["native_cycles"] > 0
 
 
+# -- one table route per level -------------------------------------------------
+
+ROUTE_PROGRAMS = [
+    ("fir-c62x", lambda: build_fir("c62x", taps=4, samples=8)),
+    ("synthetic-c62x",
+     lambda: build_synthetic("c62x", target_words=128, loop_iterations=4)),
+]
+
+
+@pytest.fixture(scope="module")
+def route_cache_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("route-cache")
+
+
+@pytest.mark.parametrize("cached", [False, True],
+                         ids=["no-cache", "warm-cache"])
+@pytest.mark.parametrize("backend", ["auto", "native"])
+@pytest.mark.parametrize(
+    "kind", ["compiled", "static", "unfolded", "unfolded_static"]
+)
+@pytest.mark.parametrize(
+    "builder", [entry[1] for entry in ROUTE_PROGRAMS],
+    ids=[entry[0] for entry in ROUTE_PROGRAMS],
+)
+def test_table_route_python_and_native(builder, kind, backend, cached,
+                                       route_cache_root):
+    """Every table kind, backend and cache state runs bit-exact against
+    the interpretive reference, on the route ``build_simulation_table``
+    prescribes: only level 2 on the Python path without a cache is the
+    direct table of ``_BoundBehavior`` operations (no IR, no proofs);
+    every other table is a bound portable table carrying both."""
+    app = builder()
+    model, program = load_app_program(app)
+    reference = create_simulator(model, "interpretive")
+    reference.load_program(program)
+    reference_stats = reference.run()
+
+    cache = None
+    if cached:
+        create_simulator(
+            model, kind, cache=SimulationCache(route_cache_root),
+            backend=backend,
+        ).load_program(program)
+        cache = SimulationCache(route_cache_root)  # fresh LRU: disk hit
+    simulator = create_simulator(model, kind, cache=cache, backend=backend)
+    simulator.load_program(program)
+    stats = simulator.run()
+
+    assert simulator.state.differences(reference.state) == []
+    assert stats.cycles == reference_stats.cycles
+    assert stats.instructions == reference_stats.instructions
+    if cached:
+        assert cache.stats["misses"] == 0
+    if backend == "native" and native_available():
+        assert isinstance(simulator.engine, NativePipeline)
+
+    table = simulator.table
+    direct = (kind in ("compiled", "static") and backend == "auto"
+              and not cached)
+    assert (table.ir_by_stage is None) == direct
+    assert (table.proofs is None) == direct
+    bound_behaviors = {
+        isinstance(op, _BoundBehavior)
+        for slot in table.slots.values()
+        for ops in slot.ops_by_stage
+        for op in ops
+    }
+    assert bound_behaviors == {direct}
+
+
 class TestNativeBackendFallback:
     """Degradation must be silent, observable and bit-exact."""
 
@@ -517,8 +589,10 @@ class TestNativeBackendFallback:
     def test_backend_validation(self, testmodel):
         from repro.support.errors import ReproError
 
-        with pytest.raises(ReproError, match="unknown simulation backend"):
-            create_simulator(testmodel, "unfolded", backend="jit")
+        for backend in ("jit", "module"):
+            with pytest.raises(ReproError,
+                               match="unknown simulation backend"):
+                create_simulator(testmodel, "unfolded", backend=backend)
         with pytest.raises(ReproError, match="table-based"):
             create_simulator(testmodel, "interpretive", backend="native")
 

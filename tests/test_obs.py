@@ -111,8 +111,12 @@ class TestSpans:
 
     def test_instantiated_level_records_instantiate_span(
             self, testmodel, testmodel_tools):
+        # Level 3 is built by the portable compiler: one span per step,
+        # abstract interpretation included, and no level-2 sequencing.
         observer, _, _ = run_traced(testmodel, testmodel_tools, "unfolded")
-        assert observer.spans_of("simcc.instantiate")
+        names = {span.name for span in observer.spans}
+        assert {"simcc.decode", "simcc.packetize", "simcc.analyze",
+                "simcc.absint"} <= names
         assert not observer.spans_of("simcc.sequence")
 
     def test_span_durations_accumulate_into_histograms(self, traced):

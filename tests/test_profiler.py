@@ -1,11 +1,11 @@
-"""Tests for the simulator-based profiler."""
+"""Tests for the profile report built from observer metrics."""
 
 import math
 
 import pytest
 
+from repro.obs import Observer, profile_report
 from repro.sim import create_simulator
-from repro.tools.profiler import Profiler
 
 
 SOURCE = """
@@ -20,14 +20,21 @@ loop:   add r3, r3, r1
 """
 
 
+def attach_profiler(simulator):
+    """A metrics-only observer on ``simulator``, as profiling uses."""
+    observer = Observer(record=False)
+    simulator.attach_observer(observer)
+    return observer
+
+
 @pytest.fixture
 def profiled(testmodel, testmodel_tools):
     program = testmodel_tools.assembler.assemble_text(SOURCE)
     simulator = create_simulator(testmodel, "compiled")
     simulator.load_program(program)
-    profiler = Profiler(simulator)
+    observer = attach_profiler(simulator)
     simulator.run(max_cycles=10_000)
-    return profiler.report(), program, simulator
+    return profile_report(observer, simulator), program, simulator
 
 
 class TestProfiler:
@@ -65,7 +72,7 @@ class TestProfiler:
 
         profiled_sim = create_simulator(testmodel, "compiled")
         profiled_sim.load_program(program)
-        Profiler(profiled_sim)
+        attach_profiler(profiled_sim)
         profiled_sim.run(max_cycles=10_000)
 
         assert plain.state.differences(profiled_sim.state) == []
@@ -75,9 +82,9 @@ class TestProfiler:
         program = testmodel_tools.assembler.assemble_text(SOURCE)
         simulator = create_simulator(testmodel, "interpretive")
         simulator.load_program(program)
-        profiler = Profiler(simulator)
+        observer = attach_profiler(simulator)
         simulator.run(max_cycles=10_000)
-        report = profiler.report()
+        report = profile_report(observer, simulator)
         assert report.issue_cycles > 0
 
     def test_static_kind_profiles_identically(self, testmodel,
@@ -85,9 +92,9 @@ class TestProfiler:
         compiled_report, program, _ = profiled
         simulator = create_simulator(testmodel, "static")
         simulator.load_program(program)
-        profiler = Profiler(simulator)
+        observer = attach_profiler(simulator)
         simulator.run(max_cycles=10_000)
-        report = profiler.report()
+        report = profile_report(observer, simulator)
         assert report.fetch_counts == compiled_report.fetch_counts
         assert report.issue_cycles == compiled_report.issue_cycles
         assert report.bubble_cycles == compiled_report.bubble_cycles

@@ -107,6 +107,15 @@ def fir_reference(fir_spec):
     return run_reference(fir_spec)
 
 
+#: Spec values no simulator accepts (``module`` is a retired backend).
+BAD_CHOICES = (
+    ("kind", "unfoldd"),
+    ("backend", "nativ"),
+    ("backend", "module"),
+    ("on_self_modify", "recompil"),
+)
+
+
 def respec(spec, **overrides):
     """A fresh JobSpec: ``spec`` with fields replaced."""
     data = spec.to_dict()
@@ -557,4 +566,33 @@ class TestHttpService:
         assert excinfo.value.code == 400
         error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
         assert "unknown job spec field" in error
+        assert http_service.jobs() == []
+
+    def test_bad_choice_is_rejected_at_submit(self, fir_spec):
+        # Inside a worker these would fail the table compile and the
+        # job would "complete" degraded to the interpretive kind.
+        with Supervisor(workers=1) as pool:
+            for field, value in BAD_CHOICES:
+                data = dict(fir_spec.to_dict(), **{field: value})
+                with pytest.raises(ReproError, match=field):
+                    pool.submit(data)
+            assert pool.jobs() == []
+
+    def test_bad_choice_is_400(self, http_service, fir_spec):
+        import urllib.error
+        import urllib.request
+
+        for field, value in BAD_CHOICES:
+            data = dict(fir_spec.to_dict(), **{field: value})
+            request = urllib.request.Request(
+                http_service.base_url + "/v1/jobs",
+                data=json.dumps(data).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=30)
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read().decode("utf-8"))
+            assert field in error["error"]
         assert http_service.jobs() == []

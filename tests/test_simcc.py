@@ -67,14 +67,6 @@ class TestSimulationTable:
         slot = frontend(100)
         assert slot.label == "<trap>"
 
-    def test_items_by_stage_parallel_to_slots(self, compiled_table,
-                                              testmodel):
-        table, _ = compiled_table
-        for pc, slot in table.slots.items():
-            items = table.items_by_stage[pc]
-            for stage in range(testmodel.pipeline.depth):
-                assert len(items[stage]) == len(slot.ops_by_stage[stage])
-
 
 class TestLevels:
     def test_unknown_level_rejected(self, testmodel):
@@ -94,10 +86,11 @@ class TestLevels:
             program, state, control, level="instantiated"
         )
         slot = table.slots[0]
-        # Level 3: at most one generated function per occupied stage.
+        # Level 3: at most one generated function per occupied stage,
+        # bound to the state/control pair through a partial.
         assert len(slot.ops_by_stage[2]) == 1
         assert len(slot.ops_by_stage[3]) == 1
-        assert slot.ops_by_stage[2][0].__name__.startswith("insn_")
+        assert slot.ops_by_stage[2][0].func.__name__.startswith("insn_")
 
     def test_both_levels_execute_identically(self, testmodel,
                                              testmodel_tools):

@@ -8,6 +8,9 @@ vs freshly compiled simulation, and parallel vs serial table builds.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,8 @@ from repro.simcc import cache as cache_mod
 from repro.simcc.cache import SimulationCache, model_digest, table_digest
 from repro.simcc.generator import generate_simulation_compiler
 from repro.simcc.portable import build_portable_table
+from repro.support.errors import DecodeError
+from repro.tools.objfile import Program
 from tests.conftest import TESTMODEL_SOURCE
 
 PROGRAM_TEXT = """
@@ -530,17 +535,54 @@ class TestParallelSerial:
         monkeypatch.setattr(parallel, "MIN_PARALLEL_ITEMS", 1)
         program = testmodel_tools.assembler.assemble_text(PROGRAM_TEXT)
 
-        serial = create_simulator(testmodel, "compiled")
+        # Level 3: the portable compile is what jobs fans out.
+        serial = create_simulator(testmodel, "unfolded")
         serial.load_program(program)
         serial_stats = serial.run()
 
-        fanned = create_simulator(testmodel, "compiled", jobs=2)
+        fanned = create_simulator(testmodel, "unfolded", jobs=2)
         fanned.load_program(program)
         fanned_stats = fanned.run()
 
         assert fanned_stats.cycles == serial_stats.cycles
         assert fanned_stats.instructions == serial_stats.instructions
         assert fanned.state.differences(serial.state) == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the process pool needs the fork start method",
+    )
+    def test_failing_parallel_compile_is_not_rerun(self, tinydsp,
+                                                   tinydsp_tools,
+                                                   monkeypatch):
+        """A task error inside the pool propagates as is: the parent
+        does not re-run the whole map (once on threads, once serially)
+        before reporting it."""
+        from repro.simcc import parallel, portable
+
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_ITEMS", 1)
+        parent = os.getpid()
+        parent_calls = []
+        original = portable._word_functions
+
+        def counting(*args):
+            if os.getpid() == parent:
+                parent_calls.append(args[3])  # the word's pc
+            return original(*args)
+
+        monkeypatch.setattr(portable, "_word_functions", counting)
+        source = "\n".join(["nop"] * 63 + ["halt"])
+        words = list(
+            tinydsp_tools.assembler.assemble_text(source)
+            .segments_in("pmem")[0].words
+        )
+        words[40] = 0x61  # no tinydsp coding matches
+        program = Program(name="undecodable", entry=0)
+        program.add_segment("pmem", 0, words)
+
+        with pytest.raises(DecodeError, match="address=0x28"):
+            build_portable_table(tinydsp, program, jobs=2)
+        assert parent_calls == []
 
 
 class TestScheduleSafetyRoundTrip:
