@@ -4,9 +4,9 @@ Two claims, both extending the paper's compile-time/run-time trade
 (Section 4): first, that a *persistent* cache moves simulation
 compilation out of the process entirely -- a warm reload of the GSM
 table must be at least an order of magnitude faster than a cold
-compile; second, that neither the cache round-trip nor the parallel
-table build changes a single bit of simulation behaviour (the E4
-accuracy bar applied to the new machinery).
+compile; second, that the cache round-trip does not change a single
+bit of simulation behaviour (the E4 accuracy bar applied to the new
+machinery).
 
 Writes ``BENCH_compile_cache.json`` with the measured timings so CI
 and the figure scripts can consume them.
@@ -28,8 +28,8 @@ MIN_WARM_SPEEDUP = 10.0
 CACHED_KINDS = ("compiled", "static", "unfolded", "unfolded_static")
 
 
-def _timed_load(model, program, cache, jobs=None):
-    simulator = create_simulator(model, "compiled", cache=cache, jobs=jobs)
+def _timed_load(model, program, cache):
+    simulator = create_simulator(model, "compiled", cache=cache)
     start = time.perf_counter()
     simulator.load_program(program)
     return time.perf_counter() - start
@@ -104,14 +104,14 @@ def test_cache_warm_reload_speedup(benchmark, gsm_app, tmp_path):
     )
 
 
-def test_cache_and_parallel_bit_identical(paper_apps, tmp_path):
-    """E4 extended: cached (cold store + warm reload) and parallel-
-    compiled simulators are bit-identical to a serial uncached one on
-    every application at every table-based level."""
+def test_cache_bit_identical(paper_apps, tmp_path):
+    """E4 extended: cached (cold store + warm reload) simulators are
+    bit-identical to an uncached one on every application at every
+    table-based level."""
     report = ExperimentReport(
         "BENCH-cache-crosscheck",
-        "cache/parallel bit-exactness across levels",
-        "E4 accuracy bar applied to the cache and the parallel builder",
+        "cache bit-exactness across levels",
+        "E4 accuracy bar applied to the cache",
     )
     for app in paper_apps:
         model, program = load_app_program(app)
@@ -128,7 +128,6 @@ def test_cache_and_parallel_bit_identical(paper_apps, tmp_path):
 
             root = tmp_path / app.name / kind
             variants = [
-                ("parallel", dict(jobs=2)),
                 ("cached-cold", dict(cache=SimulationCache(root))),
                 ("cached-warm", dict(cache=SimulationCache(root))),
             ]
@@ -143,17 +142,17 @@ def test_cache_and_parallel_bit_identical(paper_apps, tmp_path):
                     simulator.state.snapshot(),
                 )
                 assert signature == ref_signature, (
-                    "%s/%s: %s simulation diverges from serial uncached"
+                    "%s/%s: %s simulation diverges from uncached"
                     % (app.name, kind, label)
                 )
-            assert variants[2][1]["cache"].stats["disk_hits"] == 1
+            assert variants[1][1]["cache"].stats["disk_hits"] == 1
 
             report.add_row(
                 workload=app.name,
                 kind=kind,
                 cycles=ref_stats.cycles,
                 instructions=ref_stats.instructions,
-                variants="parallel,cached-cold,cached-warm",
+                variants="cached-cold,cached-warm",
                 golden="match",
             )
     report.emit()

@@ -136,7 +136,7 @@ class Toolset:
             self._cache["simcc"] = generate_simulation_compiler(self.model)
         return self._cache["simcc"]
 
-    def new_simulator(self, kind="compiled", cache=None, jobs=None,
+    def new_simulator(self, kind="compiled", cache=None,
                       verify_schedule=False, observer=None,
                       on_self_modify=None, backend="auto"):
         """Create a fresh simulator.
@@ -147,21 +147,21 @@ class Toolset:
         instantiation).
 
         ``cache`` (see :func:`open_cache`) makes load-time simulation
-        compilation persistent across runs; ``jobs`` parallelises cold
-        compiles.  ``verify_schedule`` (static kinds) raises instead of
-        falling back to dynamic scheduling on unproven windows.
+        compilation persistent across runs.  ``verify_schedule``
+        (static kinds) raises instead of falling back to dynamic
+        scheduling on unproven windows.
         ``observer`` (see :func:`new_observer` / :mod:`repro.obs`)
         enables trace events, compile-phase spans and metrics.
         ``on_self_modify`` arms the program-memory write guard with a
-        degradation policy (``error``, ``recompile`` or ``interpret``;
-        see :mod:`repro.resilience`).  ``backend`` (table-based kinds)
+        degradation policy (``error`` or ``recover``; see
+        :mod:`repro.resilience`).  ``backend`` (table-based kinds)
         selects the execution backend -- ``auto``, ``python`` or
         ``native`` (compiled C bursts; falls back to the Python path
         when no C toolchain is available).
         """
         from repro.sim import create_simulator
 
-        return create_simulator(self.model, kind, cache=cache, jobs=jobs,
+        return create_simulator(self.model, kind, cache=cache,
                                 verify_schedule=verify_schedule,
                                 observer=observer,
                                 on_self_modify=on_self_modify,

@@ -18,8 +18,8 @@ per-packet attributed cycles (``sim.cycles_by_pc``, maintained by
 trace/profile-mode observers on every backend -- the Python loops
 attribute inline, native bursts flush their telemetry side-buffer) and
 contiguous hot windows grouped from them.  The report shows which
-regions earn the most attention, and is what ``repro-profile`` /
-``repro-sim --profile-out`` serialise.
+regions earn the most attention, and is what ``repro-sim
+--profile-out`` serialises.
 
 Counters-mode observers skip cycle attribution; for them the report
 falls back to ranking by raw fetch counts and says so in ``basis``.

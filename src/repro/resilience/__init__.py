@@ -9,10 +9,11 @@ closes those gaps:
 * **Program-memory write guard** (:mod:`repro.resilience.guard`) --
   watches stores into the compiled program region and degrades
   gracefully per policy: ``error`` (typed
-  :class:`repro.support.errors.StaleTableError`), ``recompile``
-  (incremental re-decode of just the touched packets through the
-  existing simulation-compiler pipeline and cache) or ``interpret``
-  (per-region fallback to interpretive fetch-decode-execute).
+  :class:`repro.support.errors.StaleTableError`) or ``recover``
+  (incremental re-decode of just the touched packet through the
+  existing simulation-compiler pipeline and cache, and per-packet
+  fallback to interpretive fetch-decode-execute once a recompiled
+  packet is written again).
 * **Checkpoint/restore** (:mod:`repro.resilience.checkpoint`) --
   versioned, digest-stamped snapshots of the full architectural and
   engine state.  A checkpoint taken under one simulator kind restores

@@ -18,13 +18,14 @@ the interpretive reference.  The guard closes this coherence hole:
   ``error``
       raise a typed :class:`repro.support.errors.StaleTableError` at the
       *write* (fail fast, the conservative default semantics),
-  ``recompile``
-      re-decode just the touched packet from live program memory through
-      the existing simulation-compiler pipeline (and cache) and patch the
-      simulation table in place,
-  ``interpret``
-      serve the stale region from an interpretive fetch-decode-execute
-      fallback while the rest of the program keeps its compiled speed.
+  ``recover``
+      on the first stale fetch of a packet, re-decode just that packet
+      from live program memory through the existing simulation-compiler
+      pipeline (and cache) and patch the simulation table in place; a
+      packet written again after that recompile is served from an
+      interpretive fetch-decode-execute fallback from then on, so code
+      the program keeps rewriting stops paying a compile per write while
+      the rest of the program keeps its compiled speed.
 
 Every degradation is observable: ``resilience.self_mod_writes``,
 ``resilience.invalidated_packets``, ``resilience.recompiled_packets``
@@ -48,7 +49,7 @@ from repro.support.errors import (
 )
 from repro.tools.objfile import Program
 
-GUARD_POLICIES = ("error", "recompile", "interpret")
+GUARD_POLICIES = ("error", "recover")
 
 
 class GuardedMemory(list):
@@ -93,6 +94,9 @@ class ProgramMemoryGuard:
         self.simulator = simulator
         self.policy = policy
         self.stale = set()
+        # packet issue pcs recover has recompiled once; a later stale
+        # fetch of one of them is interpreted instead
+        self.recompiled = set()
         self.elided = False
         self.stats = {
             "program_writes": 0,
@@ -113,7 +117,7 @@ class ProgramMemoryGuard:
         # packet issue pc -> words covered (for incremental re-covering)
         self._extent_of = {}
         self._suspended = False
-        # lazy interpretive fallback machinery (policy "interpret")
+        # lazy interpretive fallback machinery (rewritten packets)
         self._decoder = None
         self._eval_ctx = None
 
@@ -232,11 +236,11 @@ class ProgramMemoryGuard:
             raise StaleTableError(
                 "store to program memory address 0x%x invalidates "
                 "compiled packet(s) at %s; rerun with "
-                "--on-self-modify recompile|interpret or use the "
-                "interpretive simulator"
+                "--on-self-modify %s or use the interpretive simulator"
                 % (
                     address,
                     ", ".join("0x%x" % pc for pc in sorted(pcs)),
+                    "|".join(p for p in GUARD_POLICIES if p != "error"),
                 ),
                 address=address,
                 pcs=sorted(pcs),
@@ -245,9 +249,9 @@ class ProgramMemoryGuard:
             self.stats["invalidated_packets"] += len(fresh)
             self.stale.update(fresh)
         # Invalidate on *every* self-modifying write, not just the first
-        # for a packet: under the interpret policy packets stay stale,
-        # and a repeat write must still flush engine-side memoisation
-        # (interned static transitions) built from the previous decode.
+        # for a packet: an interpreted packet stays stale, and a repeat
+        # write must still flush engine-side memoisation (interned
+        # static transitions) built from the previous decode.
         self._target.invalidate(sorted(pcs))
 
     # -- the fetch path ----------------------------------------------------
@@ -265,11 +269,12 @@ class ProgramMemoryGuard:
 
     def _resolve(self, pc):
         observer = self.observer
-        if self.policy == "recompile":
+        if pc not in self.recompiled:
             slot, updates = self._target.refresh(pc)
             for updated_pc, words in updates.items():
                 self._cover(updated_pc, words)
                 self.stale.discard(updated_pc)
+                self.recompiled.add(updated_pc)
             self.stats["recompiled_packets"] += 1
             if observer is not None:
                 observer.on_guard_resolve(pc, "recompile")
@@ -336,12 +341,25 @@ class ProgramMemoryGuard:
         image is treated as a (replayed) self-modifying write, so a
         checkpoint taken after an SMC event restores with the same
         stale set -- including raising under the ``error`` policy.
+
+        A packet ``recover`` has recompiled was patched in place from the
+        memory of that time, which the restored memory may predate (and
+        then match the program image, so the scan below would miss it).
+        Every such packet goes stale again and, being recompiled, is
+        interpreted over live memory from then on.
         """
         self._suspended = False
         simulator = self.simulator
         program = simulator.program
         if program is None:
             return
+        if self.recompiled:
+            again = self.recompiled - self.stale
+            self.stats["invalidated_packets"] += len(again)
+            self.stale.update(again)
+            # flush even already-stale packets: interned windows may
+            # hold interpreted slots decoded from the pre-restore memory
+            self._target.invalidate(sorted(self.recompiled))
         pmem = getattr(simulator.state, self._pmem_name)
         canonical = simulator.model.memories[self._pmem_name].dtype.canonical
         for segment in program.segments_in(self._pmem_name):

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.support.errors import SimulationTimeout
+from repro.support.errors import ReproError, SimulationTimeout
 
 # Cycles between wall-clock deadline checks.  Large enough that the
 # perf_counter call amortises to nothing, small enough that overshoot
@@ -36,7 +36,7 @@ class RunBudget:
     ``max_wall_seconds``
         Host wall-clock budget for this call.
     ``checkpoint_every``
-        Take an automatic checkpoint every N simulated cycles.
+        Take an automatic checkpoint every N simulated cycles (N >= 1).
     ``check_interval``
         Cycles between wall-clock checks (tune down for tests).
     """
@@ -45,6 +45,15 @@ class RunBudget:
     max_wall_seconds: Optional[float] = None
     checkpoint_every: Optional[int] = None
     check_interval: int = DEFAULT_CHECK_INTERVAL
+
+    def __post_init__(self):
+        # An interval below one cycle would snapshot without stepping,
+        # forever.
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ReproError(
+                "checkpoint_every must be at least 1 cycle, got %r"
+                % (self.checkpoint_every,)
+            )
 
 
 def run_with_budget(simulator, engine, max_cycles, budget,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -76,28 +77,77 @@ class JobSpec:
                 "unknown job spec field(s): %s"
                 % ", ".join(sorted(unknown))
             )
-        spec = cls(**{key: data[key] for key in data})
+        spec = cls(**data)
+        spec._check_fields()
         spec.dumps = tuple(tuple(entry) for entry in spec.dumps)
         spec.fault_plan = tuple(dict(entry) for entry in spec.fault_plan)
-        spec._check_choices()
         return spec
 
-    def _check_choices(self):
-        """Reject a bad ``kind``/``backend``/``on_self_modify`` at
-        submission: inside a worker the error would look like a compile
-        fault and degrade the job to the interpretive kind."""
+    def _check_fields(self):
+        """Reject a malformed field at submission.  Inside the service a
+        bad shape would surface as a worker fault or a crash of the
+        supervisor's own threads, and a bad ``kind``/``backend``/
+        ``on_self_modify`` as a compile fault that degrades the job to
+        the interpretive kind."""
         from repro.resilience.guard import GUARD_POLICIES
         from repro.sim import SIM_BACKENDS, SIM_KINDS
 
-        for name, choices in (("kind", SIM_KINDS),
-                              ("backend", SIM_BACKENDS),
-                              ("on_self_modify", GUARD_POLICIES + ("off",))):
+        def one_of(choices):
+            return (lambda value: value in choices,
+                    "one of %s" % ", ".join(choices))
+
+        string = (lambda value: isinstance(value, str), "a string")
+        positive_int = (_is_positive_int, "a positive integer")
+        checks = {
+            "model": string,
+            "program": (lambda value: isinstance(value, dict),
+                        "an object"),
+            "name": string,
+            "kind": one_of(SIM_KINDS),
+            "backend": one_of(SIM_BACKENDS),
+            "max_cycles": positive_int,
+            "max_wall_seconds": (
+                lambda value: value is None or _is_positive_number(value),
+                "null or a positive number"),
+            "checkpoint_every": positive_int,
+            "on_self_modify": one_of(("off",) + GUARD_POLICIES),
+            "tenant": string,
+            "dumps": (lambda value: _is_list_of(value, _is_dump),
+                      "a list of [memory, base, length]"),
+            "fault_plan": (
+                lambda value: _is_list_of(
+                    value, lambda entry: isinstance(entry, dict)),
+                "a list of objects"),
+        }
+        for name, (valid, expected) in checks.items():
             value = getattr(self, name)
-            if value not in choices:
+            if not valid(value):
                 raise ReproError(
-                    "job spec field %r is %r (expected one of %s)"
-                    % (name, value, ", ".join(choices))
+                    "job spec field %r is %s (expected %s)"
+                    % (name, reprlib.repr(value), expected)
                 )
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive_int(value):
+    return _is_int(value) and value > 0
+
+
+def _is_positive_number(value):
+    return (isinstance(value, float) or _is_int(value)) and value > 0
+
+
+def _is_list_of(value, valid):
+    return isinstance(value, (list, tuple)) and all(map(valid, value))
+
+
+def _is_dump(entry):
+    return (isinstance(entry, (list, tuple)) and len(entry) == 3
+            and isinstance(entry[0], str)
+            and all(_is_int(n) and n >= 0 for n in entry[1:]))
 
 
 @dataclass

@@ -45,15 +45,15 @@ SIM_KINDS = (
 SIM_BACKENDS = ("auto", "python", "native")
 
 
-def create_simulator(model, kind="compiled", cache=None, jobs=None,
+def create_simulator(model, kind="compiled", cache=None,
                      verify_schedule=False, observer=None,
                      on_self_modify=None, backend="auto"):
     """Instantiate a simulator of the given ``kind`` for ``model``.
 
-    ``cache`` (a :class:`repro.simcc.cache.SimulationCache`) and
-    ``jobs`` tune load-time simulation compilation and only apply to
+    ``cache`` (a :class:`repro.simcc.cache.SimulationCache`) makes
+    load-time simulation compilation persistent and only applies to
     the table-based kinds; the interpretive and predecoded simulators
-    do no load-time compilation and ignore them.  ``verify_schedule``
+    do no load-time compilation and ignore it.  ``verify_schedule``
     (static kinds only) raises :class:`repro.support.errors.
     SimulationError` instead of falling back to dynamic scheduling when
     a pipeline window is not proven hazard-free.  ``observer`` (a
@@ -61,7 +61,7 @@ def create_simulator(model, kind="compiled", cache=None, jobs=None,
     metrics for this simulator; omitted, the process-wide observer
     installed via :func:`repro.obs.install` applies.  ``on_self_modify``
     arms the program-memory write guard with the given degradation
-    policy -- ``"error"``, ``"recompile"`` or ``"interpret"`` (see
+    policy -- ``"error"`` or ``"recover"`` (see
     :mod:`repro.resilience.guard`); ``None``/``"off"`` runs unguarded.
     ``backend`` (table-based kinds only) selects the execution backend
     (see :data:`SIM_BACKENDS`); ``native`` degrades gracefully to the
@@ -85,21 +85,21 @@ def create_simulator(model, kind="compiled", cache=None, jobs=None,
             simulator = PredecodedSimulator(model, observer=observer)
     elif kind == "compiled":
         simulator = CompiledSimulator(model, level="sequenced",
-                                      cache=cache, jobs=jobs,
-                                      observer=observer, backend=backend)
+                                      cache=cache, observer=observer,
+                                      backend=backend)
     elif kind == "unfolded":
         simulator = CompiledSimulator(model, level="instantiated",
-                                      cache=cache, jobs=jobs,
-                                      observer=observer, backend=backend)
+                                      cache=cache, observer=observer,
+                                      backend=backend)
     elif kind == "static":
         simulator = StaticScheduledSimulator(model, level="sequenced",
-                                             cache=cache, jobs=jobs,
+                                             cache=cache,
                                              verify_schedule=verify_schedule,
                                              observer=observer,
                                              backend=backend)
     elif kind == "unfolded_static":
         simulator = StaticScheduledSimulator(model, level="instantiated",
-                                             cache=cache, jobs=jobs,
+                                             cache=cache,
                                              verify_schedule=verify_schedule,
                                              observer=observer,
                                              backend=backend)

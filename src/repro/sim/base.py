@@ -172,8 +172,8 @@ class Simulator:
     def enable_write_guard(self, policy):
         """Watch stores into program memory; degrade per ``policy``.
 
-        ``policy`` is ``"error"``, ``"recompile"`` or ``"interpret"``
-        (see :mod:`repro.resilience.guard`); ``None``/``"off"`` disarms.
+        ``policy`` is ``"error"`` or ``"recover"`` (see
+        :mod:`repro.resilience.guard`); ``None``/``"off"`` disarms.
         May be called before or after :meth:`load_program` -- the guard
         is (re)armed on every program load.  Returns the armed
         :class:`~repro.resilience.guard.ProgramMemoryGuard` (or None

@@ -37,7 +37,7 @@ def build_simulation_table(simulator, program):
     if simulator._cache is not None:
         return simulator._cache.load_table(
             simcc, program, simulator.state, simulator.control,
-            level=level, jobs=simulator._jobs, observer=simulator.observer,
+            level=level, observer=simulator.observer,
         )
     if level == "sequenced" and simulator.backend != "native":
         return simcc.compile(
@@ -45,8 +45,7 @@ def build_simulation_table(simulator, program):
             observer=simulator.observer,
         )
     portable = simcc.compile_portable(
-        program, level=level, jobs=simulator._jobs,
-        observer=simulator.observer,
+        program, level=level, observer=simulator.observer,
     )
     return portable.bind(simulator.state, simulator.control)
 
@@ -87,20 +86,17 @@ class CompiledSimulator(Simulator):
 
     ``cache`` accepts a :class:`repro.simcc.cache.SimulationCache`; when
     set, load-time simulation compilation is replaced by a cache lookup
-    (compiling and storing on the first miss).  ``jobs`` fans a cold
-    portable compile out over a process pool (see
-    :mod:`repro.simcc.parallel`).
+    (compiling and storing on the first miss).
     ``backend`` selects the execution backend (see
     :data:`repro.sim.SIM_BACKENDS`).
     """
 
-    def __init__(self, model, level="sequenced", cache=None, jobs=None,
+    def __init__(self, model, level="sequenced", cache=None,
                  observer=None, backend="auto"):
         super().__init__(model, observer=observer)
         self._level = level
         self._simcc = generate_simulation_compiler(model, validate=False)
         self._cache = cache
-        self._jobs = jobs
         self.backend = backend
         self.table = None
 

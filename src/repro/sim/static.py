@@ -373,7 +373,7 @@ class StaticPipeline:
 class StaticScheduledSimulator(Simulator):
     """Simulation-table simulator with static scheduling.
 
-    ``cache``/``jobs`` behave as on
+    ``cache`` behaves as on
     :class:`repro.sim.compiled.CompiledSimulator`.  Level-3 column
     *fusion* concatenates the lowered per-stage IR of every in-flight
     instruction (oldest first), re-runs dead-write elimination over the
@@ -386,13 +386,12 @@ class StaticScheduledSimulator(Simulator):
     DCE fires).
     """
 
-    def __init__(self, model, level="sequenced", cache=None, jobs=None,
+    def __init__(self, model, level="sequenced", cache=None,
                  verify_schedule=False, observer=None, backend="auto"):
         super().__init__(model, observer=observer)
         self._level = level
         self._simcc = generate_simulation_compiler(model, validate=False)
         self._cache = cache
-        self._jobs = jobs
         self._verify_schedule = verify_schedule
         self.backend = backend
         self.table = None

@@ -156,13 +156,12 @@ class SimulationCache:
     # -- high-level entry point ---------------------------------------------
 
     def load_table(self, compiler, program, state, control,
-                   level="sequenced", jobs=None, observer=None):
+                   level="sequenced", observer=None):
         """Get-or-compile a simulation table bound to ``state``/``control``.
 
         On a hit the simulation compiler never runs: the portable table
         is rehydrated from memory or disk and bound.  On a miss the
-        program is compiled (``jobs`` fans the work out), stored, and
-        bound.  ``observer`` records lookup/store/bind spans and one
+        program is compiled, stored, and bound.  ``observer`` records lookup/store/bind spans and one
         ``cache`` event per outcome.
         """
         from repro import obs as _obs
@@ -186,7 +185,7 @@ class SimulationCache:
                         observer.on_cache(outcome, level=level)
         if portable is None:
             portable = compiler.compile_portable(program, level=level,
-                                                 jobs=jobs, observer=observer)
+                                                 observer=observer)
             with _obs.span(observer, "cache.store", level=level):
                 self.store_portable(compiler.model, program, level, portable)
             if observer is not None:
@@ -226,14 +225,6 @@ class SimulationCache:
             self.stats["store_errors"] += 1
         self._memory_put(digest, portable)
         return digest
-
-    def module_source(self, model, program, level="sequenced", jobs=None):
-        """The standalone emitted module for ``program``, served from the
-        cache when possible (see :func:`repro.simcc.emit`)."""
-        from repro.simcc.emit import emit_simulator_module
-
-        return emit_simulator_module(model, program, level=level, jobs=jobs,
-                                     cache=self)
 
     # -- native burst artifacts ---------------------------------------------
 

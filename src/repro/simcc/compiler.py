@@ -115,7 +115,7 @@ class SimulationCompiler:
     def model(self):
         return self._model
 
-    def compile(self, program, state, control, level="sequenced", jobs=None,
+    def compile(self, program, state, control, level="sequenced",
                 observer=None):
         """Compile ``program`` into a :class:`SimulationTable`.
 
@@ -126,8 +126,7 @@ class SimulationCompiler:
 
         Level ``sequenced`` binds :class:`_BoundBehavior` operations run
         by the AST evaluator -- the paper's level 2.  Level
-        ``instantiated`` is :meth:`compile_portable` bound to the pair;
-        ``jobs`` only fans that compile out over a process pool.
+        ``instantiated`` is :meth:`compile_portable` bound to the pair.
 
         ``observer`` records one phase-timing span per simulation-
         compilation step (decoding, sequencing, packet formation, hazard
@@ -141,7 +140,7 @@ class SimulationCompiler:
             )
         if level == "instantiated":
             return self.compile_portable(
-                program, level=level, jobs=jobs, observer=observer
+                program, level=level, observer=observer
             ).bind(state, control)
         from repro import obs as _obs
 
@@ -225,19 +224,17 @@ class SimulationCompiler:
             schedule_safety=safety,
         )
 
-    def compile_portable(self, program, level="sequenced", jobs=None,
-                         observer=None):
+    def compile_portable(self, program, level="sequenced", observer=None):
         """Compile ``program`` into a state-independent
         :class:`repro.simcc.portable.PortableTable`.
 
         This is the cacheable form of simulation compilation: the table
         can be serialised, stored, and later bound to any state/control
-        pair without re-running the compiler.  ``jobs`` fans the
-        per-word codegen out over a process pool.
+        pair without re-running the compiler.
         """
         from repro.simcc.portable import build_portable_table
 
-        return build_portable_table(self._model, program, level, jobs=jobs,
+        return build_portable_table(self._model, program, level,
                                     observer=observer)
 
     # -- helpers -------------------------------------------------------------

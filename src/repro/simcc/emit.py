@@ -10,10 +10,10 @@ that simulation compilation is a *translation*, not an interpretation.
 
 The emitter is a thin renderer over
 :class:`repro.simcc.portable.PortableTable` -- the same relocatable
-form the on-disk cache stores -- so an emitted module can be produced
-from a cache hit without re-running the simulation compiler (pass
-``cache=``), and a cached table rehydrates through exactly the code
-paths this module's output uses.
+form the on-disk cache stores -- so :func:`render_module` can render a
+cached table without re-running the simulation compiler, and a cached
+table rehydrates through exactly the code paths this module's output
+uses.
 """
 
 from __future__ import annotations
@@ -100,27 +100,17 @@ def make_frontend(state, control):
 '''
 
 
-def emit_simulator_module(model, program, level="sequenced", jobs=None,
-                          cache=None, portable=None):
+def emit_simulator_module(model, program, level="sequenced"):
     """Return Python source for a standalone compiled simulator.
 
-    ``portable`` short-circuits compilation with an already-built
-    portable table; ``cache`` consults (and populates) an on-disk
-    :class:`repro.simcc.cache.SimulationCache` instead of compiling;
-    ``jobs`` fans a cold compile out over worker processes.
+    Builds the portable table for ``level`` and renders it with
+    :func:`render_module` (which serves an already-built table).
     """
-    if portable is None and cache is not None:
-        portable = cache.load_portable(model, program, level)
-        if portable is None:
-            from repro.simcc.portable import build_portable_table
+    from repro.simcc.portable import build_portable_table
 
-            portable = build_portable_table(model, program, level, jobs=jobs)
-            cache.store_portable(model, program, level, portable)
-    if portable is None:
-        from repro.simcc.portable import build_portable_table
-
-        portable = build_portable_table(model, program, level, jobs=jobs)
-    return render_module(model, program, portable)
+    return render_module(
+        model, program, build_portable_table(model, program, level)
+    )
 
 
 def render_module(model, program, portable):

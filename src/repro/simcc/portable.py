@@ -43,7 +43,6 @@ from repro.coding.decoder import InstructionDecoder
 from repro.machine.driver import IssueSlot
 from repro.machine.packets import packet_extent
 from repro.machine.schedule import build_schedule
-from repro.simcc import parallel
 from repro.simcc.ir import (
     ModuleBackend,
     function_from_payload,
@@ -261,39 +260,10 @@ def _word_functions(model, decoder, depth, pc, word):
     return tuple(names), tuple(funcs), control
 
 
-# Per-process toolchains for codegen workers, built lazily on the first
-# task so pool start-up stays cheap.  Keyed by model identity because
-# the serial fallback runs in the parent process, which may compile for
-# several models over its lifetime.
-_worker_toolchains = {}
-
-
-def _process_word_task(task):
-    """Worker entry: compile one (pc, word) to lowered IR functions.
-
-    Runs in a forked worker (model inherited via the parallel module)
-    or, on fallback, in the parent process itself.  IR functions are
-    plain dataclasses and pickle back to the parent unchanged.
-    """
-    model = parallel.forked_model()
-    toolchain = _worker_toolchains.get(id(model))
-    if toolchain is None:
-        toolchain = (model, InstructionDecoder(model), model.pipeline.depth)
-        _worker_toolchains[id(model)] = toolchain
-    model, decoder, depth = toolchain
-    pc, word = task
-    return _word_functions(model, decoder, depth, pc, word)
-
-
-def build_portable_table(model, program, level="sequenced", jobs=None,
-                         observer=None):
+def build_portable_table(model, program, level="sequenced", observer=None):
     """Run full simulation compilation into a :class:`PortableTable`.
 
-    With ``jobs`` > 1 the per-word decode / variant-resolve / schedule /
-    codegen fan-out runs on a process pool (serial when no pool can
-    start); the merge is by program order, so the result is
-    bit-identical to a serial build.  ``observer`` records one
-    phase-timing span per compilation step.
+    ``observer`` records one phase-timing span per compilation step.
     """
     from repro import obs as _obs
     from repro.simcc.compiler import LEVELS
@@ -316,16 +286,11 @@ def build_portable_table(model, program, level="sequenced", jobs=None,
 
     with _obs.span(observer, "simcc.compile", level=level, portable=True):
         with _obs.span(observer, "simcc.decode", words=len(tasks)):
-            if parallel.effective_jobs(jobs, len(tasks)) > 1:
-                results = parallel.map_tasks(
-                    _process_word_task, tasks, jobs=jobs, model=model,
-                )
-            else:
-                decoder = InstructionDecoder(model)
-                results = [
-                    _word_functions(model, decoder, depth, pc, word)
-                    for pc, word in tasks
-                ]
+            decoder = InstructionDecoder(model)
+            results = [
+                _word_functions(model, decoder, depth, pc, word)
+                for pc, word in tasks
+            ]
 
         names_by_pc = {}
         control_by_pc = {}

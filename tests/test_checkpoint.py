@@ -50,6 +50,18 @@ def reference_runs(testmodel, loop_program):
     return results
 
 
+@pytest.fixture(scope="module")
+def smc_patch(testmodel_tools):
+    """The self-modifying loop, its ``patch:`` pc and the ``ldi r3, 2``
+    word the tests store there."""
+    from tests.test_resilience import SMC_SOURCE
+
+    assembler = testmodel_tools.assembler
+    program = assembler.assemble_text(SMC_SOURCE, name="smc")
+    word = assembler.assemble_text("ldi r3, 2").segments_in("pmem")[0]
+    return program, program.symbols["patch"], word.words[0]
+
+
 def _mid_run_checkpoint(model, kind, program):
     simulator = create_simulator(model, kind)
     simulator.load_program(program)
@@ -220,24 +232,14 @@ class TestAutosnapshot:
         assert stats.cycles == ref_cycles
         assert resumed.state.snapshot() == ref_snapshot
 
-    def test_guarded_smc_state_survives_restore(
-        self, testmodel, testmodel_tools
-    ):
+    def test_guarded_smc_state_survives_restore(self, testmodel, smc_patch):
         """A checkpoint taken *after* a self-modifying write restores the
         patched program memory, and the guard resynchronises its stale
         set from the divergence."""
-        from tests.test_resilience import SMC_SOURCE
-
-        program = testmodel_tools.assembler.assemble_text(
-            SMC_SOURCE, name="smc"
-        )
-        word = testmodel_tools.assembler.assemble_text(
-            "ldi r3, 2"
-        ).segments_in("pmem")[0].words[0]
-        patch_pc = program.symbols["patch"]
+        program, patch_pc, word = smc_patch
 
         reference = create_simulator(
-            testmodel, "interpretive", on_self_modify="interpret"
+            testmodel, "interpretive", on_self_modify="recover"
         )
         reference.load_program(program)
         for _ in range(8):
@@ -246,7 +248,7 @@ class TestAutosnapshot:
         reference.run(max_cycles=10_000)
 
         source = create_simulator(
-            testmodel, "compiled", on_self_modify="interpret"
+            testmodel, "compiled", on_self_modify="recover"
         )
         source.load_program(program)
         for _ in range(8):
@@ -257,13 +259,48 @@ class TestAutosnapshot:
         checkpoint = source.checkpoint()
 
         resumed = create_simulator(
-            testmodel, "static", on_self_modify="interpret"
+            testmodel, "static", on_self_modify="recover"
         )
         resumed.load_program(program)
         resumed.restore(checkpoint)
         assert resumed.guard.stats["self_mod_writes"] >= 1
         resumed.run(max_cycles=10_000)
         assert resumed.state.snapshot() == reference.state.snapshot()
+
+    @pytest.mark.parametrize(
+        "kind", [kind for kind in SIM_KINDS if kind != "interpretive"]
+    )
+    def test_restore_before_recompiled_patch(self, testmodel, smc_patch,
+                                             kind):
+        """Restoring, on the same simulator, a checkpoint taken before a
+        patch that ``recover`` has since recompiled runs the unpatched
+        program.  The restored memory matches the program image, but the
+        recompiled packet was patched from the memory it replaced."""
+        program, patch_pc, word = smc_patch
+        reference = create_simulator(testmodel, "interpretive")
+        reference.load_program(program)
+        ref_stats = reference.run(max_cycles=10_000)
+
+        simulator = create_simulator(
+            testmodel, kind, on_self_modify="recover"
+        )
+        simulator.load_program(program)
+        for _ in range(3):
+            simulator.step()
+        early = simulator.checkpoint()
+        for _ in range(3):
+            simulator.step()
+        simulator.state.write_memory("pmem", patch_pc, word)
+        simulator.run(max_cycles=10_000)
+        guard = simulator.guard
+        assert guard.stats["recompiled_packets"] == 1
+        assert simulator.state.snapshot() != reference.state.snapshot()
+
+        simulator.restore(early)
+        stats = simulator.run(max_cycles=10_000)
+        assert stats.cycles == ref_stats.cycles
+        assert simulator.state.snapshot() == reference.state.snapshot()
+        assert guard.stats["interpreted_fetches"] >= 1
 
 
 class TestCliRoundTrip:
@@ -319,6 +356,24 @@ class TestCliRoundTrip:
         capsys.readouterr()
         loaded = load_checkpoint(ckpt)
         assert loaded.cycles > 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--checkpoint-every", "0"],
+        ["--checkpoint-every", "-5"],
+        ["--checkpoint-every", "0", "--max-wall-seconds", "5"],
+    ])
+    def test_checkpoint_every_below_one_exits_2(
+        self, tmp_path, lisa_file, asm_file, capsys, flags
+    ):
+        """An interval below one cycle used to snapshot forever without
+        stepping; it is a usage error now."""
+        ckpt = tmp_path / "never.ckpt"
+        with pytest.raises(SystemExit) as excinfo:
+            sim_main([lisa_file, asm_file, "--checkpoint-file", str(ckpt)]
+                     + flags)
+        assert excinfo.value.code == 2
+        assert "--checkpoint-every" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_wall_budget_exit_code(
         self, tmp_path, lisa_file, asm_file, capsys

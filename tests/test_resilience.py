@@ -1,10 +1,10 @@
 """Tests for the resilience layer: write guard, watchdog, fault harness.
 
 The load-bearing property: a self-modifying program must reach the same
-final state on every compiled simulator kind (under the ``recompile``
-and ``interpret`` degradation policies) as on the interpretive
-reference subjected to the *same* injected fault -- and must fail fast
-with a typed :class:`StaleTableError` under the ``error`` policy.
+final state on every compiled simulator kind (under the ``recover``
+policy, down both of its branches) as on the interpretive reference
+subjected to the *same* injected fault -- and must fail fast with a
+typed :class:`StaleTableError` under the ``error`` policy.
 """
 
 from __future__ import annotations
@@ -42,6 +42,15 @@ patch:  ldi r3, 1
 """
 
 PATCH_CYCLE = 6
+# The second write of the patched-twice case: by then the packet has
+# been fetched, and so recompiled, after the first patch.
+REPATCH_CYCLE = PATCH_CYCLE + 10
+
+#: The write axis.  Patched once, the stale packet is recompiled on its
+#: first fetch; patched again after that recompile, it is interpreted
+#: from then on.  The ids name the branch of ``recover`` each case
+#: reaches.
+WRITES = [pytest.param(1, id="recompile"), pytest.param(2, id="interpret")]
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +58,31 @@ def smc_program(testmodel_tools):
     return testmodel_tools.assembler.assemble_text(SMC_SOURCE, name="smc")
 
 
+def _encode(tools, text):
+    return tools.assembler.assemble_text(text).segments_in("pmem")[0].words[0]
+
+
 @pytest.fixture(scope="module")
 def patch_word(testmodel_tools):
     """The encoding of the replacement instruction ``ldi r3, 2``."""
-    patched = testmodel_tools.assembler.assemble_text("ldi r3, 2")
-    return patched.segments_in("pmem")[0].words[0]
+    return _encode(testmodel_tools, "ldi r3, 2")
+
+
+@pytest.fixture(scope="module")
+def repatch_word(testmodel_tools):
+    """The encoding of the second replacement, ``ldi r3, 3``."""
+    return _encode(testmodel_tools, "ldi r3, 3")
+
+
+def _repatch(writes, word):
+    return [(REPATCH_CYCLE, word)] if writes == 2 else []
 
 
 def _run_with_patch(model, kind, policy, program, word, observer=None,
-                    cache=None, repatch=None, backend="auto"):
+                    cache=None, repatch=(), backend="auto"):
+    """Run ``program`` patching ``patch:`` to ``word`` at
+    ``PATCH_CYCLE``, then to each later ``(cycle, word)`` of
+    ``repatch``."""
     simulator = create_simulator(
         model, kind, observer=observer, cache=cache, on_self_modify=policy,
         backend=backend,
@@ -69,11 +94,11 @@ def _run_with_patch(model, kind, policy, program, word, observer=None,
         (PATCH_CYCLE,
          lambda sim: injector.write_program_word(sim, patch_pc, word)),
     ]
-    if repatch is not None:
-        cycle, value = repatch
+    for cycle, value in repatch:
         plan.append(
             (cycle,
-             lambda sim: injector.write_program_word(sim, patch_pc, value))
+             lambda sim, value=value: injector.write_program_word(
+                 sim, patch_pc, value))
         )
     stats = injector.run_with_faults(simulator, plan, max_cycles=10_000)
     return simulator, stats
@@ -83,7 +108,7 @@ def _run_with_patch(model, kind, policy, program, word, observer=None,
 def smc_reference(testmodel, smc_program, patch_word):
     """Interpretive run with the same injected patch: the golden state."""
     simulator, stats = _run_with_patch(
-        testmodel, "interpretive", "interpret", smc_program, patch_word
+        testmodel, "interpretive", "recover", smc_program, patch_word
     )
     snapshot = simulator.state.snapshot()
     # The patch must actually change the result, or the agreement tests
@@ -95,34 +120,52 @@ def smc_reference(testmodel, smc_program, patch_word):
     return stats.cycles, snapshot
 
 
+@pytest.fixture(scope="module")
+def smc_references(testmodel, smc_program, patch_word, repatch_word,
+                   smc_reference):
+    """The golden ``(cycles, snapshot)`` per write-axis case."""
+    simulator, stats = _run_with_patch(
+        testmodel, "interpretive", "recover", smc_program, patch_word,
+        repatch=_repatch(2, repatch_word),
+    )
+    snapshot = simulator.state.snapshot()
+    assert snapshot != smc_reference[1]
+    return {1: smc_reference, 2: (stats.cycles, snapshot)}
+
+
+def _assert_recover_branches(guard, writes):
+    """Patched once, ``recover`` only recompiles; patched again after
+    that recompile, it also interprets."""
+    assert guard.stats["self_mod_writes"] == writes
+    assert guard.stats["invalidated_packets"] >= 1
+    assert guard.stats["recompiled_packets"] >= 1
+    if writes == 1:
+        assert guard.stats["interpreted_fetches"] == 0
+    else:
+        assert guard.stats["interpreted_fetches"] >= 1
+
+
 class TestSelfModifyingCode:
-    @pytest.mark.parametrize("policy", ["recompile", "interpret"])
+    @pytest.mark.parametrize("writes", WRITES)
     @pytest.mark.parametrize("kind", COMPILED_KINDS)
     def test_degraded_run_matches_interpretive(
-        self, testmodel, smc_program, patch_word, smc_reference,
-        kind, policy,
+        self, testmodel, smc_program, patch_word, repatch_word,
+        smc_references, kind, writes,
     ):
-        ref_cycles, ref_snapshot = smc_reference
+        ref_cycles, ref_snapshot = smc_references[writes]
         simulator, stats = _run_with_patch(
-            testmodel, kind, policy, smc_program, patch_word
+            testmodel, kind, "recover", smc_program, patch_word,
+            repatch=_repatch(writes, repatch_word),
         )
         assert stats.cycles == ref_cycles
         assert simulator.state.snapshot() == ref_snapshot
-        guard = simulator.guard
-        assert guard.stats["self_mod_writes"] == 1
-        assert guard.stats["invalidated_packets"] >= 1
-        if policy == "recompile":
-            assert guard.stats["recompiled_packets"] >= 1
-            assert guard.stats["interpreted_fetches"] == 0
-        else:
-            assert guard.stats["interpreted_fetches"] >= 1
-            assert guard.stats["recompiled_packets"] == 0
+        _assert_recover_branches(simulator.guard, writes)
 
-    @pytest.mark.parametrize("policy", ["recompile", "interpret"])
+    @pytest.mark.parametrize("writes", WRITES)
     @pytest.mark.parametrize("kind", TABLE_KINDS)
     def test_native_backend_demotes_patched_packet(
-        self, testmodel, smc_program, patch_word, smc_reference,
-        kind, policy,
+        self, testmodel, smc_program, patch_word, repatch_word,
+        smc_references, kind, writes,
     ):
         """Under ``backend="native"`` the guard must additionally demote
         the patched packet out of burst execution: its compiled artifact
@@ -131,10 +174,10 @@ class TestSelfModifyingCode:
 
         if not native_available():
             pytest.skip("no usable C compiler on the host")
-        ref_cycles, ref_snapshot = smc_reference
+        ref_cycles, ref_snapshot = smc_references[writes]
         simulator, stats = _run_with_patch(
-            testmodel, kind, policy, smc_program, patch_word,
-            backend="native",
+            testmodel, kind, "recover", smc_program, patch_word,
+            repatch=_repatch(writes, repatch_word), backend="native",
         )
         assert stats.cycles == ref_cycles
         assert simulator.state.snapshot() == ref_snapshot
@@ -142,7 +185,7 @@ class TestSelfModifyingCode:
         assert isinstance(engine, NativePipeline)
         patch_pc = smc_program.symbols["patch"]
         assert patch_pc in engine._python_pcs
-        assert simulator.guard.stats["invalidated_packets"] >= 1
+        _assert_recover_branches(simulator.guard, writes)
 
     @pytest.mark.parametrize("kind", TABLE_KINDS)
     def test_error_policy_raises_typed(
@@ -166,23 +209,52 @@ class TestSelfModifyingCode:
 
     @pytest.mark.parametrize("kind", ["static", "unfolded_static"])
     def test_repeat_patch_of_stale_packet(
-        self, testmodel, testmodel_tools, smc_program, patch_word, kind
+        self, testmodel, testmodel_tools, smc_program, patch_word,
+        repatch_word, kind,
     ):
-        """A second write to an already-stale packet must still flush
-        engine-side memoisation (interned static transitions)."""
-        word_three = testmodel_tools.assembler.assemble_text(
-            "ldi r3, 3"
-        ).segments_in("pmem")[0].words[0]
+        """A write to an already-stale packet must still flush
+        engine-side memoisation (interned static transitions).
+
+        The second write lands after the recompile, so ``recover``
+        interprets the packet and keeps it stale; interned windows then
+        hold its interpreted slot.  The third write finds it stale
+        already -- it invalidates nothing new -- and must still flush
+        those windows, or the run keeps executing ``ldi r3, 3``.
+        """
+        # The loop fetches ``patch:`` every 7 cycles (at 17 and 24 after
+        # the second write), so the third write must land in between.
+        repatch = [
+            (REPATCH_CYCLE, repatch_word),
+            (REPATCH_CYCLE + 5, _encode(testmodel_tools, "ldi r3, 4")),
+        ]
         reference, ref_stats = _run_with_patch(
-            testmodel, "interpretive", "interpret", smc_program, patch_word,
-            repatch=(PATCH_CYCLE + 10, word_three),
+            testmodel, "interpretive", "recover", smc_program, patch_word,
+            repatch=repatch,
         )
+        twice, _ = _run_with_patch(
+            testmodel, "interpretive", "recover", smc_program, patch_word,
+            repatch=repatch[:1],
+        )
+        # The third write must change the result, or the flush it
+        # forces would go unchecked.
+        assert (reference.state.read_memory("dmem", 7)
+                != twice.state.read_memory("dmem", 7))
+        observer = obs.Observer()
         simulator, stats = _run_with_patch(
-            testmodel, kind, "interpret", smc_program, patch_word,
-            repatch=(PATCH_CYCLE + 10, word_three),
+            testmodel, kind, "recover", smc_program, patch_word,
+            observer=observer, repatch=repatch,
         )
         assert stats.cycles == ref_stats.cycles
         assert simulator.state.snapshot() == reference.state.snapshot()
+        guard = simulator.guard
+        assert guard.stats["self_mod_writes"] == 3
+        assert guard.stats["interpreted_fetches"] >= 1
+        invalidated = [
+            event.args["invalidated"] for event in observer.events
+            if event.kind == obs.SELF_MODIFY
+        ]
+        assert invalidated == [1, 1, 0]
+        assert guard.stats["invalidated_packets"] == 2
 
     def test_data_write_into_program_memory_is_not_self_modifying(
         self, testmodel, smc_program
@@ -204,7 +276,7 @@ class TestSelfModifyingCode:
     ):
         cache = SimulationCache(tmp_path / "simtab")
         simulator, _ = _run_with_patch(
-            testmodel, "compiled", "recompile", smc_program, patch_word,
+            testmodel, "compiled", "recover", smc_program, patch_word,
             cache=cache,
         )
         # Initial table plus at least one incremental patch table.
@@ -212,16 +284,17 @@ class TestSelfModifyingCode:
         assert simulator.guard.stats["recompiled_packets"] >= 1
 
     def test_guard_metrics_reach_observer(
-        self, testmodel, smc_program, patch_word
+        self, testmodel, smc_program, patch_word, repatch_word
     ):
         observer = obs.Observer()
         _run_with_patch(
-            testmodel, "compiled", "interpret", smc_program, patch_word,
-            observer=observer,
+            testmodel, "compiled", "recover", smc_program, patch_word,
+            observer=observer, repatch=_repatch(2, repatch_word),
         )
         counters = observer.snapshot()["counters"]
-        assert counters["resilience.self_mod_writes"] >= 1
+        assert counters["resilience.self_mod_writes"] >= 2
         assert counters["resilience.invalidated_packets"] >= 1
+        assert counters["resilience.recompiled_packets"] >= 1
         assert counters["resilience.interpreted_fetches"] >= 1
         assert counters["resilience.faults_injected"] >= 1
         kinds = [event.kind for event in observer.events]
@@ -233,6 +306,24 @@ class TestSelfModifyingCode:
         simulator = create_simulator(testmodel, "compiled")
         with pytest.raises(ReproError, match="policy"):
             simulator.enable_write_guard("panic")
+
+    @pytest.mark.parametrize("policy", ["recompile", "interpret"])
+    def test_retired_policies_rejected(self, testmodel, policy, capsys):
+        """``recover`` replaced both; the library, ``repro-sim`` and
+        the service reject them like any unknown policy."""
+        from repro.cli import sim_main
+        from repro.service import JobSpec
+
+        simulator = create_simulator(testmodel, "compiled")
+        with pytest.raises(ReproError, match="policy"):
+            simulator.enable_write_guard(policy)
+        with pytest.raises(SystemExit) as excinfo:
+            sim_main(["tinydsp", "unused.dspo", "--on-self-modify", policy])
+        assert excinfo.value.code == 2
+        assert "--on-self-modify" in capsys.readouterr().err
+        with pytest.raises(ReproError, match="on_self_modify"):
+            JobSpec.from_dict({"model": "tinydsp", "program": {},
+                               "on_self_modify": policy})
 
     def test_unsupported_kind_has_clear_error(self, testmodel):
         """The base class refuses kinds without a guard coupling."""
@@ -320,7 +411,7 @@ class TestGuardElision:
 
     def test_interpretive_kind_never_elides(self, testmodel, smc_program):
         simulator = create_simulator(testmodel, "interpretive",
-                                     on_self_modify="interpret")
+                                     on_self_modify="recover")
         simulator.load_program(smc_program)
         assert not simulator.guard.elided
         assert simulator.guard.stats["elisions"] == 0
@@ -334,7 +425,7 @@ class TestGuardElision:
         ref_cycles, ref_snapshot = smc_reference
         observer = obs.Observer()
         simulator, stats = _run_with_patch(
-            testmodel, "unfolded", "interpret", smc_program, patch_word,
+            testmodel, "unfolded", "recover", smc_program, patch_word,
             observer=observer,
         )
         guard = simulator.guard
@@ -396,12 +487,19 @@ class TestProofGatedElision:
     # The program overwrites the nop at ``target:`` with a nop encoding
     # (word 0) loaded through r1 -- a genuine self-modifying store whose
     # effect happens to be idempotent, so the run is comparable across
-    # kinds without decoding surprises.
+    # kinds without decoding surprises.  It stores once per iteration of
+    # a loop run ``%d`` times, and ``target:`` sits far enough behind the
+    # store that each store lands before the next fetch of it.
     SELF_PATCH = """
         ldi r1, 0
-        stp r1, target
+        ldi r4, %d
+        ldi r5, 255
+again:  stp r1, target
         ldi r2, 7
+        ldi r3, 1
 target: nop
+        add r4, r4, r5
+        brnz r4, again
         st r2, 7
         halt
 """
@@ -417,16 +515,23 @@ target: nop
         return build_toolset(smc_model)
 
     @pytest.fixture(scope="class")
-    def self_patch_program(self, smc_tools):
-        return smc_tools.assembler.assemble_text(
-            self.SELF_PATCH, name="selfpatch"
-        )
+    def self_patch_programs(self, smc_tools):
+        """The self-patching program per write-axis case."""
+        return {
+            writes: smc_tools.assembler.assemble_text(
+                self.SELF_PATCH % writes, name="selfpatch")
+            for writes in (1, 2)
+        }
+
+    @pytest.fixture(scope="class")
+    def self_patch_program(self, self_patch_programs):
+        return self_patch_programs[1]
 
     def test_store_capable_program_is_not_elided(
         self, smc_model, self_patch_program
     ):
         simulator = create_simulator(smc_model, "unfolded",
-                                     on_self_modify="interpret")
+                                     on_self_modify="recover")
         simulator.load_program(self_patch_program)
         guard = simulator.guard
         assert not guard.elided
@@ -438,22 +543,23 @@ target: nop
         targets = absint.table_store_resources(simulator.table, smc_model)
         assert "pmem" in targets
 
-    @pytest.mark.parametrize("policy", ["recompile", "interpret"])
+    @pytest.mark.parametrize("writes", WRITES)
     def test_self_patch_matches_interpretive(
-        self, smc_model, self_patch_program, policy
+        self, smc_model, self_patch_programs, writes
     ):
+        program = self_patch_programs[writes]
         reference = create_simulator(smc_model, "interpretive",
-                                     on_self_modify="interpret")
-        reference.load_program(self_patch_program)
+                                     on_self_modify="recover")
+        reference.load_program(program)
         reference.run(max_cycles=10_000)
-        assert reference.guard.stats["self_mod_writes"] == 1
+        assert reference.guard.stats["self_mod_writes"] == writes
 
         simulator = create_simulator(smc_model, "unfolded",
-                                     on_self_modify=policy)
-        simulator.load_program(self_patch_program)
+                                     on_self_modify="recover")
+        simulator.load_program(program)
         stats = simulator.run(max_cycles=10_000)
-        assert simulator.guard.stats["self_mod_writes"] == 1
         assert simulator.guard.stats["elisions"] == 0
+        _assert_recover_branches(simulator.guard, writes)
         assert simulator.state.snapshot() == reference.state.snapshot()
         assert stats.cycles == reference.cycles
 
@@ -516,6 +622,12 @@ class TestWatchdog:
                 max_cycles=10_000, budget=RunBudget(max_cycles=6)
             )
         assert excinfo.value.cycles == 6
+
+    @pytest.mark.parametrize("interval", [0, -5])
+    def test_checkpoint_interval_below_one_rejected(self, interval):
+        """Such an interval would snapshot without stepping, forever."""
+        with pytest.raises(ReproError, match="checkpoint_every"):
+            RunBudget(checkpoint_every=interval)
 
     def test_unbudgeted_run_completes_unchanged(self, testmodel, smc_program):
         simulator = create_simulator(testmodel, "compiled")

@@ -107,12 +107,36 @@ def fir_reference(fir_spec):
     return run_reference(fir_spec)
 
 
-#: Spec values no simulator accepts (``module`` is a retired backend).
+#: Spec values no simulator accepts (``module`` is a retired backend,
+#: ``recompile`` and ``interpret`` are retired self-modify policies).
 BAD_CHOICES = (
     ("kind", "unfoldd"),
     ("backend", "nativ"),
     ("backend", "module"),
     ("on_self_modify", "recompil"),
+    ("on_self_modify", "recompile"),
+    ("on_self_modify", "interpret"),
+)
+
+#: Spec fields of the wrong type or out of range.  Unchecked, a bad
+#: ``program`` killed the supervisor's pump thread when the failed job
+#: was quarantined, a bad ``dumps``/``fault_plan`` raised out of the
+#: HTTP handler, and a checkpoint interval below 1 wedged its worker.
+BAD_FIELDS = (
+    ("program", "nope"),
+    ("dumps", 5),
+    ("dumps", [["dmem", 0]]),
+    ("dumps", [["dmem", -1, 4]]),
+    ("fault_plan", [1]),
+    ("model", 7),
+    ("name", None),
+    ("tenant", ["acme"]),
+    ("max_cycles", True),
+    ("max_cycles", 0),
+    ("max_wall_seconds", -1),
+    ("max_wall_seconds", "5"),
+    ("checkpoint_every", 0),
+    ("checkpoint_every", -5),
 )
 
 
@@ -479,6 +503,24 @@ class TestChaosBatch:
         assert not (reports.is_dir() and os.listdir(str(reports)))
 
 
+def _post_rejected(client, data):
+    """POST ``data`` as a raw job spec, which the server must refuse;
+    returns the status code and the error message."""
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(
+        client.base_url + "/v1/jobs",
+        data=json.dumps(data).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=30)
+    body = json.loads(excinfo.value.read().decode("utf-8"))
+    return excinfo.value.code, body["error"]
+
+
 @pytest.fixture()
 def http_service(fir_spec):
     supervisor = Supervisor(workers=2, policy=fast_policy())
@@ -550,21 +592,10 @@ class TestHttpService:
             http_service.submit({"name": "incomplete"})
 
     def test_removed_tier_field_is_400(self, http_service, fir_spec):
-        import urllib.error
-        import urllib.request
-
         data = dict(fir_spec.to_dict())
         data[REMOVED_TIER_KEY] = "aggressive"
-        request = urllib.request.Request(
-            http_service.base_url + "/v1/jobs",
-            data=json.dumps(data).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
-        error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
+        code, error = _post_rejected(http_service, data)
+        assert code == 400
         assert "unknown job spec field" in error
         assert http_service.jobs() == []
 
@@ -579,20 +610,38 @@ class TestHttpService:
             assert pool.jobs() == []
 
     def test_bad_choice_is_400(self, http_service, fir_spec):
-        import urllib.error
-        import urllib.request
-
         for field, value in BAD_CHOICES:
             data = dict(fir_spec.to_dict(), **{field: value})
-            request = urllib.request.Request(
-                http_service.base_url + "/v1/jobs",
-                data=json.dumps(data).encode("utf-8"),
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request, timeout=30)
-            assert excinfo.value.code == 400
-            error = json.loads(excinfo.value.read().decode("utf-8"))
-            assert field in error["error"]
+            code, error = _post_rejected(http_service, data)
+            assert code == 400
+            assert field in error
         assert http_service.jobs() == []
+
+    def test_bad_field_is_rejected_at_submit(self, fir_spec,
+                                             fir_reference):
+        with Supervisor(workers=1, policy=fast_policy()) as pool:
+            good = []
+            for field, value in BAD_FIELDS:
+                data = dict(fir_spec.to_dict(), **{field: value})
+                with pytest.raises(ReproError, match=field):
+                    pool.submit(data)
+                good.append(pool.submit(fir_spec))
+            assert [job for job, _ in pool.jobs()] == good
+            for job in good:
+                assert pool.wait(job, timeout=120)["state"] == "completed"
+                compare_results(fir_reference, pool.result(job), label=job)
+
+    def test_bad_field_is_400(self, http_service, fir_spec,
+                              fir_reference):
+        client = http_service
+        good = []
+        for field, value in BAD_FIELDS:
+            data = dict(fir_spec.to_dict(), **{field: value})
+            code, error = _post_rejected(client, data)
+            assert code == 400
+            assert field in error
+            good.append(client.submit(fir_spec))
+        assert [job for job, _ in client.jobs()] == good
+        for job in good:
+            assert client.wait(job, timeout=120)["state"] == "completed"
+            compare_results(fir_reference, client.result(job), label=job)

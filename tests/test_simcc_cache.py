@@ -1,19 +1,16 @@
-"""Tests for the persistent simulation-table cache and parallel builds.
+"""Tests for the persistent simulation-table cache.
 
 Covers the cache contract end to end: content addressing (hits), exact
 invalidation (model edit, program edit, level change, format bump),
-corrupted-entry recovery, and the two bit-identity guarantees -- cached
-vs freshly compiled simulation, and parallel vs serial table builds.
+corrupted-entry recovery, and the bit-identity guarantee between cached
+and freshly compiled simulation.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.lisa.semantics import compile_source
 from repro.machine.control import PipelineControl
@@ -23,8 +20,6 @@ from repro.simcc import cache as cache_mod
 from repro.simcc.cache import SimulationCache, model_digest, table_digest
 from repro.simcc.generator import generate_simulation_compiler
 from repro.simcc.portable import build_portable_table
-from repro.support.errors import DecodeError
-from repro.tools.objfile import Program
 from tests.conftest import TESTMODEL_SOURCE
 
 PROGRAM_TEXT = """
@@ -53,11 +48,10 @@ def _fresh_engine(testmodel, program):
     return state, control
 
 
-def _load(testmodel, program, cache, level="sequenced", jobs=None):
+def _load(testmodel, program, cache, level="sequenced"):
     simcc = generate_simulation_compiler(testmodel, validate=False)
     state, control = _fresh_engine(testmodel, program)
-    return cache.load_table(simcc, program, state, control,
-                            level=level, jobs=jobs)
+    return cache.load_table(simcc, program, state, control, level=level)
 
 
 class TestHitMiss:
@@ -486,103 +480,6 @@ class TestNativeArtifacts:
         assert cache.stats["native_stores"] == 1
         assert cache.stats["native_hits"] == 1
         assert second.state.differences(first.state) == []
-
-
-# A pool of valid testmodel instructions for generated programs.  The
-# terminating `halt` is appended outside the strategy so every program
-# drains.
-_INSTRUCTIONS = st.sampled_from([
-    "nop",
-    "ldi r1, 5",
-    "ldi r2, 250",
-    "add r3, r1, r2",
-    "addl r4, r3, r2",
-    "add r5, r5, r1",
-    "st r3, 9",
-    "st r5, 10",
-])
-
-
-class TestParallelSerial:
-    """Parallel table builds must be bit-identical to serial ones."""
-
-    @settings(max_examples=8, deadline=None)
-    @given(st.lists(_INSTRUCTIONS, min_size=1, max_size=24))
-    def test_parallel_build_bit_identical(self, testmodel, testmodel_tools,
-                                          lines):
-        # Generated programs are tiny; drop the fan-out threshold so the
-        # parallel path actually exercises the worker pool.  Patched
-        # manually (not via monkeypatch) because hypothesis re-runs the
-        # test body many times per fixture instantiation.
-        from repro.simcc import parallel
-
-        source = "\n".join(lines + ["halt"])
-        program = testmodel_tools.assembler.assemble_text(source)
-        saved = parallel.MIN_PARALLEL_ITEMS
-        parallel.MIN_PARALLEL_ITEMS = 1
-        try:
-            serial = build_portable_table(testmodel, program, jobs=1)
-            fanned = build_portable_table(testmodel, program, jobs=2)
-        finally:
-            parallel.MIN_PARALLEL_ITEMS = saved
-        assert (serial.to_payload(with_code=False)
-                == fanned.to_payload(with_code=False))
-
-    def test_parallel_execution_bit_identical(self, testmodel,
-                                              testmodel_tools, monkeypatch):
-        from repro.simcc import parallel
-
-        monkeypatch.setattr(parallel, "MIN_PARALLEL_ITEMS", 1)
-        program = testmodel_tools.assembler.assemble_text(PROGRAM_TEXT)
-
-        # Level 3: the portable compile is what jobs fans out.
-        serial = create_simulator(testmodel, "unfolded")
-        serial.load_program(program)
-        serial_stats = serial.run()
-
-        fanned = create_simulator(testmodel, "unfolded", jobs=2)
-        fanned.load_program(program)
-        fanned_stats = fanned.run()
-
-        assert fanned_stats.cycles == serial_stats.cycles
-        assert fanned_stats.instructions == serial_stats.instructions
-        assert fanned.state.differences(serial.state) == []
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the process pool needs the fork start method",
-    )
-    def test_failing_parallel_compile_is_not_rerun(self, tinydsp,
-                                                   tinydsp_tools,
-                                                   monkeypatch):
-        """A task error inside the pool propagates as is: the parent
-        does not re-run the whole map (once on threads, once serially)
-        before reporting it."""
-        from repro.simcc import parallel, portable
-
-        monkeypatch.setattr(parallel, "MIN_PARALLEL_ITEMS", 1)
-        parent = os.getpid()
-        parent_calls = []
-        original = portable._word_functions
-
-        def counting(*args):
-            if os.getpid() == parent:
-                parent_calls.append(args[3])  # the word's pc
-            return original(*args)
-
-        monkeypatch.setattr(portable, "_word_functions", counting)
-        source = "\n".join(["nop"] * 63 + ["halt"])
-        words = list(
-            tinydsp_tools.assembler.assemble_text(source)
-            .segments_in("pmem")[0].words
-        )
-        words[40] = 0x61  # no tinydsp coding matches
-        program = Program(name="undecodable", entry=0)
-        program.add_segment("pmem", 0, words)
-
-        with pytest.raises(DecodeError, match="address=0x28"):
-            build_portable_table(tinydsp, program, jobs=2)
-        assert parent_calls == []
 
 
 class TestScheduleSafetyRoundTrip:
