@@ -3,8 +3,9 @@
 Three passes over a (model, program) pair, sharing one report format:
 
 1. **Effects** (:mod:`repro.analysis.effects`): per-instruction,
-   per-stage read/write sets over architectural storage, resolved via
-   the decode-time schedule and the behaviour code generator.
+   per-stage read/write sets over architectural storage, read off the
+   SimIR the program front end (:mod:`repro.simcc.frontend`) lowers
+   once per word.
 2. **CFG recovery** (:mod:`repro.analysis.cfg`): execute-packet
    boundaries, branches, delay slots, basic blocks; flags branches into
    packet middles/delay slots, out-of-segment targets, unreachable
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.analysis.cfg import ProgramCFG, build_cfg, check_cfg
-from repro.analysis.effects import EffectsAnalyzer, packet_collisions
+from repro.analysis.effects import packet_collisions
 from repro.analysis.hazards import (
     CONFLICTING,
     HAZARD_FREE,
@@ -73,11 +74,11 @@ def analyze_program(model, program, packet_lint=True, ir_lint=True,
     ``hazard.verdict`` trace event per analysed packet.
     """
     from repro import obs as _obs
+    from repro.simcc.frontend import ProgramFrontEnd
 
     report = Report()
-    analyzer = EffectsAnalyzer(model)
     with _obs.span(observer, "analysis.cfg"):
-        cfg = build_cfg(model, program, analyzer=analyzer)
+        cfg = build_cfg(ProgramFrontEnd(model, program))
     if packet_lint and model.is_vliw:
         with _obs.span(observer, "analysis.lint", packets=len(cfg.order)):
             for pc in cfg.order:
@@ -99,19 +100,19 @@ def analyze_program(model, program, packet_lint=True, ir_lint=True,
     return AnalysisResult(report=report, safety=safety, cfg=cfg)
 
 
-def schedule_safety(model, program):
-    """Hazard verdicts per packet start, as stored on simulation tables.
+def schedule_safety(front):
+    """Hazard verdicts per packet start of the program ``front`` (a
+    :class:`repro.simcc.frontend.ProgramFrontEnd`) holds, as stored on
+    simulation tables.
 
     This is the analysis the static scheduler consumes; findings are
     not collected (run :func:`analyze_program` for the full report).
     """
-    cfg = build_cfg(model, program)
-    return analyze_hazards(cfg)
+    return analyze_hazards(build_cfg(front))
 
 
 __all__ = [
     "AnalysisResult",
-    "EffectsAnalyzer",
     "Finding",
     "Report",
     "analyze_program",

@@ -699,10 +699,10 @@ def check_ir(model, program, report, observer=None):
             model, program, level="instantiated", observer=observer
         )
     except ReproError:
-        # The program cannot be fully lowered (undecodable words,
-        # behaviour outside the lowering subset, ...).  The CFG pass
-        # already reports decode problems with their own findings, so
-        # the IR-level lint simply has nothing to say here.
+        # The program cannot be fully lowered (behaviour outside the
+        # lowering subset, ...).  Undecodable words do not get here:
+        # they become trap packets with no IR, which the hazard pass
+        # marks ``unknown``.
         return report
     pmem_name = model.config.program_memory
     by_pc = {}

@@ -1,6 +1,8 @@
 """Control-flow recovery over assembled programs.
 
-Decodes every program segment once and recovers the structure static
+Reads every program word once from the program front end
+(:class:`repro.simcc.frontend.ProgramFrontEnd`: decoded nodes, packet
+extents and per-instruction effects) and recovers the structure static
 scheduling depends on: canonical execute-packet boundaries, branch
 instructions with their resolution stages and constant targets,
 delay-slot extents, and basic blocks.  On top of that structure the
@@ -21,12 +23,9 @@ schedule statically (or plain wrong):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.analysis.effects import EffectsAnalyzer, cells_collide
-from repro.coding.decoder import InstructionDecoder
-from repro.machine.packets import packet_extent
-from repro.support.errors import DecodeError
+from repro.analysis.effects import cells_collide
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,6 @@ class PacketNode:
     branches: Tuple[Branch, ...]
     stage_reads: tuple  # per-stage merged read frozensets
     stage_writes: tuple  # per-stage merged write frozensets
-    has_control: bool
     truncated: bool
 
     @property
@@ -69,10 +67,6 @@ class ProgramCFG:
     order: tuple  # canonical packet starts in address order
     segments: tuple  # ((base, limit), ...) program-memory segments
     entry: int
-
-    @property
-    def packet_starts(self):
-        return frozenset(self.packets)
 
     def in_program(self, address):
         return any(base <= address < limit for base, limit in self.segments)
@@ -131,78 +125,54 @@ class ProgramCFG:
         return blocks
 
 
-def build_cfg(model, program, analyzer=None):
-    """Decode ``program`` and recover its :class:`ProgramCFG`."""
-    if analyzer is None:
-        analyzer = EffectsAnalyzer(model)
-    decoder = InstructionDecoder(model)
+def build_cfg(front):
+    """Recover the :class:`ProgramCFG` of the program ``front`` (a
+    :class:`repro.simcc.frontend.ProgramFrontEnd`) holds."""
+    model = front.model
     depth = model.pipeline.depth
     pc_name = model.pc_name
 
     packets = {}
-    order = []
-    segments = []
-    for segment in program.segments_in(model.config.program_memory):
-        words = segment.words
-        base = segment.base
-        limit = base + len(words)
-        segments.append((base, limit))
-
-        def read_word(address, _words=words, _base=base):
-            return _words[address - _base]
-
-        pc = base
-        while pc < limit:
-            extent = packet_extent(model, read_word, pc, limit)
-            members = []
-            undecoded = []
-            branches = []
-            truncated = False
-            has_control = False
-            for address in range(pc, pc + extent):
-                try:
-                    node = decoder.decode(read_word(address),
-                                          address=address)
-                except DecodeError:
-                    undecoded.append(address)
-                    continue
-                effects = analyzer.effects_of(node)
-                members.append((address, effects))
-                truncated = truncated or effects.truncated
-                has_control = has_control or effects.has_control
-                branches.extend(
-                    _branches_of(address, effects, pc_name)
-                )
-            stage_reads = []
-            stage_writes = []
-            for stage in range(depth):
-                reads = set()
-                writes = set()
-                for _, effects in members:
-                    reads |= effects.stages[stage].reads
-                    writes |= effects.stages[stage].writes
-                stage_reads.append(frozenset(reads))
-                stage_writes.append(frozenset(writes))
-            packets[pc] = PacketNode(
-                pc=pc,
-                extent=extent,
-                members=tuple(members),
-                undecoded=tuple(undecoded),
-                branches=tuple(branches),
-                stage_reads=tuple(stage_reads),
-                stage_writes=tuple(stage_writes),
-                has_control=has_control,
-                truncated=truncated,
-            )
-            order.append(pc)
-            pc += extent
+    for pc, extent in front.packets():
+        members = []
+        undecoded = []
+        branches = []
+        truncated = False
+        for address in range(pc, pc + extent):
+            if front.decode(address) is None:
+                undecoded.append(address)
+                continue
+            effects = front.effects(address)
+            members.append((address, effects))
+            truncated = truncated or effects.truncated
+            branches.extend(_branches_of(address, effects, pc_name))
+        stage_reads = []
+        stage_writes = []
+        for stage in range(depth):
+            reads = set()
+            writes = set()
+            for _, effects in members:
+                reads |= effects.stages[stage].reads
+                writes |= effects.stages[stage].writes
+            stage_reads.append(frozenset(reads))
+            stage_writes.append(frozenset(writes))
+        packets[pc] = PacketNode(
+            pc=pc,
+            extent=extent,
+            members=tuple(members),
+            undecoded=tuple(undecoded),
+            branches=tuple(branches),
+            stage_reads=tuple(stage_reads),
+            stage_writes=tuple(stage_writes),
+            truncated=truncated,
+        )
 
     return ProgramCFG(
         model=model,
         packets=packets,
-        order=tuple(order),
-        segments=tuple(segments),
-        entry=program.entry,
+        order=tuple(packets),
+        segments=tuple(front.segments),
+        entry=front.entry,
     )
 
 

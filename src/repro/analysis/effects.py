@@ -1,15 +1,18 @@
 """Effects analysis: per-instruction, per-stage read and write sets.
 
-The write-collision packet linter (:mod:`repro.tools.lint`) needed only
+The write-collision packet linter (:mod:`repro.tools.lint`) needs only
 the write sets of one instruction; static scheduling needs much more:
 *which pipeline stage* each access happens in, the *read* sets (for
 RAW/WAR detection), whether the instruction may raise pipeline-control
 requests, and the constant PC targets it can assign (for control-flow
-recovery).  :class:`EffectsAnalyzer` computes all of it by lowering the
-decode-time-resolved schedule into SimIR (:mod:`repro.simcc.ir`) and
-reading the effects directly off the typed micro-operations -- the
-*same* lowering the simulator backends execute, so the analysis sees
-exactly the accesses the generated simulator performs.
+recovery).  :func:`read_effects` reads all of it off the raw SimIR
+(:mod:`repro.simcc.ir`) of the decode-time-resolved schedule, which the
+program front end (:mod:`repro.simcc.frontend`) lowers once per word --
+the *same* lowering the simulator backends execute, so the analysis
+sees exactly the accesses the generated simulator performs.  Effects
+are read before the IR passes run, and a word whose lowering hits
+``ir.MAX_LOWER_DEPTH`` (or an unresolvable construct) has truncated
+effects.
 
 Cells are identified as ``(resource, element)`` pairs: a
 constant-folded element access becomes an exact cell ``("lsq", "0")``,
@@ -19,62 +22,8 @@ whole-resource wildcard ``("R", "*")``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-from repro.machine.schedule import build_schedule
-from repro.support.errors import ReproError
-
-#: Maximum sub-operation inline depth the lowering follows before
-#: giving up and marking the effects conservative/truncated.
-MAX_CALL_DEPTH = 16
-
-_ELEMENT = re.compile(r"^s\.(\w+)\[(\-?\d+)\]$")
-_SCALAR = re.compile(r"^s\.(\w+)$")
-_WILDCARD = re.compile(r"^s\.(\w+)\[")
-_ACCESS = re.compile(r"s\.(\w+)")
-_CONST_INDEX = re.compile(r"\[(\-?\d+)\]")
-_CONST_INT = re.compile(r"^\(*\-?\d+\)*$")
-
-
-def classify_lvalue(lvalue_source):
-    """Map a generated lvalue to a cell key: (resource, element|None|'*').
-
-    Returns ``None`` for behaviour-local targets (not architectural).
-    Retained for tools that classify rendered source text; the analyzer
-    itself now reads cells off the IR.
-    """
-    match = _ELEMENT.match(lvalue_source)
-    if match:
-        return (match.group(1), match.group(2))
-    match = _SCALAR.match(lvalue_source)
-    if match:
-        return (match.group(1), None)
-    match = _WILDCARD.match(lvalue_source)
-    if match:
-        return (match.group(1), "*")
-    return None
-
-
-def scan_read_cells(source):
-    """All architectural cells a generated expression reads.
-
-    Scans resolved source text for ``s.<resource>`` accesses: a literal
-    index yields an exact element cell, a computed index a wildcard,
-    no index a scalar.  Nested accesses (``s.dmem[s.R[3]]``) yield both
-    the outer wildcard and the inner element.
-    """
-    cells = set()
-    for match in _ACCESS.finditer(source):
-        rest = source[match.end():]
-        if rest.startswith("["):
-            index = _CONST_INDEX.match(rest)
-            element = index.group(1) if index else "*"
-            cells.add((match.group(1), element))
-        else:
-            cells.add((match.group(1), None))
-    return cells
 
 
 def cells_collide(a, b):
@@ -95,16 +44,6 @@ def cell_text(cell, other=None):
     if element == "*":
         return "%s[...]" % resource
     return "%s[%s]" % (resource, element)
-
-
-def const_int(source):
-    """The integer a generated value expression denotes, or None."""
-    if _CONST_INT.match(source) and source.count("(") == source.count(")"):
-        try:
-            return int(source.strip("()"))
-        except ValueError:
-            return None
-    return None
 
 
 @dataclass(frozen=True)
@@ -186,105 +125,72 @@ class _StageAccumulator:
         )
 
 
-class EffectsAnalyzer:
-    """Computes :class:`InstructionEffects` for decoded instructions.
+def read_effects(model, stage_ops, truncated):
+    """The :class:`InstructionEffects` of one instruction, read off its
+    raw SimIR: ``stage_ops`` holds the lowered micro-ops per pipeline
+    stage (only selected IF/SWITCH variants, sub-operations inlined).
 
-    Lowers the decode-time-resolved schedule into SimIR (only selected
-    IF/SWITCH variants count, sub-operation invocations are inlined
-    exactly as the code generator inlines them) and accumulates reads,
-    writes, control requests and constant PC targets off the micro-ops;
-    conditional accesses inside run-time guards are included
+    Conditional accesses inside run-time guards are included
     conservatively.
     """
+    from repro.simcc import ir
 
-    def __init__(self, model, codegen=None):
-        from repro.behavior.codegen import BehaviorCodegen
+    pc_cell = (model.pc_name, None)
+    stages = []
+    for ops in stage_ops:
+        acc = _StageAccumulator()
+        _accumulate(ops, acc, False, pc_cell, ir)
+        stages.append(acc.freeze())
+    return InstructionEffects(stages=tuple(stages), truncated=truncated)
 
-        self._model = model
-        self._codegen = codegen if codegen is not None else \
-            BehaviorCodegen(model)
-        self._pc_name = model.pc_name
 
-    @property
-    def model(self):
-        return self._model
+def _accumulate(ops, acc, cond, pc_cell, ir):
+    """Fold one lowered micro-op sequence into a stage accumulator.
 
-    def effects_of(self, node):
-        """Per-stage effects of one decoded instruction instance."""
-        from repro.simcc import ir
+    ``cond`` marks ops nested under a run-time guard/loop (their PC
+    writes are conditional; their reads/writes still count, which is
+    the conservative inclusion the hazard pass relies on).
+    """
+    for op in ops:
+        if isinstance(op, (ir.WriteReg, ir.WriteElem)):
+            cell = ir.write_cell(op)
+            acc.writes.add(cell)
+            if isinstance(op, ir.WriteElem):
+                acc.reads |= ir.read_cells(op.index)
+            acc.reads |= ir.read_cells(op.value)
+            if op.augmented:
+                acc.reads.add(cell)
+            elif cell == pc_cell:
+                acc.pc_writes.append(PCWrite(
+                    target=_const_target(op.value, ir),
+                    conditional=cond,
+                ))
+        elif isinstance(op, ir.WriteLocal):
+            acc.reads |= ir.read_cells(op.value)
+        elif isinstance(op, ir.Control):
+            acc.control = True
+            for arg in op.args:
+                acc.reads |= ir.read_cells(arg)
+        elif isinstance(op, ir.Guard):
+            acc.reads |= ir.read_cells(op.cond)
+            _accumulate(op.then_ops, acc, True, pc_cell, ir)
+            _accumulate(op.else_ops, acc, True, pc_cell, ir)
+        elif isinstance(op, ir.Loop):
+            acc.reads |= ir.read_cells(op.cond)
+            _accumulate(op.body, acc, True, pc_cell, ir)
+        elif isinstance(op, ir.Eval):
+            acc.reads |= ir.read_cells(op.value)
 
-        depth = self._model.pipeline.depth
-        accs = [_StageAccumulator() for _ in range(depth)]
-        truncated = False
-        lowerer = ir.Lowerer(self._model, self._codegen._variant_cache,
-                             depth_limit=MAX_CALL_DEPTH)
-        for item in build_schedule(node, self._model):
-            try:
-                ops = lowerer.lower_statements(
-                    item.behavior.statements, item.node
-                )
-            except ReproError:
-                truncated = True  # unresolvable or too deep: conservative
-                continue
-            self._accumulate(ops, accs[item.stage], False, ir)
-        return InstructionEffects(
-            stages=tuple(acc.freeze() for acc in accs),
-            truncated=truncated,
-        )
 
-    def written_cells(self, node):
-        """All storage cells the instruction may write (any stage)."""
-        return set(self.effects_of(node).writes)
+def _const_target(value, ir):
+    """The constant a PC write assigns, or None when computed.
 
-    # -- the accumulator -----------------------------------------------------
-
-    def _accumulate(self, ops, acc, cond, ir):
-        """Fold one lowered micro-op sequence into a stage accumulator.
-
-        ``cond`` marks ops nested under a run-time guard/loop (their PC
-        writes are conditional; their reads/writes still count, which is
-        the conservative inclusion the hazard pass relies on).
-        """
-        for op in ops:
-            if isinstance(op, (ir.WriteReg, ir.WriteElem)):
-                cell = ir.write_cell(op)
-                acc.writes.add(cell)
-                if isinstance(op, ir.WriteElem):
-                    acc.reads |= ir.read_cells(op.index)
-                acc.reads |= ir.read_cells(op.value)
-                if op.augmented:
-                    acc.reads.add(cell)
-                elif cell == (self._pc_name, None):
-                    acc.pc_writes.append(PCWrite(
-                        target=self._const_target(op.value, ir),
-                        conditional=cond,
-                    ))
-            elif isinstance(op, ir.WriteLocal):
-                acc.reads |= ir.read_cells(op.value)
-            elif isinstance(op, ir.Control):
-                acc.control = True
-                for arg in op.args:
-                    acc.reads |= ir.read_cells(arg)
-            elif isinstance(op, ir.Guard):
-                acc.reads |= ir.read_cells(op.cond)
-                self._accumulate(op.then_ops, acc, True, ir)
-                self._accumulate(op.else_ops, acc, True, ir)
-            elif isinstance(op, ir.Loop):
-                acc.reads |= ir.read_cells(op.cond)
-                self._accumulate(op.body, acc, True, ir)
-            elif isinstance(op, ir.Eval):
-                acc.reads |= ir.read_cells(op.value)
-
-    @staticmethod
-    def _const_target(value, ir):
-        """The constant a PC write assigns, or None when computed.
-
-        Folds just this value (never whole op sequences: folding away a
-        constant-false guard would silently shrink the write sets the
-        hazard pass depends on).
-        """
-        folded = ir._fold_value(value, ir.PassStats())
-        return folded.value if isinstance(folded, ir.Const) else None
+    Folds just this value (never whole op sequences: folding away a
+    constant-false guard would silently shrink the write sets the
+    hazard pass depends on).
+    """
+    folded = ir._fold_value(value, ir.PassStats())
+    return folded.value if isinstance(folded, ir.Const) else None
 
 
 def packet_collisions(members, report=None, packet_pc=None):
@@ -323,15 +229,11 @@ def packet_collisions(members, report=None, packet_pc=None):
 
 
 __all__ = [
-    "MAX_CALL_DEPTH",
-    "EffectsAnalyzer",
     "InstructionEffects",
     "StageEffects",
     "PCWrite",
-    "classify_lvalue",
-    "scan_read_cells",
     "cells_collide",
     "cell_text",
-    "const_int",
     "packet_collisions",
+    "read_effects",
 ]

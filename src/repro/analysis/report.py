@@ -14,7 +14,7 @@ report is usable as a golden file across runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 #: Recognised severities, most severe first.  ``error`` findings always
 #: fail a lint run, ``warning`` findings fail under ``--Werror``,

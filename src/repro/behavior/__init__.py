@@ -4,9 +4,9 @@ Two independent back-ends execute behaviours:
 
 * :mod:`repro.behavior.evaluator` -- a tree-walking interpreter used by
   the interpretive simulator (everything resolved at run-time),
-* :mod:`repro.behavior.codegen` -- a Python source generator used by the
-  simulation compiler (operands constant-folded, variants resolved at
-  simulation-compile time).
+* the SimIR lowering of :mod:`repro.simcc.ir` -- the code generator
+  used by the simulation compiler (operands constant-folded, variants
+  resolved at simulation-compile time).
 
 Having two implementations that must agree bit-for-bit is both the
 paper's accuracy claim ("without any loss in accuracy") and a strong

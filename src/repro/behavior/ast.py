@@ -11,7 +11,7 @@ compiler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.support.diagnostics import SourceLocation, UNKNOWN_LOCATION
 

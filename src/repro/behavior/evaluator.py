@@ -7,7 +7,7 @@ execution (unless a variant cache is supplied -- the compiled level-2
 simulator reuses the evaluator with pre-resolved variants).
 
 The arithmetic must agree bit-for-bit with the code generator
-(:mod:`repro.behavior.codegen`); both use unbounded Python integers with
+(:mod:`repro.simcc.ir`); both use unbounded Python integers with
 C-style division and 0/1 booleans, and canonicalise on resource writes.
 """
 
@@ -31,9 +31,7 @@ class EvalContext:
     ``variant_cache`` maps DecodedNode id -> (node, resolved variant);
     pass a persistent dict to move variant resolution to compile time
     (level 2), or None to resolve on every execution (interpretive).
-    The entry pins the node: ids are only unique among live objects,
-    and the same dict may be shared with a
-    :class:`repro.behavior.codegen.BehaviorCodegen`.
+    The entry pins the node: ids are only unique among live objects.
     """
 
     __slots__ = ("state", "control", "model", "variant_cache")

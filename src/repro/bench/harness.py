@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.api import build_toolset, load_model
 from repro.apps import build_adpcm, build_fir, build_gsm

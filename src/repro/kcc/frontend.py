@@ -9,7 +9,7 @@ are extracted textually before the body is parsed, and the use of
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.behavior import ast as bast

@@ -9,7 +9,7 @@ and the simulation compiler are all generated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.behavior import ast as bast
 from repro.support.bitutils import BitPattern, canonicalize

@@ -17,7 +17,6 @@ simulation compiler calls this once per program location
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.coding.decoder import DecodedNode
 from repro.support.errors import LisaSemanticError

@@ -35,14 +35,8 @@ and ``resilience.interpreted_fetches`` metrics plus
 
 from __future__ import annotations
 
-from functools import partial
-
-from repro.behavior.evaluator import EvalContext, execute_behavior
-from repro.machine.driver import IssueSlot, trap_slot
 from repro.machine.packets import packet_extent
-from repro.machine.schedule import build_schedule
 from repro.support.errors import (
-    DecodeError,
     ReproError,
     SimulationError,
     StaleTableError,
@@ -107,9 +101,7 @@ class ProgramMemoryGuard:
             "elisions": 0,
             "rearms": 0,
         }
-        model = simulator.model
-        self._pmem_name = model.config.program_memory
-        self._depth = model.pipeline.depth
+        self._pmem_name = simulator.model.config.program_memory
         self._target = None
         self._engine = None
         # address -> set of packet issue pcs whose encoding covers it
@@ -117,9 +109,8 @@ class ProgramMemoryGuard:
         # packet issue pc -> words covered (for incremental re-covering)
         self._extent_of = {}
         self._suspended = False
-        # lazy interpretive fallback machinery (rewritten packets)
-        self._decoder = None
-        self._eval_ctx = None
+        # the interpretive fetch serving rewritten packets (lazy)
+        self._interpreter = None
 
     @property
     def observer(self):
@@ -286,47 +277,17 @@ class ProgramMemoryGuard:
         return slot
 
     def _interpret(self, pc):
-        """Interpretive fetch-decode-schedule over *live* program memory.
+        """The interpretive simulator's fetch over *live* program memory;
+        the packet stays stale, so every fetch of it re-decodes --
+        correct for regions the program keeps rewriting."""
+        if self._interpreter is None:
+            from repro.sim.interpretive import InterpretiveFetch
 
-        Mirrors ``InterpretiveSimulator._fetch_decode``; the packet stays
-        stale, so every fetch of it re-decodes -- correct for regions the
-        program keeps rewriting.
-        """
-        simulator = self.simulator
-        model = simulator.model
-        state = simulator.state
-        pmem = getattr(state, self._pmem_name)
-        size = len(pmem)
-        if pc < 0 or pc >= size:
-            return trap_slot(
-                model,
-                "instruction fetch outside program memory (pc=0x%x)" % pc,
+            simulator = self.simulator
+            self._interpreter = InterpretiveFetch(
+                simulator.model, simulator.state, simulator.control
             )
-        if self._decoder is None:
-            from repro.coding.decoder import InstructionDecoder
-
-            self._decoder = InstructionDecoder(model)
-            self._eval_ctx = EvalContext(state, simulator.control, model)
-        extent = packet_extent(model, pmem.__getitem__, pc, size)
-        ctx = self._eval_ctx
-        stages = [[] for _ in range(self._depth)]
-        for address in range(pc, pc + extent):
-            try:
-                node = self._decoder.decode(pmem[address], address=address)
-            except DecodeError as exc:
-                return trap_slot(model, str(exc))
-            for item in build_schedule(node, model):
-                stages[item.stage].append(
-                    partial(
-                        execute_behavior, item.behavior.statements,
-                        item.node, ctx,
-                    )
-                )
-        return IssueSlot(
-            ops_by_stage=tuple(tuple(stage) for stage in stages),
-            words=extent,
-            insn_count=extent,
-        )
+        return self._interpreter.fetch(pc)
 
     # -- checkpoint/restore coupling ---------------------------------------
 
@@ -448,9 +409,14 @@ class TableGuardTarget:
                 # against untouched neighbours, so force these packets
                 # onto the dynamically-composed path.
                 table.schedule_safety[pc] = "unknown"
-            if mini.ir_by_stage is not None:
-                # Same route as the table itself, so both carry IR.
-                table.ir_by_stage[pc] = mini.ir_by_stage[pc]
+            if table.ir_by_stage is not None:
+                # Same route as the table itself, so both carry IR --
+                # except a trap packet, which has none.
+                ir = mini.ir_by_stage.get(pc)
+                if ir is None:
+                    table.ir_by_stage.pop(pc, None)
+                else:
+                    table.ir_by_stage[pc] = ir
             updates[pc] = slot.words
         return updates
 
@@ -464,8 +430,9 @@ class TableGuardTarget:
 class PredecodedGuardTarget:
     """Guard coupling for the predecoded simulator.
 
-    Packets are per-address decode nodes plus extents; a refresh simply
-    re-decodes the touched words into the node map.
+    Packets are the program front end's per-address decodes plus
+    extents; a refresh re-reads the touched packet from live memory
+    into it.
     """
 
     coherent = False
@@ -481,27 +448,19 @@ class PredecodedGuardTarget:
         ]
 
     def packet_map(self):
-        return dict(self._sim._extents)
+        return dict(self._sim.front.extents)
 
     def invalidate(self, pcs):
         pass
 
     def refresh(self, pc):
         sim = self._sim
+        front = sim.front
         pmem = getattr(sim.state, self._pmem_name)
-        limit = self._segment_limit(pc, len(pmem))
-        extent = packet_extent(sim.model, pmem.__getitem__, pc, limit)
-        updates = {}
-        for address in range(pc, pc + extent):
-            sim._nodes[address] = sim._decoder.decode(
-                pmem[address], address=address
-            )
-        for address in range(pc, pc + extent):
-            member_extent = packet_extent(
-                sim.model, pmem.__getitem__, address, limit
-            )
-            sim._extents[address] = member_extent
-            updates[address] = member_extent
+        members = front.reload(
+            pmem.__getitem__, pc, self._segment_limit(pc, len(pmem))
+        )
+        updates = {address: front.extents[address] for address in members}
         return sim._fetch(pc), updates
 
     def _segment_limit(self, pc, default):

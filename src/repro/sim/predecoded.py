@@ -1,10 +1,13 @@
 """Level-1 compiled simulation: compile-time decoding only.
 
 The whole program is decoded once, when it is loaded (the paper's first
-compiled-simulation step).  Operation sequencing still happens at
-run-time: on every fetch the per-stage schedule is rebuilt from the
-pre-decoded instruction and behaviours are AST-interpreted, though with
-decode-time variants cached (variant resolution is part of decoding).
+compiled-simulation step), by the program front end's decode layer
+(:class:`repro.simcc.frontend.ProgramFrontEnd`).  Operation sequencing
+still happens at run-time: on every fetch the per-stage schedule is
+rebuilt from the pre-decoded instruction and behaviours are
+AST-interpreted, though with decode-time variants cached (variant
+resolution is part of decoding).  A packet with an undecodable member
+issues the interpretive fetch's trap slot.
 """
 
 from __future__ import annotations
@@ -12,11 +15,9 @@ from __future__ import annotations
 from functools import partial
 
 from repro.behavior.evaluator import EvalContext, execute_behavior
-from repro.coding.decoder import InstructionDecoder
 from repro.machine.driver import IssueSlot, Pipeline, trap_slot
 from repro.machine.schedule import build_schedule
 from repro.sim.base import Simulator
-from repro.machine.packets import packet_extent
 
 
 class PredecodedSimulator(Simulator):
@@ -24,11 +25,8 @@ class PredecodedSimulator(Simulator):
 
     def __init__(self, model, observer=None):
         super().__init__(model, observer=observer)
-        self._decoder = InstructionDecoder(model)
         self._depth = model.pipeline.depth
-        self._pmem_name = model.config.program_memory
-        self._nodes = {}
-        self._extents = {}
+        self.front = None
         self._ctx = None
 
     def _guard_target(self, engine):
@@ -37,42 +35,33 @@ class PredecodedSimulator(Simulator):
         return PredecodedGuardTarget(self, engine)
 
     def _build_engine(self, program):
+        from repro.simcc.frontend import ProgramFrontEnd
+
         # Compile-time decoding: one pass over the program image.
-        self._nodes = {}
-        self._extents = {}
+        self.front = ProgramFrontEnd(self.model, program)
+        self.front.decode_all()
         self._ctx = EvalContext(
             self.state, self.control, self.model, variant_cache={}
         )
-        for segment in program.segments_in(self._pmem_name):
-            words = segment.words
-            base = segment.base
-            limit = base + len(words)
-
-            def read_word(address, _words=words, _base=base):
-                return _words[address - _base]
-
-            for offset, word in enumerate(words):
-                pc = base + offset
-                self._nodes[pc] = self._decoder.decode(word, address=pc)
-            for pc in range(base, limit):
-                self._extents[pc] = packet_extent(
-                    self.model, read_word, pc, limit
-                )
         return Pipeline(self.model, self.state, self.control, self._fetch)
 
     def _fetch(self, pc):
         """Run-time operation sequencing over pre-decoded instructions."""
-        node = self._nodes.get(pc)
-        if node is None:
+        front = self.front
+        extent = front.extents.get(pc)
+        if extent is None:
             return trap_slot(
                 self.model,
                 "fetch outside the pre-decoded region (pc=0x%x)" % pc,
             )
-        extent = self._extents[pc]
+        nodes = front.nodes
         ctx = self._ctx
         stages = [[] for _ in range(self._depth)]
         for address in range(pc, pc + extent):
-            for item in build_schedule(self._nodes[address], self.model):
+            node = nodes.get(address)
+            if node is None:
+                return trap_slot(self.model, front.errors[address])
+            for item in build_schedule(node, self.model):
                 stages[item.stage].append(
                     partial(
                         execute_behavior, item.behavior.statements,

@@ -54,7 +54,10 @@ from repro.simcc.portable import PortableTable
 #: 6: payloads may carry a ``window`` key (``None`` on every
 #:    whole-program table); it is no longer written and is ignored on
 #:    load.  Do not bump for its removal: whole-program digests are
-#:    unchanged, so existing v6 entries stay warm.
+#:    unchanged, so existing v6 entries stay warm.  A table with an
+#:    undecodable word also carries a ``traps`` key, written only when
+#:    non-empty; no bump either, because a reader without the key still
+#:    traps at those pcs (they have no table-spec entry).
 FORMAT_VERSION = 6
 
 _MAGIC = b"repro-simtab\n"

@@ -11,6 +11,12 @@ function.  Building it performs, at simulation-compile time:
 4. VLIW execute-packet formation,
 5. at level ``instantiated``, per-instruction Python code generation
    (through :mod:`repro.simcc.portable`).
+
+Steps 1-4 come from the program front end
+(:class:`repro.simcc.frontend.ProgramFrontEnd`), which decodes and
+lowers each word once for the table, its control flags and its hazard
+verdicts alike.  A packet with an undecodable member gets the
+interpretive fetch's trap slot.
 """
 
 from __future__ import annotations
@@ -19,13 +25,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.behavior import ast as bast
 from repro.behavior.evaluator import EvalContext, execute_behavior
-from repro.behavior.runtime import CONTROL_INTRINSICS
-from repro.coding.decoder import InstructionDecoder
-from repro.machine.driver import IssueSlot
-from repro.machine.schedule import build_schedule
-from repro.machine.packets import packet_extent
+from repro.machine.driver import IssueSlot, trap_slot
 from repro.support.errors import ReproError, SimulationError
 
 LEVELS = ("sequenced", "instantiated")
@@ -108,8 +109,6 @@ class SimulationCompiler:
 
     def __init__(self, model):
         self._model = model
-        self._decoder = InstructionDecoder(model)
-        self._depth = model.pipeline.depth
 
     @property
     def model(self):
@@ -143,74 +142,56 @@ class SimulationCompiler:
                 program, level=level, observer=observer
             ).bind(state, control)
         from repro import obs as _obs
+        from repro.analysis import schedule_safety
+        from repro.simcc.frontend import ProgramFrontEnd
 
         model = self._model
-        pmem_name = model.config.program_memory
-        segments = program.segments_in(pmem_name)
         ctx = EvalContext(state, control, model, {})
-
         slots = {}
         has_control = {}
-        instruction_count = 0
-        word_count = 0
 
         with _obs.span(observer, "simcc.compile", level=level):
-            for segment in segments:
-                words = segment.words
-                word_count += len(words)
-                base = segment.base
-                limit = base + len(words)
-
-                def read_word(address, _words=words, _base=base):
-                    return _words[address - _base]
-
-                # Step 1+2+3: decode and schedule every word once.
-                with _obs.span(observer, "simcc.decode", words=len(words)):
-                    per_pc = {}
-                    for offset, word in enumerate(words):
-                        pc = base + offset
-                        node = self._decoder.decode(word, address=pc)
-                        per_pc[pc] = self._stage_split(
-                            build_schedule(node, model)
+            front = ProgramFrontEnd(model, program)
+            # Step 1+2+3: decode and schedule every word once.
+            with _obs.span(observer, "simcc.decode", words=len(front.words)):
+                front.decode_all()
+            with _obs.span(observer, "simcc.sequence",
+                           words=len(front.nodes)):
+                bound = {
+                    pc: tuple(
+                        tuple(
+                            _BoundBehavior(behavior.statements, node, ctx)
+                            for node, behavior in items
                         )
-                instruction_count += len(words)
+                        for items in front.stage_items(pc)
+                    )
+                    for pc in front.nodes
+                }
 
-                with _obs.span(observer, "simcc.sequence",
-                               words=len(per_pc)):
-                    bound = {
-                        pc: self._sequence(stages, ctx)
-                        for pc, stages in per_pc.items()
-                    }
-
-                # Step 4: form execute packets for every possible entry pc.
-                with _obs.span(observer, "simcc.packetize",
-                               words=limit - base):
-                    for pc in range(base, limit):
-                        extent = packet_extent(model, read_word, pc, limit)
-                        members = range(pc, pc + extent)
-                        ops_by_stage = tuple(
-                            tuple(
-                                itertools.chain.from_iterable(
-                                    bound[member][stage]
-                                    for member in members
-                                )
-                            )
-                            for stage in range(self._depth)
-                        )
-                        slots[pc] = IssueSlot(
-                            ops_by_stage=ops_by_stage,
-                            words=extent,
-                            insn_count=extent,
-                        )
-                        has_control[pc] = any(
-                            self._stages_have_control(per_pc[member], ctx)
-                            for member in members
-                        )
-
-            from repro.analysis import schedule_safety
+            # Step 4: form execute packets for every possible entry pc.
+            with _obs.span(observer, "simcc.packetize",
+                           words=len(front.words)):
+                for pc, extent in front.extents.items():
+                    message = front.trap_message(pc)
+                    if message is not None:
+                        slots[pc] = trap_slot(model, message)
+                        has_control[pc] = True
+                        continue
+                    members = range(pc, pc + extent)
+                    slots[pc] = IssueSlot(
+                        ops_by_stage=tuple(
+                            tuple(itertools.chain.from_iterable(
+                                bound[member][stage] for member in members
+                            ))
+                            for stage in range(model.pipeline.depth)
+                        ),
+                        words=extent,
+                        insn_count=extent,
+                    )
+                    has_control[pc] = front.control_capable(pc)
 
             with _obs.span(observer, "simcc.analyze"):
-                safety = schedule_safety(model, program)
+                safety = schedule_safety(front)
             if observer is not None and safety:
                 for pc, verdict in sorted(safety.items()):
                     observer.on_hazard_verdict(pc, verdict)
@@ -219,8 +200,8 @@ class SimulationCompiler:
             level=level,
             slots=slots,
             has_control=has_control,
-            instruction_count=instruction_count,
-            word_count=word_count,
+            instruction_count=len(front.words),
+            word_count=len(front.words),
             schedule_safety=safety,
         )
 
@@ -236,32 +217,6 @@ class SimulationCompiler:
 
         return build_portable_table(self._model, program, level,
                                     observer=observer)
-
-    # -- helpers -------------------------------------------------------------
-
-    def _stage_split(self, schedule):
-        """Split a schedule into per-stage tuples of (node, behavior)."""
-        stages = [[] for _ in range(self._depth)]
-        for item in schedule:
-            stages[item.stage].append((item.node, item.behavior))
-        return tuple(tuple(stage) for stage in stages)
-
-    def _sequence(self, stages, ctx):
-        """Level 2 binding: pre-bound behaviour executions per stage."""
-        bound = []
-        for stage_items in stages:
-            fns = []
-            for node, behavior in stage_items:
-                fns.append(_BoundBehavior(behavior.statements, node, ctx))
-            bound.append(tuple(fns))
-        return tuple(bound)
-
-    def _stages_have_control(self, stages, ctx):
-        return any(
-            _behavior_has_control(behavior.statements, node, ctx)
-            for stage_items in stages
-            for node, behavior in stage_items
-        )
 
 
 class _BoundBehavior:
@@ -280,34 +235,3 @@ class _BoundBehavior:
 
     def __call__(self):
         execute_behavior(self.statements, self.node, self.ctx)
-
-
-def _behavior_has_control(statements, node, ctx, _depth=0):
-    """Whether behaviour statements may raise pipeline-control requests.
-
-    Used to keep control-capable instructions out of statically scheduled
-    columns (where same-cycle flush semantics could not be honoured).
-    Recurses into sub-operation invocations using the decoded context.
-    """
-    if _depth > 16:
-        return True  # pathological nesting: be conservative
-    for stmt in statements:
-        for node_ast in bast.walk(stmt):
-            if not isinstance(node_ast, bast.Call):
-                continue
-            if node_ast.name in CONTROL_INTRINSICS:
-                return True
-            # A call that is not an intrinsic is a sub-operation
-            # invocation; scan the selected child's behaviours.
-            child = node.children.get(node_ast.name)
-            if child is None and node_ast.name in node.operation.references:
-                kind, payload = node.lookup(node_ast.name)
-                child = payload if kind == "child" else None
-            if child is not None:
-                variant = ctx.variant_of(child)
-                for behavior in variant.behaviors:
-                    if _behavior_has_control(
-                        behavior.statements, child, ctx, _depth + 1
-                    ):
-                        return True
-    return False

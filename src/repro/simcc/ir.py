@@ -40,7 +40,7 @@ store IR payloads (:func:`function_to_payload`), not source text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.behavior import ast as bast
@@ -250,22 +250,16 @@ class Lowerer:
     group operands inline the selected sub-operation's EXPRESSION,
     sub-operation invocations splice the child's behaviours in, and
     resource writes pick up the declared width of their target.
+    Sub-operation inlining deeper than :data:`MAX_LOWER_DEPTH` raises
+    :class:`LoweringLimit`.
     """
 
-    def __init__(self, model, variant_cache=None, depth_limit=MAX_LOWER_DEPTH):
+    def __init__(self, model):
         self._model = model
-        self._variant_cache = variant_cache if variant_cache is not None \
-            else {}
-        self._depth_limit = depth_limit
+        self._variant_cache = {}
+        self._depth_limit = MAX_LOWER_DEPTH
 
-    # -- entry points -------------------------------------------------------
-
-    def lower_items(self, scheduled_items):
-        """Lower (node, behaviour) pairs that run back to back."""
-        ops = []
-        for node, behavior in scheduled_items:
-            ops.extend(self.lower_statements(behavior.statements, node, 0))
-        return tuple(ops)
+    # -- entry point --------------------------------------------------------
 
     def lower_statements(self, statements, node, depth=0):
         ops = []
@@ -407,8 +401,8 @@ class Lowerer:
 
     def _variant(self, node):
         # Keyed by identity, with the node pinned in the entry: ids are
-        # only unique among live objects, and analysis passes feed this
-        # cache transient nodes whose ids would otherwise be recycled.
+        # only unique among live objects, and a guard refresh replaces
+        # decoded nodes whose ids could otherwise be recycled.
         key = id(node)
         entry = self._variant_cache.get(key)
         if entry is None or entry[0] is not node:
@@ -573,15 +567,6 @@ def op_values(op):
         yield op.cond
     elif isinstance(op, Eval):
         yield op.value
-
-
-def ops_have_control(ops):
-    """Whether any micro-op (at any nesting depth) is a control request.
-
-    Exact (not conservative): lowering has already inlined every
-    sub-operation, so scanning the ops sees everything that can run.
-    """
-    return any(isinstance(op, Control) for op in walk_ops(ops))
 
 
 def read_cells(value):
@@ -1497,7 +1482,7 @@ __all__ = [
     "MicroOp", "WriteReg", "WriteElem", "WriteLocal", "Control", "Guard",
     "Loop", "Eval", "IRFunction",
     "Lowerer", "LoweringLimit", "LOCAL_PREFIX", "MAX_LOWER_DEPTH",
-    "walk_values", "walk_ops", "op_values", "ops_have_control",
+    "walk_values", "walk_ops", "op_values",
     "read_cells", "write_cell", "value_locals",
     "PassStats", "fold_constants", "coalesce_canonicalisation",
     "eliminate_dead_writes", "hoist_helpers", "DEFAULT_PASSES",

@@ -39,11 +39,10 @@ class NativeModule:
     for the plain byte-identical-to-before module.
     """
 
-    def __init__(self, layout, plan, burst, loader, so_path, source):
+    def __init__(self, layout, plan, burst, so_path, source):
         self.layout = layout
         self.plan = plan
         self.burst = burst
-        self.loader = loader
         self.so_path = so_path
         self.source = source
         self.telemetry = plan.telemetry
@@ -69,12 +68,10 @@ def _fallback(observer, reason, **args):
 
 def _load(so_path):
     key = os.path.realpath(so_path)
-    cached = _LOADED.get(key)
-    if cached is not None:
-        return cached
-    burst, loader = toolchain.load_burst(so_path)
-    _LOADED[key] = (burst, loader)
-    return burst, loader
+    burst = _LOADED.get(key)
+    if burst is None:
+        burst = _LOADED[key] = toolchain.load_burst(so_path)
+    return burst
 
 
 def build_native_module(model, table, cache=None, observer=None,
@@ -138,8 +135,8 @@ def build_native_module(model, table, cache=None, observer=None,
                 observer.on_native("compile", key=key[:16],
                                    packets=len(plan.native_pcs))
 
-        burst, loader = _load(so_path)
+        burst = _load(so_path)
     except (OSError, toolchain.NativeToolchainError) as exc:
         return _fallback(observer, "native build failed: %s" % exc,
                          model=model.name)
-    return NativeModule(state_layout, plan, burst, loader, so_path, source)
+    return NativeModule(state_layout, plan, burst, so_path, source)

@@ -761,8 +761,7 @@ def dump_program_c(model, program, stream=None):
     renderer = _CRenderer(model, state_layout)
     out.write("/* native rendering: model=%s program=%s layout=%s */\n"
               % (model.name, program.name, state_layout.digest()[:16]))
-    for pc in sorted(table.slots):
-        funcs_by_stage = table.ir_by_stage.get(pc, ())
+    for pc, funcs_by_stage in sorted(table.ir_by_stage.items()):
         info = analyze_packet(funcs_by_stage, model, pmem_name)
         if not info.native:
             out.write("\n/* pc=0x%x: python fallback (%s) */\n"

@@ -2,10 +2,10 @@
 
 Discovery honours ``$CC`` first (an *empty* ``CC`` explicitly disables
 the toolchain -- the CI fallback leg uses this), then falls back to
-``cc``, ``gcc`` and ``clang`` on ``$PATH``.  Loading prefers cffi's
-ABI-mode ``dlopen`` and falls back to :mod:`ctypes`; both paths expose
-the same ``burst(buf_addr, ok_addr, max_cycles) -> int`` callable over
-raw ``array('q')`` buffer addresses, so neither is a hard dependency.
+``cc``, ``gcc`` and ``clang`` on ``$PATH``.  Loading uses :mod:`ctypes`
+(standard library, and faster than cffi's ABI-mode ``dlopen`` both to
+load and per call): it exposes a ``burst(buf_addr, ok_addr,
+max_cycles) -> int`` callable over raw ``array('q')`` buffer addresses.
 
 Compiler identity (the first line of ``cc --version``) and the flag
 set are part of every artifact's metadata: a cached shared object
@@ -104,40 +104,10 @@ def compile_shared(cc, c_path, so_path):
 def load_burst(so_path):
     """Load ``repro_burst`` from ``so_path``.
 
-    Returns ``(burst, loader_name)`` where ``burst`` takes the raw
-    buffer addresses (``array('q').buffer_info()[0]``) plus the cycle
-    budget and returns the burst exit code.
+    The returned ``burst`` takes the raw buffer addresses
+    (``array('q').buffer_info()[0]``) plus the cycle budget and returns
+    the burst exit code.
     """
-    try:
-        return _load_cffi(so_path), "cffi"
-    except ImportError:
-        pass
-    return _load_ctypes(so_path), "ctypes"
-
-
-def _load_cffi(so_path):
-    from cffi import FFI
-
-    ffi = FFI()
-    ffi.cdef(
-        "int64_t repro_burst(int64_t *, const int64_t *, int64_t);"
-    )
-    lib = ffi.dlopen(so_path)
-    cast = ffi.cast
-    # Resolve the pointer ctypes once: ffi.cast with a type *string*
-    # re-parses it through pycparser on every call (~ms), which would
-    # dwarf the burst itself.
-    buf_t = ffi.typeof("int64_t *")
-    ok_t = ffi.typeof("const int64_t *")
-    fn = lib.repro_burst
-
-    def burst(buf_addr, ok_addr, max_cycles):
-        return fn(cast(buf_t, buf_addr), cast(ok_t, ok_addr), max_cycles)
-
-    return burst
-
-
-def _load_ctypes(so_path):
     import ctypes
 
     try:

@@ -12,7 +12,15 @@ instantiation) expressed as
   functions, one per occupied (pc, stage),
 * a table spec mapping program addresses to per-stage function names
   plus packet extents,
-* the per-address control-capability flags the static scheduler needs.
+* the per-address control-capability flags the static scheduler needs,
+* the decoder's message for every entry pc whose packet has an
+  undecodable member (``traps``); such a pc has no table-spec entry and
+  binds to a trap slot.
+
+:func:`build_portable_table` reads every word from the program front
+end (:mod:`repro.simcc.frontend`), which decodes and lowers each word
+once; the IR passes then run over those raw ops, one function per
+(pc, stage), after the effects have been read off them.
 
 A portable table can be bound to any state/control pair (:meth:`bind`),
 serialised byte-for-byte (:mod:`repro.simcc.cache`), or rendered as a
@@ -37,17 +45,14 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, Optional, Tuple
 
-from repro.behavior.codegen import BehaviorCodegen
 from repro.behavior.runtime import CODEGEN_GLOBALS
-from repro.coding.decoder import InstructionDecoder
-from repro.machine.driver import IssueSlot
-from repro.machine.packets import packet_extent
-from repro.machine.schedule import build_schedule
+from repro.machine.driver import IssueSlot, trap_slot
 from repro.simcc.ir import (
+    IRFunction,
     ModuleBackend,
     function_from_payload,
     function_to_payload,
-    ops_have_control,
+    run_passes,
 )
 
 
@@ -58,7 +63,8 @@ class PortableTable:
     ``functions`` is a tuple of lowered, post-pass
     :class:`repro.simcc.ir.IRFunction` objects in a fixed (pc-major,
     stage-minor) order; ``table_spec`` maps each program address to
-    ``(per_stage_names, words, insn_count)``.
+    ``(per_stage_names, words, insn_count)``, except the entry pcs in
+    ``traps``, which map to the decoder's message.
     """
 
     level: str
@@ -71,6 +77,7 @@ class PortableTable:
     word_count: int
     schedule_safety: Optional[Dict[int, str]] = None
     proofs: Optional[Dict[int, object]] = None
+    traps: Dict[int, str] = field(default_factory=dict)
     _code: Optional[object] = field(default=None, repr=False, compare=False)
     _namespace: Optional[dict] = field(default=None, repr=False, compare=False)
 
@@ -135,6 +142,8 @@ class PortableTable:
                 tuple(by_name[name] for name in stage_names)
                 for stage_names in per_stage
             )
+        for pc, message in self.traps.items():
+            slots[pc] = trap_slot(state.model, message)
         return SimulationTable(
             level=self.level,
             slots=slots,
@@ -157,7 +166,7 @@ class PortableTable:
         """A marshal-compatible payload (ints, strings, tuples, dicts,
         and optionally the compiled code object).  Functions serialise
         as IR payloads (tagged tuples), not source text."""
-        return {
+        payload = {
             "level": self.level,
             "model": self.model_name,
             "program": self.program_name,
@@ -178,6 +187,12 @@ class PortableTable:
             "proofs": self._proofs_payload(),
             "code": self.code() if with_code else None,
         }
+        if self.traps:
+            # Written only when present, so trap-free payloads stay
+            # byte-identical; a reader without the key still traps
+            # there, because the pc has no table-spec entry.
+            payload["traps"] = dict(self.traps)
+        return payload
 
     def _proofs_payload(self):
         if self.proofs is None:
@@ -220,44 +235,15 @@ class PortableTable:
             ),
             instruction_count=payload["instruction_count"],
             word_count=payload["word_count"],
+            traps={
+                int(pc): str(message)
+                for pc, message in payload.get("traps", {}).items()
+            },
             _code=payload.get("code"),
         )
 
 
 # -- construction ------------------------------------------------------------
-
-
-def _word_functions(model, decoder, depth, pc, word):
-    """Compile one program word to per-stage lowered IR functions.
-
-    Returns ``(names, funcs, has_control)`` where ``names`` has one
-    entry per pipeline stage (None for unoccupied stages) and ``funcs``
-    is a tuple of :class:`repro.simcc.ir.IRFunction`.  Control
-    capability is read off the lowered ops, which is exact: lowering
-    already inlined every sub-operation.
-
-    The variant cache is per word on purpose: it is keyed by node
-    *identity*, and this function drops its decoded nodes on return --
-    a longer-lived cache would see recycled ids and serve stale
-    variants for fresh nodes.
-    """
-    codegen = BehaviorCodegen(model, {})
-    node = decoder.decode(word, address=pc)
-    schedule = build_schedule(node, model)
-    stages = [[] for _ in range(depth)]
-    for item in schedule:
-        stages[item.stage].append((item.node, item.behavior))
-    names = []
-    funcs = []
-    for stage, items in enumerate(stages):
-        if not items:
-            names.append(None)
-            continue
-        name = "insn_%x_stage_%d" % (pc, stage)
-        funcs.append(codegen.lower_function(name, items))
-        names.append(name)
-    control = any(ops_have_control(func.ops) for func in funcs)
-    return tuple(names), tuple(funcs), control
 
 
 def build_portable_table(model, program, level="sequenced", observer=None):
@@ -266,7 +252,10 @@ def build_portable_table(model, program, level="sequenced", observer=None):
     ``observer`` records one phase-timing span per compilation step.
     """
     from repro import obs as _obs
+    from repro.analysis import absint, schedule_safety
+    from repro.simcc import verify
     from repro.simcc.compiler import LEVELS
+    from repro.simcc.frontend import ProgramFrontEnd
     from repro.support.errors import ReproError
 
     if level not in LEVELS:
@@ -276,67 +265,63 @@ def build_portable_table(model, program, level="sequenced", observer=None):
         )
     depth = model.pipeline.depth
     pmem_name = model.config.program_memory
-    segments = program.segments_in(pmem_name)
-
-    tasks = []
-    for segment in segments:
-        base = segment.base
-        for offset, word in enumerate(segment.words):
-            tasks.append((base + offset, word))
 
     with _obs.span(observer, "simcc.compile", level=level, portable=True):
-        with _obs.span(observer, "simcc.decode", words=len(tasks)):
-            decoder = InstructionDecoder(model)
-            results = [
-                _word_functions(model, decoder, depth, pc, word)
-                for pc, word in tasks
-            ]
+        front = ProgramFrontEnd(model, program)
+        with _obs.span(observer, "simcc.decode", words=len(front.words)):
+            for pc in front.words:
+                if front.decode(pc) is not None:
+                    front.lowered(pc)
 
         names_by_pc = {}
-        control_by_pc = {}
         functions = []
-        for (pc, _), (names, funcs, control) in zip(tasks, results):
-            names_by_pc[pc] = names
-            control_by_pc[pc] = control
-            functions.extend(funcs)
+
+        def word_names(pc):
+            # Each word's functions, built the first time a packet uses
+            # them: pc-major, stage-minor, as the packets are scanned.
+            names = names_by_pc.get(pc)
+            if names is None:
+                lowered = front.lowered(pc)
+                if lowered.error is not None:
+                    raise lowered.error
+                names = []
+                for stage, ops in enumerate(lowered.ops):
+                    if not front.stage_items(pc)[stage]:
+                        names.append(None)
+                        continue
+                    name = "insn_%x_stage_%d" % (pc, stage)
+                    functions.append(
+                        run_passes(IRFunction(name=name, ops=ops), model)
+                    )
+                    names.append(name)
+                names = names_by_pc[pc] = tuple(names)
+            return names
 
         table_spec = {}
         has_control = {}
-        with _obs.span(observer, "simcc.packetize", words=len(tasks)):
-            for segment in segments:
-                words = segment.words
-                base = segment.base
-                limit = base + len(words)
-
-                def read_word(address, _words=words, _base=base):
-                    return _words[address - _base]
-
-                for pc in range(base, limit):
-                    extent = packet_extent(model, read_word, pc, limit)
-                    members = range(pc, pc + extent)
-                    per_stage = tuple(
-                        tuple(
-                            names_by_pc[member][stage]
-                            for member in members
-                            if names_by_pc[member][stage] is not None
-                        )
-                        for stage in range(depth)
-                    )
-                    table_spec[pc] = (per_stage, extent, extent)
-                    has_control[pc] = any(
-                        control_by_pc[member] for member in members
-                    )
-
-        from repro.analysis import schedule_safety
+        traps = {}
+        with _obs.span(observer, "simcc.packetize", words=len(front.words)):
+            for pc, extent in front.extents.items():
+                message = front.trap_message(pc)
+                if message is not None:
+                    traps[pc] = message
+                    has_control[pc] = True
+                    continue
+                members = [word_names(member)
+                           for member in range(pc, pc + extent)]
+                per_stage = tuple(
+                    tuple(names[stage] for names in members
+                          if names[stage] is not None)
+                    for stage in range(depth)
+                )
+                table_spec[pc] = (per_stage, extent, extent)
+                has_control[pc] = front.control_capable(pc)
 
         with _obs.span(observer, "simcc.analyze"):
-            safety = schedule_safety(model, program)
+            safety = schedule_safety(front)
         if observer is not None and safety:
             for pc, verdict in sorted(safety.items()):
                 observer.on_hazard_verdict(pc, verdict)
-
-        from repro.analysis import absint
-        from repro.simcc import verify
 
         if verify.enabled():
             with _obs.span(observer, "simcc.verify",
@@ -365,8 +350,9 @@ def build_portable_table(model, program, level="sequenced", observer=None):
         functions=tuple(functions),
         table_spec=table_spec,
         has_control=has_control,
-        instruction_count=len(tasks),
-        word_count=len(tasks),
+        instruction_count=len(front.words),
+        word_count=len(front.words),
         schedule_safety=safety,
         proofs=proofs,
+        traps=traps,
     )

@@ -38,7 +38,6 @@ from __future__ import annotations
 import os
 from typing import Optional, Set, Tuple
 
-from repro.behavior.runtime import CONTROL_INTRINSICS
 from repro.simcc import ir
 from repro.support.errors import BehaviorError
 

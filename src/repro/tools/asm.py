@@ -26,8 +26,8 @@ Coding fields that never appear in an operation's SYNTAX assemble as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from repro.coding.encoder import InstructionEncoder, OperandSpec
 from repro.coding.layout import layout_of
@@ -571,7 +571,6 @@ class Assembler:
                 parallel_fixups.append(pending)
         self._apply_parallel_bits(images, parallel_fixups)
 
-        word_mask = None
         for pending in data:
             value = pending.value
             if isinstance(value, _SymbolicValue):

@@ -4,39 +4,15 @@ On a VLIW model, instructions of one execute packet run in the same
 cycle; two of them writing the same storage cell is almost always a
 bug (on this substrate the later slot silently wins -- and the load
 unit's in-flight address queue is a storage cell too, so two parallel
-loads corrupt each other).  The linter decodes every execute packet and
-reports write-set collisions between its members.
-
-The effects walk lives in :mod:`repro.analysis.effects` (shared with
-CFG recovery and hazard analysis); this module keeps the historical
-assembler-facing surface -- ``written_cells`` and ``lint_vliw_packets``
--- as thin wrappers over :class:`~repro.analysis.effects.
-EffectsAnalyzer`.  Delegating also fixed an off-by-one in the old
-walker's recursion guard, which allowed sub-operation chains one level
-past the documented depth limit.
+loads corrupt each other).  The linter walks the canonical execute
+packets of the program front end (:mod:`repro.simcc.frontend`) and
+reports write-set collisions between the members of each multi-word
+packet; only those members are decoded and lowered.
 """
 
 from __future__ import annotations
 
-from repro.analysis.effects import (
-    EffectsAnalyzer,
-    cells_collide as _cells_collide,  # noqa: F401  (compat re-export)
-    classify_lvalue as _classify,  # noqa: F401  (compat re-export)
-    packet_collisions,
-)
-from repro.coding.decoder import InstructionDecoder
-from repro.machine.packets import packet_extent
-from repro.support.errors import DecodeError
-
-
-def written_cells(node, model, codegen):
-    """All storage cells an instruction instance may write.
-
-    Walks the decode-time-resolved schedule (so only the selected
-    variants count) including sub-operation invocations; conditional
-    writes inside run-time IFs are included conservatively.
-    """
-    return EffectsAnalyzer(model, codegen).written_cells(node)
+from repro.analysis.effects import packet_collisions
 
 
 def lint_vliw_packets(model, program):
@@ -44,36 +20,23 @@ def lint_vliw_packets(model, program):
 
     Returns a deduplicated list of human-readable warning strings,
     sorted by packet address; empty when clean.  Non-VLIW models always
-    lint clean.
+    lint clean.  Undecodable words are data and take no part.
     """
     if not model.is_vliw:
         return []
-    decoder = InstructionDecoder(model)
-    analyzer = EffectsAnalyzer(model)
+    from repro.simcc.frontend import ProgramFrontEnd
+
+    front = ProgramFrontEnd(model, program)
     warnings = []
-    for segment in program.segments_in(model.config.program_memory):
-        words = segment.words
-        base = segment.base
-        limit = base + len(words)
-
-        def read_word(address, _words=words, _base=base):
-            return _words[address - _base]
-
-        pc = base
-        while pc < limit:
-            extent = packet_extent(model, read_word, pc, limit)
-            if extent > 1:
-                members = []
-                for address in range(pc, pc + extent):
-                    try:
-                        node = decoder.decode(read_word(address),
-                                              address=address)
-                    except DecodeError:
-                        continue  # undecodable words are data
-                    members.append((address, analyzer.effects_of(node)))
-                warnings.extend(
-                    finding.message
-                    for finding in packet_collisions(members, packet_pc=pc)
-                )
-            pc += extent
+    for pc, extent in front.packets():
+        if extent > 1:
+            members = [
+                (address, front.effects(address))
+                for address in range(pc, pc + extent)
+                if front.decode(address) is not None
+            ]
+            warnings.extend(
+                finding.message
+                for finding in packet_collisions(members, packet_pc=pc)
+            )
     return warnings

@@ -36,6 +36,19 @@ def _verify_ir_everywhere():
     yield
     verify.set_verify_default(previous)
 
+
+def stage_function_of(model, items, name="f"):
+    """The optimised IR function the portable builder makes of
+    ``(node, behaviour)`` items run back to back in one stage."""
+    from repro.simcc import ir
+    from repro.simcc.frontend import lower_stages
+
+    lowered = lower_stages(model, ir.Lowerer(model), (tuple(items),))
+    if lowered.error is not None:
+        raise lowered.error
+    return ir.run_passes(ir.IRFunction(name=name, ops=lowered.ops[0]), model)
+
+
 # A small but feature-complete model used by unit tests that need full
 # control over the description (distinct from the shipped tinydsp).
 #: The run-config key that checkpoint bodies and service job specs

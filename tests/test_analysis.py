@@ -18,12 +18,12 @@ from repro.analysis import (
     analyze_program,
     schedule_safety,
 )
-from repro.analysis import effects as effects_mod
 from repro.analysis.cfg import build_cfg
-from repro.analysis.effects import EffectsAnalyzer
 from repro.analysis.report import Report
 from repro.apps import build_adpcm, build_fir, build_gsm
 from repro.sim import create_simulator
+from repro.simcc import ir
+from repro.simcc.frontend import ProgramFrontEnd
 from repro.support.errors import SimulationError
 
 
@@ -76,11 +76,10 @@ class TestReport:
 
 class TestEffects:
     def _effects(self, c62x, c62x_tools, text):
-        word = c62x_tools.assembler.assemble_text(text).segments_in(
-            c62x.config.program_memory
-        )[0].words[0]
-        node = c62x_tools.decoder.decode(word)
-        return EffectsAnalyzer(c62x).effects_of(node)
+        front = ProgramFrontEnd(
+            c62x, c62x_tools.assembler.assemble_text(text)
+        )
+        return front.effects(front.segments[0][0])
 
     def test_add_stage_resolved(self, c62x, c62x_tools):
         fx = self._effects(c62x, c62x_tools, "add a3, a1, a2")
@@ -123,35 +122,30 @@ class TestEffects:
     def test_depth_guard_truncates_conservatively(
         self, c62x, c62x_tools, monkeypatch
     ):
-        # The guard fires on entry (the old walker let the last level
-        # recurse one past the limit); at -1 even the root walk refuses.
-        monkeypatch.setattr(effects_mod, "MAX_CALL_DEPTH", -1)
+        # The one lowering depth limit is checked on entry to every
+        # sub-operation; at -1 even the root's operands refuse.
+        monkeypatch.setattr(ir, "MAX_LOWER_DEPTH", -1)
         fx = self._effects(c62x, c62x_tools, "add a3, a1, a2")
         assert fx.truncated
         assert not fx.writes
 
-    def test_lint_written_cells_delegates(self, c62x, c62x_tools):
-        from repro.behavior.codegen import BehaviorCodegen
-        from repro.tools.lint import written_cells
-
-        word = c62x_tools.assembler.assemble_text(
-            "ldw a5, a4, 0"
-        ).segments_in(c62x.config.program_memory)[0].words[0]
-        node = c62x_tools.decoder.decode(word)
-        cells = written_cells(node, c62x, BehaviorCodegen(c62x))
-        assert cells == EffectsAnalyzer(c62x).written_cells(node)
-        assert ("A", "5") in cells
-
     def test_stale_identity_does_not_alias_variants(self, c62x, c62x_tools):
-        # One analyzer over a stream of transient nodes: resolution must
-        # track each node, not a recycled id from a collected one.
-        analyzer = EffectsAnalyzer(c62x)
-        words = c62x_tools.assembler.assemble_text(
+        # One lowerer over two words, and again after a reload replaces
+        # their nodes: resolution must track each node, not a recycled
+        # id from a replaced one.
+        program = c62x_tools.assembler.assemble_text(
             "ldw a5, a4, 0\nldw b5, b4, 0"
-        ).segments_in(c62x.config.program_memory)[0].words
-        for word, cell in zip(words, (("A", "5"), ("B", "5"))):
-            fx = analyzer.effects_of(c62x_tools.decoder.decode(word))
-            assert cell in fx.writes
+        )
+        front = ProgramFrontEnd(c62x, program)
+        words = program.segments_in(c62x.config.program_memory)[0].words
+        cells = (("A", "5"), ("B", "5"))
+        for pc, cell in enumerate(cells):
+            assert cell in front.effects(pc).writes
+        swapped = words[::-1]
+        front.reload(swapped.__getitem__, 0, len(swapped))
+        front.reload(swapped.__getitem__, 1, len(swapped))
+        for pc, cell in enumerate(reversed(cells)):
+            assert cell in front.effects(pc).writes
 
 
 # -- CFG recovery ------------------------------------------------------------
@@ -162,7 +156,7 @@ class TestCFG:
         program = c62x_tools.assembler.assemble_text(
             "mvk a1, 1\n || mvk a2, 2\nhalt"
         )
-        cfg = build_cfg(c62x, program)
+        cfg = build_cfg(ProgramFrontEnd(c62x, program))
         assert cfg.order[0] == 0
         assert cfg.packets[0].extent == 2
         assert len(cfg.packets[0].members) == 2
@@ -170,7 +164,7 @@ class TestCFG:
 
     def test_branch_recovered(self, c62x, c62x_tools):
         program = c62x_tools.assembler.assemble_text("b 2\nnop\nhalt")
-        cfg = build_cfg(c62x, program)
+        cfg = build_cfg(ProgramFrontEnd(c62x, program))
         [branch] = cfg.packets[0].branches
         assert branch.targets == (2,)
         assert branch.stage == c62x.pipeline.stage_index("DC")
@@ -310,8 +304,9 @@ class TestHazards:
         program = c62x_tools.assembler.assemble_text(
             "mvk a1, 1\n || mvk a2, 2\nnop\nhalt"
         )
-        cfg = build_cfg(c62x, program)
-        verdicts = schedule_safety(c62x, program)
+        front = ProgramFrontEnd(c62x, program)
+        cfg = build_cfg(front)
+        verdicts = schedule_safety(front)
         assert set(verdicts) == set(cfg.order)
 
     def test_undecodable_word_is_unknown(self, c62x, c62x_tools):

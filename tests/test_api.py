@@ -8,7 +8,6 @@ from repro import (
     list_models,
     load_model,
 )
-from repro.api import Toolset
 from repro.support.errors import ReproError
 from tests.conftest import TESTMODEL_SOURCE
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.behavior.codegen import BehaviorCodegen, canonical_write_source
 from repro.behavior.evaluator import EvalContext, execute_behavior
 from repro.behavior.parser import parse_statements
 from repro.behavior.runtime import idiv, imod
@@ -15,7 +14,10 @@ from repro.lisa.lexer import tokenize
 from repro.lisa.model import TYPES
 from repro.machine.control import PipelineControl
 from repro.machine.state import ProcessorState
+from repro.simcc import ir
+from repro.support.bitutils import canonical_source
 from repro.support.errors import BehaviorError
+from tests.conftest import stage_function_of
 
 
 def stmts(source):
@@ -52,17 +54,21 @@ def run_codegen(model, node, source, setup=None):
     control = PipelineControl()
     if setup:
         setup(state)
-    codegen = BehaviorCodegen(model)
-    fn = codegen.compile_function(
-        "test_fn", [(node, _FakeBehavior(stmts(source)))], state, control
+    func = stage_function_of(
+        model, [(node, _FakeBehavior(stmts(source)))], "test_fn"
     )
-    fn()
+    ir.PythonExecBackend().compile_function(func, state, control)()
     return state, control
 
 
 class _FakeBehavior:
     def __init__(self, statements):
         self.statements = statements
+
+
+def _function_source(model, items):
+    """Source of the ``(s, c)`` function the portable builder renders."""
+    return ir.render_function_source(stage_function_of(model, items))
 
 
 def run_both(model, node, source, setup=None):
@@ -216,18 +222,19 @@ class TestEvaluatorSemantics:
 
 class TestCodegenDetails:
     def test_canonical_write_source_signed(self):
-        src = canonical_write_source(TYPES["int8"], "v")
+        dtype = TYPES["int8"]
+        src = canonical_source("v", dtype.width, dtype.signed)
         namespace = {"v": 200}
         assert eval(src, namespace) == -56
 
     def test_canonical_write_source_unsigned(self):
-        src = canonical_write_source(TYPES["uint8"], "v")
+        dtype = TYPES["uint8"]
+        src = canonical_source("v", dtype.width, dtype.signed)
         assert eval(src, {"v": -1}) == 255
 
     def test_operand_constant_folding(self, testmodel, add_node):
-        codegen = BehaviorCodegen(testmodel)
-        source = codegen.function_source(
-            "f", [(add_node, _FakeBehavior(stmts("dst = src1 + src2;")))]
+        source = _function_source(
+            testmodel, [(add_node, _FakeBehavior(stmts("dst = src1 + src2;")))]
         )
         # The selected register indices appear as literals.
         assert "s.R[2]" in source
@@ -235,29 +242,25 @@ class TestCodegenDetails:
         assert "s.R[1]" in source
 
     def test_control_intrinsic_emitted(self, testmodel, add_node):
-        codegen = BehaviorCodegen(testmodel)
-        source = codegen.function_source(
-            "f", [(add_node, _FakeBehavior(stmts("flush(); stall(1);")))]
+        source = _function_source(
+            testmodel, [(add_node, _FakeBehavior(stmts("flush(); stall(1);")))]
         )
         assert "c.request_flush()" in source
         assert "c.request_stall(1)" in source
 
     def test_empty_behavior_emits_pass(self, testmodel, add_node):
-        codegen = BehaviorCodegen(testmodel)
-        source = codegen.function_source("f", [])
+        source = _function_source(testmodel, [])
         assert "pass" in source
 
     def test_child_call_in_expression_rejected(self, testmodel, add_node):
-        codegen = BehaviorCodegen(testmodel)
         with pytest.raises(BehaviorError):
-            codegen.function_source(
-                "f", [(add_node, _FakeBehavior(stmts("dst = src1();")))]
+            _function_source(
+                testmodel, [(add_node, _FakeBehavior(stmts("dst = src1();")))]
             )
 
     def test_pure_intrinsic_statement_dropped(self, testmodel, add_node):
-        codegen = BehaviorCodegen(testmodel)
-        source = codegen.function_source(
-            "f", [(add_node, _FakeBehavior(stmts("sext(1, 2);")))]
+        source = _function_source(
+            testmodel, [(add_node, _FakeBehavior(stmts("sext(1, 2);")))]
         )
         assert "__sext" not in source
 
@@ -299,8 +302,7 @@ OPERATION double { CODING { 0b1 } BEHAVIOR { R[0] = R[0] * 2; } }
 
         state2 = ProcessorState(model)
         control2 = PipelineControl()
-        fn = BehaviorCodegen(model).compile_function(
-            "f", [(node, behavior)], state2, control2
-        )
-        fn()
+        ir.PythonExecBackend().compile_function(
+            stage_function_of(model, [(node, behavior)]), state2, control2
+        )()
         assert state2.R[2] == expected

@@ -165,18 +165,6 @@ class TestCanonicalise:
         fn = eval("lambda v: " + canonical_source("v", width, signed))
         assert fn(value) == canonicalize(value, width, signed)
 
-    def test_codegen_delegates(self):
-        """``canonical_write_source`` is a thin wrapper over
-        ``canonical_source`` keyed by the declared dtype."""
-        from repro.behavior.codegen import canonical_write_source
-        from repro.lisa.model import TYPES
-
-        for name in ("int8", "uint8", "int16", "uint32"):
-            dtype = TYPES[name]
-            assert canonical_write_source(dtype, "v") == canonical_source(
-                "v", dtype.width, dtype.signed
-            )
-
     def test_dtype_delegates(self):
         """``DType.canonical`` (the evaluator's write path) is the same
         formula."""

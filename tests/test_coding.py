@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.coding.decoder import InstructionDecoder
 from repro.coding.encoder import InstructionEncoder, OperandSpec
 from repro.coding.layout import layout_of
-from repro.lisa import model as m
 from repro.support.errors import CodingError, DecodeError
 
 

@@ -1,9 +1,6 @@
 """Tests for diagnostics plumbing and error formatting."""
 
-import pytest
-
 from repro.support.diagnostics import (
-    Diagnostic,
     DiagnosticSink,
     SourceLocation,
 )

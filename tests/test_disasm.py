@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.support.errors import AssemblerError
-
 LINES_TINYDSP = [
     "nop",
     "add r1, r2, r3",

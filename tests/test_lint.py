@@ -5,42 +5,28 @@ import json
 import pytest
 
 from repro.apps import build_adpcm, build_fir, build_gsm
-from repro.tools.lint import lint_vliw_packets, written_cells
+from repro.simcc.frontend import ProgramFrontEnd
+from repro.tools.lint import lint_vliw_packets
+
+
+def _written_cells(model, tools, text):
+    """The write set the packet lint reads for the one instruction."""
+    program = tools.assembler.assemble_text(text, lint=False)
+    return ProgramFrontEnd(model, program).effects(0).writes
 
 
 class TestWrittenCells:
     def test_alu_write_is_element_precise(self, c62x, c62x_tools):
-        from repro.behavior.codegen import BehaviorCodegen
-        from repro.coding.decoder import InstructionDecoder
-
-        word = c62x_tools.assembler.assemble_text(
-            "add a3, a1, a2", lint=False
-        ).segments[0].words[0]
-        node = InstructionDecoder(c62x).decode(word)
-        cells = written_cells(node, c62x, BehaviorCodegen(c62x))
+        cells = _written_cells(c62x, c62x_tools, "add a3, a1, a2")
         assert cells == {("A", "3")}
 
     def test_load_writes_queue_and_destination(self, c62x, c62x_tools):
-        from repro.behavior.codegen import BehaviorCodegen
-        from repro.coding.decoder import InstructionDecoder
-
-        word = c62x_tools.assembler.assemble_text(
-            "ldw b5, a4, 0", lint=False
-        ).segments[0].words[0]
-        node = InstructionDecoder(c62x).decode(word)
-        cells = written_cells(node, c62x, BehaviorCodegen(c62x))
+        cells = _written_cells(c62x, c62x_tools, "ldw b5, a4, 0")
         assert ("B", "5") in cells
         assert ("lsq", "0") in cells  # the in-flight address queue
 
     def test_store_is_memory_wildcard(self, c62x, c62x_tools):
-        from repro.behavior.codegen import BehaviorCodegen
-        from repro.coding.decoder import InstructionDecoder
-
-        word = c62x_tools.assembler.assemble_text(
-            "stw a1, a4, 2", lint=False
-        ).segments[0].words[0]
-        node = InstructionDecoder(c62x).decode(word)
-        cells = written_cells(node, c62x, BehaviorCodegen(c62x))
+        cells = _written_cells(c62x, c62x_tools, "stw a1, a4, 2")
         assert ("dmem", "*") in cells
 
 

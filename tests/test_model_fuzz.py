@@ -67,7 +67,6 @@ def build_model_source(shape):
     for index in range(shape["n_alu"]):
         name, behaviour = _ALU_BEHAVIOURS[index]
         names.append(name)
-        guard = ""
         if shape["guarded"]:
             guard_body = (
                 "    IF (mode == 0) {\n"

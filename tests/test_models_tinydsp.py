@@ -1,7 +1,5 @@
 """Instruction-level semantic tests for the shipped tinydsp model."""
 
-import pytest
-
 from repro.sim import create_simulator
 
 

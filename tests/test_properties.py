@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.apps import build_synthetic
 from repro.behavior import ast as bast
-from repro.behavior.codegen import BehaviorCodegen
 from repro.behavior.evaluator import EvalContext, execute_behavior
 from repro.coding.decoder import InstructionDecoder
 from repro.coding.encoder import InstructionEncoder
@@ -24,7 +23,9 @@ from repro.machine.control import PipelineControl
 from repro.machine.state import ProcessorState
 from repro.models import load_model
 from repro.sim import create_simulator
+from repro.simcc import ir
 from repro.support.errors import DecodeError
+from tests.conftest import stage_function_of
 
 
 class TestCrossSimulatorFuzz:
@@ -178,8 +179,9 @@ class TestBackendAgreementFuzz:
 
         behavior = _B()
         behavior.statements = statements
-        fn = BehaviorCodegen(testmodel).compile_function(
-            "fuzz", [(node, behavior)], cg_state, PipelineControl()
+        fn = ir.PythonExecBackend().compile_function(
+            stage_function_of(testmodel, [(node, behavior)], "fuzz"),
+            cg_state, PipelineControl(),
         )
         fn()
         assert ev_state.R[1] == cg_state.R[1]

@@ -21,6 +21,7 @@ import multiprocessing
 import os
 import signal
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,7 +44,7 @@ from repro.service.chaos import (
     run_reference,
 )
 from repro.service.server import ServiceServer
-from repro.service.worker import classify_error
+from repro.service.worker import classify_error, run_job
 from repro.sim import create_simulator
 from repro.simcc.cache import SimulationCache
 from repro.support.errors import (
@@ -177,6 +178,25 @@ class TestErrorClassification:
         assert classify_error(DecodeError("d"), "run") == "decode"
         assert classify_error(ReproError("x"), "load") == "compile"
         assert classify_error(ReproError("x"), "run") == "simulation"
+
+    @pytest.mark.parametrize("kind", ["interpretive", "predecoded",
+                                      "compiled", "unfolded_static"])
+    def test_executed_undecodable_word_fails_as_simulation(
+            self, tinydsp_tools, kind):
+        # The trap fires when the word executes, as on interpretive --
+        # not as a decode failure at load.
+        program = tinydsp_tools.assembler.assemble_text(
+            "nop\n.word 0xFFFF\nhalt\n", name="undecodable"
+        )
+        sent = []
+        run_job(SimpleNamespace(send=sent.append), {"job": "j1", "spec": {
+            "model": "tinydsp", "program": program.to_dict(), "kind": kind,
+        }}, None)
+        reply = sent[-1]
+        assert (reply["type"], reply["phase"], reply["category"],
+                reply["error"]) == ("error", "run", "simulation",
+                                    "SimulationError")
+        assert "no operation coding matches" in reply["message"]
 
 
 class TestCleanJobs:

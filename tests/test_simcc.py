@@ -6,7 +6,7 @@ from repro.machine.control import PipelineControl
 from repro.machine.state import ProcessorState
 from repro.simcc.compiler import SimulationCompiler
 from repro.simcc.generator import generate_simulation_compiler
-from repro.support.errors import DecodeError, ReproError, SimulationError
+from repro.support.errors import ReproError, SimulationError
 from repro.tools.objfile import Program
 
 
@@ -117,14 +117,25 @@ class TestLevels:
             results.append(state.snapshot())
         assert results[0] == results[1]
 
-    def test_undecodable_program_rejected_at_compile_time(self, testmodel):
+    def test_undecodable_word_compiles_to_trap_slot(self, testmodel):
+        # Like the interpretive fetch: one word, one instruction,
+        # control-capable, raising the decoder's message only when it
+        # executes -- not a compile-time failure.
         program = Program(entry=0)
         program.add_segment("pmem", 0, [0b0_0110_000_00000000])  # bad opcode
         state = ProcessorState(testmodel)
         control = PipelineControl()
         program.load_into(state)
-        with pytest.raises(DecodeError):
-            SimulationCompiler(testmodel).compile(program, state, control)
+        table = SimulationCompiler(testmodel).compile(program, state, control)
+        slot = table.slots[0]
+        assert (slot.words, slot.insn_count, slot.label) == (1, 1, "<trap>")
+        assert table.has_control[0]
+        assert table.schedule_safety[0] == "unknown"
+        with pytest.raises(SimulationError,
+                           match="no operation coding matches"):
+            for ops in slot.ops_by_stage:
+                for op in ops:
+                    op()
 
 
 class TestVliwPackets:

@@ -743,3 +743,62 @@ class TestExistingEntriesStayWarm:
         assert cache.stats["corrupt_entries"] == 0
         assert cache.stats["misses"] == 0
         assert bound.word_count == 5
+
+
+class TestTrapEntries:
+    """A table with an undecodable word stores the decoder's message
+    under an extra ``traps`` key, written only when non-empty: trap-free
+    payloads are unchanged, and a reader without the key still traps,
+    because the pc has no table-spec entry."""
+
+    BAD_WORD = 0b0_0110_000_00000000  # no operation coding matches
+
+    @pytest.fixture
+    def trap_program(self, program):
+        from repro.tools.objfile import Program
+
+        words = list(program.segments_in("pmem")[0].words)
+        trap_program = Program(name="traps", entry=program.entry)
+        trap_program.add_segment("pmem", 0, words + [self.BAD_WORD])
+        return trap_program
+
+    @staticmethod
+    def _fire(slot):
+        from repro.support.errors import SimulationError
+
+        assert (slot.words, slot.insn_count, slot.label) == (1, 1, "<trap>")
+        with pytest.raises(SimulationError) as excinfo:
+            for ops in slot.ops_by_stage:
+                for op in ops:
+                    op()
+        return str(excinfo.value)
+
+    def test_trap_free_payload_has_no_traps_key(self, testmodel, program):
+        portable = build_portable_table(testmodel, program)
+        assert portable.traps == {}
+        assert "traps" not in portable.to_payload()
+
+    def test_trap_entry_round_trips(self, testmodel, trap_program, tmp_path):
+        portable = build_portable_table(testmodel, trap_program)
+        assert set(portable.traps) == {5}
+        assert 5 not in portable.table_spec
+        assert portable.has_control[5]
+        _load(testmodel, trap_program, SimulationCache(tmp_path / "c"))
+        fresh = SimulationCache(tmp_path / "c")
+        table = _load(testmodel, trap_program, fresh)
+        assert fresh.stats["disk_hits"] == 1
+        message = self._fire(table.slots[5])
+        assert message == portable.traps[5]
+        assert "no operation coding matches" in message
+
+    def test_reader_without_traps_key_still_traps(self, testmodel,
+                                                  trap_program):
+        from repro.simcc.portable import PortableTable
+
+        payload = build_portable_table(testmodel, trap_program).to_payload()
+        del payload["traps"]
+        state, control = _fresh_engine(testmodel, trap_program)
+        table = PortableTable.from_payload(payload).bind(state, control)
+        assert 5 not in table.slots
+        message = self._fire(table.make_frontend(testmodel)(5))
+        assert "outside the compiled region" in message

@@ -1,0 +1,152 @@
+"""Undecodable program words run as on the interpretive reference.
+
+A packet with an undecodable member issues the interpretive fetch's
+trap slot on every kind and backend: it raises the decoder's message
+only if it executes.  So an undecodable word fetched behind ``halt`` is
+squashed, the same word written there under the ``recover`` write
+guard likewise, and one that does execute fails at the same cycle and
+pc, with the same error, on every configuration.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.resilience.faults import FaultInjector
+from repro.sim import create_simulator
+from repro.support.errors import SimulationError
+
+#: Every configuration besides the interpretive reference; the
+#: interpretive and predecoded kinds have no native backend.
+CONFIGS = [("predecoded", "python")] + [
+    (kind, backend)
+    for kind in ("compiled", "static", "unfolded", "unfolded_static")
+    for backend in ("python", "native")
+]
+IDS = ["%s-%s" % config for config in CONFIGS]
+
+BAD_WORD = 0xFFFF
+
+#: ``.word 0xFFFF`` is fetched behind ``halt`` and squashed.
+SQUASHED = """
+start:  halt
+        nop
+        nop
+        nop
+        .word 0xFFFF
+"""
+
+#: ``.word 0xFFFF`` executes.
+EXECUTED = """
+start:  nop
+        nop
+        .word 0xFFFF
+        halt
+"""
+
+#: A countdown loop; the word after ``halt`` is rewritten to 0xFFFF.
+COUNTDOWN = """
+start:  ldi r0, 1
+        ldi r1, 3
+loop:   sub r1, r1, r0
+        brnz r1, loop
+        halt
+after:  nop
+"""
+
+
+def _run(model, program, kind, backend, rewrite=None):
+    simulator = create_simulator(
+        model, kind, backend=backend,
+        on_self_modify="recover" if rewrite is not None else None,
+    )
+    simulator.load_program(program)
+    if rewrite is None:
+        stats = simulator.run(max_cycles=1_000)
+    else:
+        injector = FaultInjector()
+        stats = injector.run_with_faults(
+            simulator,
+            [(1, lambda sim: injector.write_program_word(
+                sim, rewrite, BAD_WORD))],
+            max_cycles=1_000,
+        )
+    return simulator, stats
+
+
+def _failure(model, program, kind, backend):
+    simulator = create_simulator(model, kind, backend=backend)
+    simulator.load_program(program)
+    with pytest.raises(SimulationError) as excinfo:
+        simulator.run(max_cycles=1_000)
+    exc = excinfo.value
+    return (type(exc), str(exc), exc.sim_cycles, exc.sim_pc,
+            simulator.state.snapshot(), simulator.stats.instructions)
+
+
+@pytest.fixture(scope="module")
+def programs(tinydsp_tools):
+    assemble = tinydsp_tools.assembler.assemble_text
+    return {
+        "squashed": assemble(SQUASHED, name="squashed"),
+        "executed": assemble(EXECUTED, name="executed"),
+        "countdown": assemble(COUNTDOWN, name="countdown"),
+    }
+
+
+@pytest.fixture(scope="module")
+def references(tinydsp, programs):
+    squashed, stats = _run(tinydsp, programs["squashed"], "interpretive",
+                           "python")
+    countdown = programs["countdown"]
+    rewritten, rewritten_stats = _run(
+        tinydsp, countdown, "interpretive", "python",
+        rewrite=countdown.symbols["after"],
+    )
+    assert rewritten.guard.stats["self_mod_writes"] == 1
+    return {
+        "squashed": (squashed.state.snapshot(), stats.cycles,
+                     stats.instructions),
+        "countdown": (rewritten.state.snapshot(), rewritten_stats.cycles,
+                      rewritten_stats.instructions),
+        "executed": _failure(tinydsp, programs["executed"], "interpretive",
+                             "python"),
+    }
+
+
+@pytest.mark.parametrize("kind,backend", CONFIGS, ids=IDS)
+class TestUndecodableWord:
+    def test_fetched_but_squashed(self, tinydsp, programs, references,
+                                  kind, backend):
+        simulator, stats = _run(tinydsp, programs["squashed"], kind,
+                                backend)
+        assert (simulator.state.snapshot(), stats.cycles,
+                stats.instructions) == references["squashed"]
+
+    def test_rewritten_behind_halt_under_recover(
+            self, tinydsp, programs, references, kind, backend):
+        program = programs["countdown"]
+        simulator, stats = _run(tinydsp, program, kind, backend,
+                                rewrite=program.symbols["after"])
+        assert (simulator.state.snapshot(), stats.cycles,
+                stats.instructions) == references["countdown"]
+        assert simulator.guard.stats["recompiled_packets"] >= 1
+
+    def test_executed_raises_like_interpretive(
+            self, tinydsp, programs, references, kind, backend):
+        failure = _failure(tinydsp, programs["executed"], kind, backend)
+        assert failure == references["executed"]
+        assert "no operation coding matches" in failure[1]
+
+
+class TestReferenceFigures:
+    """The interpretive figures the matrix above is held to."""
+
+    def test_squashed(self, references):
+        _, cycles, retired = references["squashed"]
+        assert (cycles, retired) == (5, 1)
+
+    def test_executed(self, references):
+        _, message, cycles, pc, _, _ = references["executed"]
+        assert "word=0xffff, address=0x2" in message
+        assert cycles == 4 and pc is not None
