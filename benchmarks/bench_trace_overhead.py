@@ -178,7 +178,7 @@ def _native_telemetry_leg(max_cycles):
 
     python_s, python_cycles, _ = _best_run_seconds(
         model, program, max_cycles,
-        kind="unfolded_static", backend="python",
+        kind="unfolded_static", backend="auto",
     )
     counters_s, counters_cycles, counters_engine = _best_run_seconds(
         model, program, max_cycles,

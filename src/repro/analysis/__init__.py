@@ -32,7 +32,6 @@ from repro.analysis.hazards import (
     HAZARD_FREE,
     UNKNOWN,
     analyze_hazards,
-    hazard_free_region,
 )
 from repro.analysis.report import Finding, Report
 
@@ -119,7 +118,6 @@ __all__ = [
     "build_cfg",
     "check_cfg",
     "schedule_safety",
-    "hazard_free_region",
     "HAZARD_FREE",
     "CONFLICTING",
     "UNKNOWN",

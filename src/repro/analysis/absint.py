@@ -4,7 +4,7 @@ The fast paths of this code base rest on facts about run-time values:
 the native backend may only evaluate a packet in ``int64_t`` arithmetic
 when every intermediate value provably fits, the self-modify guard only
 needs its fetch interposer when a packet can actually store into
-program memory, and a store's canonicalisation mask can be dropped when
+program memory, and a store's canonicalisation wrap can be dropped when
 the stored value is provably already canonical.  Before this module
 those facts were computed by private, duplicated walkers (the old
 ``_fits``/``_bit_bound`` analysis in :mod:`repro.simcc.native.cgen`) or
@@ -31,12 +31,19 @@ read/write sets, the set of resources reachable by ``WriteElem`` stores
 (validated against concrete execution by the test suite), and any
 provably-trapping operations (surfaced by ``repro-lint`` as ``IR002``).
 Proofs serialise to marshal-compatible payloads and persist with the
-cached table (:mod:`repro.simcc.cache`, payload format 5).
+cached table (:mod:`repro.simcc.cache`), so the native backend renders
+from them without running the analysis again.
+
+:func:`drop_canonical_wraps` runs the same walk over one lowered
+function for the IR pass pipeline
+(:func:`repro.simcc.ir.coalesce_canonicalisation`): every store whose
+value is provably canonical for its declared width loses its wrap in
+the IR itself, so all backends render the same raw stores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.simcc import ir
@@ -110,8 +117,14 @@ def const(value):
     return make(value, value, value if value >= 0 else None)
 
 
+def _range_of(width, signed):
+    if signed:
+        return (-(1 << (width - 1)), (1 << (width - 1)) - 1)
+    return (0, (1 << width) - 1)
+
+
 def of_width(width, signed):
-    lo, hi = ir._range_of(width, signed)
+    lo, hi = _range_of(width, signed)
     return make(lo, hi)
 
 
@@ -142,7 +155,7 @@ def _bit_fallback(*vals):
             return TOP
         for value in (val.lo, val.hi):
             bits = max(bits, value.bit_length() + 1)
-    lo, hi = ir._range_of(min(bits, _BIT_CAP), True)
+    lo, hi = _range_of(min(bits, _BIT_CAP), True)
     return make(lo, hi)
 
 
@@ -238,9 +251,7 @@ class PacketProof:
     from generated code).  ``cells`` maps each written resource to the
     joined ``(lo, hi)`` interval of every value stored into it (``None``
     ends mean unbounded); concrete runs must stay inside it.  ``traps``
-    lists provably-faulting operations, ``raw_stores`` the ids of write
-    ops whose value is provably canonical already (render-time only,
-    not persisted).
+    lists provably-faulting operations.
     """
 
     native: bool
@@ -252,8 +263,6 @@ class PacketProof:
         field(default_factory=dict)
     traps: Tuple[str, ...] = ()
     has_loop: bool = False
-    raw_stores: FrozenSet[int] = field(default=frozenset(), repr=False,
-                                       compare=False)
 
     def to_payload(self):
         """Marshal-compatible rendering (persisted with cached tables)."""
@@ -296,7 +305,6 @@ class _Analysis:
         self.elem_stores: Set[str] = set()
         self.cells: Dict[str, AbsVal] = {}
         self.traps: List[str] = []
-        self.raw_stores: Set[int] = set()
         self.has_loop = False
         self.failure: Optional[str] = None
 
@@ -310,6 +318,16 @@ class _Analysis:
     def record_store(self, resource, stored):
         seen = self.cells.get(resource)
         self.cells[resource] = stored if seen is None else join(seen, stored)
+
+
+def _resource_dtype(model, name):
+    reg = model.registers.get(name)
+    if reg is not None:
+        return reg.dtype
+    mem = model.memories.get(name)
+    if mem is not None:
+        return mem.dtype
+    return None
 
 
 def _resource_length(model, name):
@@ -340,14 +358,14 @@ def _eval_value(value, env, acc):
     if isinstance(value, ir.Const):
         return _require_fits(const(value.value), acc)
     if isinstance(value, ir.ReadReg):
-        dtype = ir._resource_dtype(model, value.name)
+        dtype = _resource_dtype(model, value.name)
         if dtype is None:
             acc.fail("unknown resource %r" % value.name)
             return TOP
         acc.reads.add(value.name)
         return of_width(dtype.width, dtype.signed)
     if isinstance(value, ir.ReadElem):
-        dtype = ir._resource_dtype(model, value.resource)
+        dtype = _resource_dtype(model, value.resource)
         if dtype is None:
             acc.fail("unknown resource %r" % value.resource)
             return TOP
@@ -451,43 +469,50 @@ def _stored_fact(op, value_fact):
     wraps out-of-range values onto the full declared range."""
     if op.width is None:
         return value_fact
-    lo, hi = ir._range_of(op.width, op.signed)
+    lo, hi = _range_of(op.width, op.signed)
     if value_fact.within(lo, hi):
         return value_fact
     return make(lo, hi)
 
 
+def _exec_store(op, env, acc):
+    """Abstract execution of one resource write.  Returns the write
+    raw (``width=None``) when its value is provably canonical already,
+    else the write itself."""
+    if isinstance(op, ir.WriteElem):
+        resource = op.resource
+        if resource == acc.pmem_name:
+            acc.fail("writes program memory (guard must observe the store)")
+    else:
+        resource = op.name
+    if _resource_dtype(acc.model, resource) is None:
+        acc.fail("unknown resource %r" % resource)
+        return op
+    if isinstance(op, ir.WriteElem):
+        index = _eval_value(op.index, env, acc)
+        _check_index(resource, index, acc)
+        acc.elem_stores.add(resource)
+    fact = _eval_value(op.value, env, acc)
+    acc.writes.add(resource)
+    stored = _stored_fact(op, fact)
+    acc.record_store(resource, stored)
+    if op.width is not None and stored is fact:
+        return replace(op, width=None, signed=False)
+    return op
+
+
 def _exec_ops(ops, env, acc):
     """Abstract execution of one micro-op sequence, updating ``env``
-    (local name -> :class:`AbsVal`) in place."""
+    (local name -> :class:`AbsVal`) in place.
+
+    Returns ``ops`` with every store whose value is provably canonical
+    already turned raw (``width=None``).  Stores inside a run-time loop
+    keep their wrap: the loop body is summarised, not executed.
+    """
+    out = []
     for op in ops:
-        if isinstance(op, ir.WriteReg):
-            if ir._resource_dtype(acc.model, op.name) is None:
-                acc.fail("unknown resource %r" % op.name)
-                continue
-            fact = _eval_value(op.value, env, acc)
-            acc.writes.add(op.name)
-            stored = _stored_fact(op, fact)
-            if op.width is not None and stored is fact:
-                acc.raw_stores.add(id(op))
-            acc.record_store(op.name, stored)
-        elif isinstance(op, ir.WriteElem):
-            if op.resource == acc.pmem_name:
-                acc.fail(
-                    "writes program memory (guard must observe the store)"
-                )
-            if ir._resource_dtype(acc.model, op.resource) is None:
-                acc.fail("unknown resource %r" % op.resource)
-                continue
-            index = _eval_value(op.index, env, acc)
-            _check_index(op.resource, index, acc)
-            fact = _eval_value(op.value, env, acc)
-            acc.writes.add(op.resource)
-            acc.elem_stores.add(op.resource)
-            stored = _stored_fact(op, fact)
-            if op.width is not None and stored is fact:
-                acc.raw_stores.add(id(op))
-            acc.record_store(op.resource, stored)
+        if isinstance(op, (ir.WriteReg, ir.WriteElem)):
+            op = _exec_store(op, env, acc)
         elif isinstance(op, ir.WriteLocal):
             env[op.name] = _eval_value(op.value, env, acc)
         elif isinstance(op, ir.Control):
@@ -499,14 +524,16 @@ def _exec_ops(ops, env, acc):
             _eval_value(op.cond, env, acc)
             then_env = dict(env)
             else_env = dict(env)
-            _exec_ops(op.then_ops, then_env, acc)
-            _exec_ops(op.else_ops, else_env, acc)
+            then_ops = _exec_ops(op.then_ops, then_env, acc)
+            else_ops = _exec_ops(op.else_ops, else_env, acc)
             merged = {}
             for name in then_env:
                 if name in else_env:
                     merged[name] = join(then_env[name], else_env[name])
             env.clear()
             env.update(merged)
+            if (then_ops, else_ops) != (op.then_ops, op.else_ops):
+                op = ir.Guard(op.cond, then_ops, else_ops)
         elif isinstance(op, ir.Loop):
             acc.has_loop = True
             acc.fail("contains a run-time loop")
@@ -516,6 +543,8 @@ def _exec_ops(ops, env, acc):
             _eval_value(op.value, env, acc)
         else:
             acc.fail("unsupported op %r" % type(op).__name__)
+        out.append(op)
+    return tuple(out)
 
 
 def _widen_loop_body(body, env, acc):
@@ -569,8 +598,19 @@ def analyze_packet(funcs_by_stage, model, pmem_name):
         },
         traps=tuple(acc.traps),
         has_loop=acc.has_loop,
-        raw_stores=frozenset(acc.raw_stores),
     )
+
+
+def drop_canonical_wraps(ops, model):
+    """``ops`` (one lowered function's micro-ops) with the wrap dropped
+    from every store whose value is provably canonical for its declared
+    width already: such a store becomes raw (``width=None``).
+
+    Each function starts from an empty local environment and reads
+    resources at their declared range, exactly as :func:`analyze_packet`
+    walks it, so the packet proofs of the rewritten IR are unchanged.
+    """
+    return _exec_ops(ops, {}, _Analysis(model, None))
 
 
 # ---------------------------------------------------------------------------
@@ -578,21 +618,11 @@ def analyze_packet(funcs_by_stage, model, pmem_name):
 # ---------------------------------------------------------------------------
 
 
-def table_proofs(table, model):
-    """The per-packet proofs behind a bound simulation table.
-
-    Tables bound from a portable table carry the proofs computed (or
-    cached) with it; ``None`` means the table has none (the direct
-    level-2 table, hand-built tables), so consumers must stay
-    conservative.
-    """
-    return getattr(table, "proofs", None)
-
-
 def table_store_resources(table, model):
-    """Resources any packet may element-store into, or ``None`` when no
-    proof is available (the guard must then assume the worst)."""
-    proofs = table_proofs(table, model)
+    """Resources any packet may element-store into, or ``None`` when the
+    table carries no proofs (the direct level-2 table, hand-built
+    tables): the guard must then assume the worst."""
+    proofs = table.proofs
     if proofs is None:
         return None
     targets = set()
@@ -604,74 +634,6 @@ def table_store_resources(table, model):
 # ---------------------------------------------------------------------------
 # IR-level lint diagnostics (repro-lint)
 # ---------------------------------------------------------------------------
-
-
-def surviving_dead_writes(func):
-    """Descriptions of dead writes DCE had to keep for trap parity.
-
-    Re-runs the deadness scan of
-    :func:`repro.simcc.ir.eliminate_dead_writes` *without* its trap-free
-    gate and reports only the writes that gate blocked: their stored
-    value is never observed, but evaluating it may fault, so the pass
-    could not remove them.  Worth surfacing -- the dead computation
-    usually hides a behaviour bug.
-    """
-    found = []
-    ops = list(func.ops)
-    for i, op in enumerate(ops):
-        cell = None
-        local_name = None
-        if isinstance(op, (ir.WriteReg, ir.WriteElem)):
-            cell = ir.write_cell(op)
-            if cell is None or cell[1] == "*":
-                continue
-            trap_kept = not ir._trap_free(op.value) or (
-                isinstance(op, ir.WriteElem)
-                and not ir._trap_free(op.index)
-            )
-        elif isinstance(op, ir.WriteLocal):
-            local_name = op.name
-            trap_kept = not ir._trap_free(op.value)
-        else:
-            continue
-        if not trap_kept:
-            continue  # trap-free and live, or already removed by DCE
-        dead = None
-        for later in ops[i + 1:]:
-            later_cells, later_locals = ir._op_reads(later)
-            if cell is not None and any(
-                ir._cells_touch(cell, read) for read in later_cells
-            ):
-                dead = False
-                break
-            if local_name is not None and local_name in later_locals:
-                dead = False
-                break
-            if isinstance(later, ir.Control):
-                if cell is not None:
-                    dead = False
-                    break
-                continue
-            if cell is not None \
-                    and isinstance(later, (ir.WriteReg, ir.WriteElem)) \
-                    and ir.write_cell(later) == cell:
-                dead = True
-                break
-            if local_name is not None \
-                    and isinstance(later, ir.WriteLocal) \
-                    and later.name == local_name:
-                dead = True
-                break
-        if dead is None:
-            dead = local_name is not None
-        if dead:
-            target = cell[0] if cell is not None else local_name
-            found.append(
-                "dead write to %s survives elimination (its value may "
-                "fault, so removing it would change trap behaviour)"
-                % target
-            )
-    return found
 
 
 def _insn_pc(name):
@@ -717,8 +679,18 @@ def check_ir(model, program, report, observer=None):
             report.add("warning", pc, "ir.trap",
                        "operation provably traps: %s" % trap)
         for func in funcs:
-            for description in surviving_dead_writes(func):
-                report.add("note", pc, "ir.dead-write", description)
+            for i, trap_free in ir.dead_writes(func.ops):
+                if trap_free:
+                    continue  # dead only since a removal: not kept for parity
+                op = func.ops[i]
+                target = (op.resource if isinstance(op, ir.WriteElem)
+                          else op.name)
+                report.add(
+                    "note", pc, "ir.dead-write",
+                    "dead write to %s survives elimination (its value may "
+                    "fault, so removing it would change trap behaviour)"
+                    % target,
+                )
     return report
 
 
@@ -750,8 +722,7 @@ __all__ = [
     "PacketProof",
     "analyze_packet",
     "check_ir",
-    "surviving_dead_writes",
-    "table_proofs",
+    "drop_canonical_wraps",
     "table_store_resources",
     "proofs_to_payload",
     "proofs_from_payload",

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.analysis.effects import cells_collide
+from repro.analysis.effects import cell_text, cells_collide
 
 
 @dataclass(frozen=True)
@@ -344,17 +344,10 @@ def _check_dead_writes(cfg, report):
                             "note", previous, "cfg.dead-write",
                             "write at 0x%x to %s is overwritten at 0x%x "
                             "before any read"
-                            % (previous, "%s" % _cell_name(cell), address),
+                            % (previous, cell_text(cell), address),
                         )
                     pending[cell] = address
         # Block ends: later blocks may read the pending values.
-
-
-def _cell_name(cell):
-    resource, element = cell
-    if element is None:
-        return resource
-    return "%s[%s]" % (resource, element)
 
 
 __all__ = [

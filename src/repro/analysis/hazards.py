@@ -90,13 +90,6 @@ def analyze_hazards(cfg, report=None):
     return verdicts
 
 
-def hazard_free_region(verdicts, pcs):
-    """Whether every (non-bubble) pc of a window is proven hazard-free."""
-    return all(
-        pc is None or verdicts.get(pc) == HAZARD_FREE for pc in pcs
-    )
-
-
 # -- window enumeration ------------------------------------------------------
 
 
@@ -226,5 +219,4 @@ __all__ = [
     "UNKNOWN",
     "VERDICTS",
     "analyze_hazards",
-    "hazard_free_region",
 ]

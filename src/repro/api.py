@@ -155,7 +155,7 @@ class Toolset:
         ``on_self_modify`` arms the program-memory write guard with a
         degradation policy (``error`` or ``recover``; see
         :mod:`repro.resilience`).  ``backend`` (table-based kinds)
-        selects the execution backend -- ``auto``, ``python`` or
+        selects the execution backend -- ``auto`` (the Python path) or
         ``native`` (compiled C bursts; falls back to the Python path
         when no C toolchain is available).
         """

@@ -93,9 +93,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ProfileReport, hot_region_report, profile_report
 from repro.obs.sinks import (
     NULL_SINK,
-    CallbackSink,
     FlightRecorder,
-    JsonLinesSink,
     ListSink,
     NullSink,
     Sink,
@@ -197,7 +195,7 @@ __all__ = [
     "REG_WRITE",
     "RESTORE", "RUN_END", "SELF_MODIFY", "SQUASH", "STALL", "TIMEOUT",
     "TRACE_FORMATS", "TRACE_MODE",
-    "CallbackSink", "FlightRecorder", "JsonLinesSink", "ListSink",
+    "FlightRecorder", "ListSink",
     "MetricsRegistry",
     "NullSink", "Observer", "ProfileReport", "Sink", "Span", "TraceEvent",
     "get_observer", "hot_region_report", "install", "opcode_labeler",

@@ -10,7 +10,6 @@ configuration -- hooks live and metrics counting on, event storage off.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 
 
@@ -82,50 +81,3 @@ class FlightRecorder(Sink):
     def clear(self):
         self._ring.clear()
         self.dropped = 0
-
-
-class CallbackSink(Sink):
-    """Routes events/spans to user callables (either may be None)."""
-
-    def __init__(self, on_event=None, on_span=None):
-        self._on_event = on_event
-        self._on_span = on_span
-
-    def event(self, event):
-        if self._on_event is not None:
-            self._on_event(event)
-
-    def span(self, span):
-        if self._on_span is not None:
-            self._on_span(span)
-
-
-class JsonLinesSink(Sink):
-    """Streams each event/span as one JSON object per line.
-
-    ``stream`` is any object with ``write``; the sink never closes a
-    stream it did not open.  Pass a path instead to let the sink own
-    the file.
-    """
-
-    def __init__(self, stream_or_path):
-        if hasattr(stream_or_path, "write"):
-            self._stream = stream_or_path
-            self._owned = False
-        else:
-            self._stream = open(stream_or_path, "w", encoding="utf-8")
-            self._owned = True
-
-    def event(self, event):
-        self._stream.write(json.dumps(event.to_dict(), sort_keys=True))
-        self._stream.write("\n")
-
-    def span(self, span):
-        payload = {"type": "span"}
-        payload.update(span.to_dict())
-        self._stream.write(json.dumps(payload, sort_keys=True))
-        self._stream.write("\n")
-
-    def close(self):
-        if self._owned:
-            self._stream.close()

@@ -160,9 +160,11 @@ class Checkpoint:
                 % (fmt, CHECKPOINT_FORMAT)
             )
         backend = payload.get("backend", "auto")
-        if backend == "module":
-            # A retired backend: it only chose how a table was built,
-            # never what it computes, so ``auto`` resumes bit-exactly.
+        if backend in ("module", "python"):
+            # Retired backend values: ``module`` only chose how a table
+            # was built and ``python`` ran the same code as ``auto``,
+            # never changing what it computes, so ``auto`` resumes
+            # bit-exactly.
             backend = "auto"
         try:
             return cls(

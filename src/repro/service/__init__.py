@@ -16,7 +16,7 @@ failure mode is recoverable:
   :class:`~repro.service.job.JobFailure` report (flight recording
   attached) instead of wedging the pool;
 * degradation is **policy-driven**: a crash under ``backend=native``
-  retries at ``backend=python``, a faulting table compile retries
+  retries at ``backend=auto``, a faulting table compile retries
   interpretively, and a corrupted shared-cache entry is quarantined
   and rebuilt through the cache's single-flight path.
 

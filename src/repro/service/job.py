@@ -160,7 +160,7 @@ class ServicePolicy:
     at ``backoff_cap`` seconds.  A worker silent for
     ``heartbeat_timeout`` seconds (no message of any kind) is killed
     and its job treated as crashed.  ``degrade_native`` retries a job
-    that crashed under ``backend=native`` at ``backend=python``;
+    that crashed under ``backend=native`` at ``backend=auto``;
     ``degrade_compile`` retries a job whose simulation-table compile
     faulted on the ``interpretive`` kind (no table to build).  Both
     degradations are recorded on the job and in ``service.*`` metrics.

@@ -16,7 +16,7 @@ off exponentially and are bounded by the
 keeps dying is quarantined with a structured
 :class:`~repro.service.job.JobFailure` report instead of wedging the
 pool.  Degradation is policy-driven: a crash under ``backend=native``
-retries at ``backend=python``, a faulting simulation-table compile
+retries at ``backend=auto``, a faulting simulation-table compile
 retries interpretively.
 
 Threading: public methods take an internal lock and may be called from
@@ -578,10 +578,10 @@ class Supervisor:
         policy = self.policy
         if (cause in CRASH_CAUSES and policy.degrade_native
                 and spec.backend == "native"):
-            spec.backend = "python"
+            spec.backend = "auto"
             action = {
                 "attempt": job.attempt, "action": "backend",
-                "from": "native", "to": "python", "cause": cause,
+                "from": "native", "to": "auto", "cause": cause,
             }
             job.degradations.append(action)
             self.metrics.bump("service.degradations", "native_to_python")

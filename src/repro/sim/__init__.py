@@ -36,13 +36,13 @@ SIM_KINDS = (
     "unfolded_static",
 )
 
-#: Execution backends for the table-based kinds.  ``auto``/``python``
-#: run the table in Python; ``native`` additionally compiles proven
-#: packets to C and bursts whole pipeline windows per call, falling
-#: back to the Python path (with one ``native.fallback`` event) when
-#: no C toolchain is available.  With ``native`` (or a cache) the
-#: level-2 kinds bind the portable level-3 code.
-SIM_BACKENDS = ("auto", "python", "native")
+#: Execution backends for the table-based kinds.  ``auto`` runs the
+#: table in Python; ``native`` additionally compiles proven packets to
+#: C and bursts whole pipeline windows per call, falling back to the
+#: Python path (with one ``native.fallback`` event) when no C toolchain
+#: is available.  With ``native`` (or a cache) the level-2 kinds bind
+#: the portable level-3 code.
+SIM_BACKENDS = ("auto", "native")
 
 
 def create_simulator(model, kind="compiled", cache=None,
@@ -64,8 +64,9 @@ def create_simulator(model, kind="compiled", cache=None,
     policy -- ``"error"`` or ``"recover"`` (see
     :mod:`repro.resilience.guard`); ``None``/``"off"`` runs unguarded.
     ``backend`` (table-based kinds only) selects the execution backend
-    (see :data:`SIM_BACKENDS`); ``native`` degrades gracefully to the
-    Python path when no C compiler is available -- it never errors.
+    (see :data:`SIM_BACKENDS`): ``auto`` runs the Python path;
+    ``native`` degrades gracefully to the Python path when no C
+    compiler is available -- it never errors.
     """
     if backend not in SIM_BACKENDS:
         raise ReproError(
@@ -73,7 +74,7 @@ def create_simulator(model, kind="compiled", cache=None,
             % (backend, ", ".join(SIM_BACKENDS))
         )
     if kind in ("interpretive", "predecoded"):
-        if backend not in ("auto", "python"):
+        if backend != "auto":
             raise ReproError(
                 "backend %r requires a table-based simulator kind "
                 "(compiled, static, unfolded or unfolded_static)"

@@ -58,7 +58,12 @@ from repro.simcc.portable import PortableTable
 #:    undecodable word also carries a ``traps`` key, written only when
 #:    non-empty; no bump either, because a reader without the key still
 #:    traps at those pcs (they have no table-spec entry).
-FORMAT_VERSION = 6
+#: 7: the IR passes drop the wrap of every store the abstract
+#:    interpreter proves canonical, and native rendering reads only the
+#:    IR (no render-time analysis), so a v6 entry would keep wraps the
+#:    C no longer elides.  v6 entries are clean misses; native
+#:    artifacts record the format and rebuild once.
+FORMAT_VERSION = 7
 
 _MAGIC = b"repro-simtab\n"
 

@@ -13,7 +13,11 @@ The emitter is a thin renderer over
 form the on-disk cache stores -- so :func:`render_module` can render a
 cached table without re-running the simulation compiler, and a cached
 table rehydrates through exactly the code paths this module's output
-uses.
+uses.  The behaviour functions are the table's post-pass IR, so their
+stores are raw exactly where the IR passes proved the value canonical,
+as in every other backend.  A packet with an undecodable member
+(``traps``) raises the decoder's message if it executes, as the
+in-process simulators do.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from functools import partial as _partial
 
 from repro.behavior.runtime import CODEGEN_GLOBALS as _G
 from repro.machine.driver import IssueSlot as _IssueSlot
+from repro.support.errors import SimulationError as _SimulationError
 from repro.tools.objfile import Program as _Program
 
 __sext = _G["__sext"]
@@ -71,13 +76,15 @@ def build(state, control):
 
 
 def _trap_slot(pc):
-    """A fetch outside the compiled table: raises only if it executes
+    """A fetch of an undecodable packet (the decoder's message, from
+    TRAPS) or outside the compiled table: raises only if it executes
     (fetches behind taken branches/halt are squashed first)."""
+    message = TRAPS.get(pc)
+    if message is None:
+        message = "fetch outside the compiled region (pc=0x%x)" % pc
 
     def fire():
-        raise RuntimeError(
-            "fetch outside the compiled region (pc=0x%x)" % pc
-        )
+        raise _SimulationError(message)
 
     ops = tuple(
         (fire,) if index == TRAP_STAGE else () for index in range(DEPTH)
@@ -137,6 +144,7 @@ def render_module(model, program, portable):
     chunks.append(
         "HAS_CONTROL = %r\n" % (dict(sorted(portable.has_control.items())),)
     )
+    chunks.append("TRAPS = %r\n" % (dict(sorted(portable.traps.items())),))
     safety = portable.schedule_safety
     chunks.append(
         "SCHEDULE_SAFETY = %r\n"

@@ -31,6 +31,12 @@ hoisting -- and two backends consume the *same* lowered IR:
 * :class:`ModuleBackend` renders the functions as standalone
   module-level source (the emitted simulator module).
 
+The coalescing pass asks the abstract interpreter
+(:mod:`repro.analysis.absint`) which stores are already canonical and
+drops their wrap here, in the IR, so every backend -- these two and
+the native C backend (:mod:`repro.simcc.native`) -- renders the same
+raw stores.
+
 Because both backends render from the same lowered ops, their outputs
 are bit-identical by construction -- the cross-backend matrix in the
 test suite asserts it on every application x model pair.  The IR is
@@ -40,9 +46,10 @@ store IR payloads (:func:`function_to_payload`), not source text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
+from repro.analysis.effects import cells_collide
 from repro.behavior import ast as bast
 from repro.behavior.runtime import (
     CODEGEN_GLOBALS,
@@ -773,110 +780,37 @@ def fold_constants(func, model, stats):
     return func
 
 
-def _range_of(width, signed):
-    if signed:
-        return (-(1 << (width - 1)), (1 << (width - 1)) - 1)
-    return (0, (1 << width) - 1)
-
-
-def _range_fits(src, dst):
-    return src[0] >= dst[0] and src[1] <= dst[1]
-
-
-def _resource_dtype(model, name):
-    reg = model.registers.get(name)
-    if reg is not None:
-        return reg.dtype
-    mem = model.memories.get(name)
-    if mem is not None:
-        return mem.dtype
-    return None
-
-
-def _value_range(value, model):
-    """A proven (lo, hi) range of ``value``, or None when unknown.
-
-    Relies on the state invariant that resources always hold canonical
-    values of their declared type (writers canonicalise).
-    """
-    if isinstance(value, Const):
-        return (value.value, value.value)
-    if isinstance(value, ReadReg):
-        dtype = _resource_dtype(model, value.name)
-        if dtype is not None:
-            return _range_of(dtype.width, dtype.signed)
-        return None
-    if isinstance(value, ReadElem):
-        dtype = _resource_dtype(model, value.resource)
-        if dtype is not None:
-            return _range_of(dtype.width, dtype.signed)
-        return None
-    if isinstance(value, Alu):
-        if value.op in _CMP_OPS or value.op in _BOOL_OPS:
-            return (0, 1)
-        if value.op == "&":
-            for side in (value.left, value.right):
-                if isinstance(side, Const) and side.value >= 0:
-                    return (0, side.value)
-        return None
-    if isinstance(value, Intrinsic) and len(value.args) == 2 and \
-            isinstance(value.args[1], Const):
-        width = value.args[1].value
-        if width >= 1:
-            if value.name == "zext":
-                return (0, (1 << width) - 1)
-            if value.name in ("sext", "sat"):
-                return _range_of(width, True)
-        return None
-    if isinstance(value, Select):
-        left = _value_range(value.if_true, model)
-        right = _value_range(value.if_false, model)
-        if left is not None and right is not None:
-            return (min(left[0], right[0]), max(left[1], right[1]))
-        return None
-    return None
-
-
 def coalesce_canonicalisation(func, model, stats):
     """Drop write canonicalisation the value provably does not need.
 
-    A write whose value is already canonical for the declared width
-    (a same-typed resource read, a ``zext``/``sext``/``sat`` of a
-    narrower width, a 0/1 comparison result, a masked value, or a
-    constant folded to canonical form) becomes a raw store.
+    A constant store is canonicalised here, at compile time, and becomes
+    a raw store (``width=None``) of the wrapped constant.  Every other
+    store whose value the abstract interpreter
+    (:func:`repro.analysis.absint.drop_canonical_wraps`) proves already
+    canonical for its declared width becomes a raw store too, so every
+    backend renders the same raw stores.
     """
+    from repro.analysis import absint  # lazy: absint imports ir
 
-    def rewrite(op):
-        if isinstance(op, (WriteReg, WriteElem)) and op.width is not None:
-            if isinstance(op.value, Const):
-                stats.bump("canon_coalesced")
-                folded = Const(canonicalize(op.value.value, op.width,
-                                            op.signed))
-                if isinstance(op, WriteReg):
-                    return WriteReg(op.name, folded, None, False,
-                                    op.augmented)
-                return WriteElem(op.resource, op.index, folded, None,
-                                 False, op.augmented)
-            value_range = _value_range(op.value, model)
-            if value_range is not None and _range_fits(
-                value_range, _range_of(op.width, op.signed)
-            ):
-                stats.bump("canon_coalesced")
-                if isinstance(op, WriteReg):
-                    return WriteReg(op.name, op.value, None, False,
-                                    op.augmented)
-                return WriteElem(op.resource, op.index, op.value, None,
-                                 False, op.augmented)
-            return op
+    def fold(op):
+        if isinstance(op, (WriteReg, WriteElem)) and op.width is not None \
+                and isinstance(op.value, Const):
+            return replace(
+                op, value=Const(canonicalize(op.value.value, op.width,
+                                             op.signed)),
+                width=None, signed=False,
+            )
         if isinstance(op, Guard):
             return Guard(op.cond,
-                         tuple(rewrite(o) for o in op.then_ops),
-                         tuple(rewrite(o) for o in op.else_ops))
+                         tuple(fold(o) for o in op.then_ops),
+                         tuple(fold(o) for o in op.else_ops))
         if isinstance(op, Loop):
-            return Loop(op.cond, tuple(rewrite(o) for o in op.body))
+            return Loop(op.cond, tuple(fold(o) for o in op.body))
         return op
 
-    func.ops = tuple(rewrite(op) for op in func.ops)
+    func.ops = absint.drop_canonical_wraps(
+        tuple(fold(op) for op in func.ops), model
+    )
     return func
 
 
@@ -937,14 +871,8 @@ def _op_reads(op):
     return cells, local_names
 
 
-def _cells_touch(cell_a, cell_b):
-    if cell_a[0] != cell_b[0]:
-        return False
-    return cell_a[1] == cell_b[1] or cell_a[1] == "*" or cell_b[1] == "*"
-
-
-def eliminate_dead_writes(func, model, stats):
-    """Remove writes whose stored value can never be observed.
+def dead_writes(ops):
+    """Yield ``(index, trap_free)`` for every dead write in ``ops``.
 
     Within one linear micro-op sequence (a per-stage function, or a
     statically scheduled column where several instructions' ops run
@@ -953,33 +881,29 @@ def eliminate_dead_writes(func, model, stats):
     reading op in between -- is dead.  A behaviour-local write never
     read before the end of the sequence (locals do not survive the
     function) or before an unconditional overwrite is likewise dead.
-    Only trap-free values are elided, preserving fault parity with the
-    unoptimised form.
+    ``trap_free`` tells whether evaluating the write can never raise:
+    only those may be elided without changing fault behaviour.
     """
-    ops = list(func.ops)
-    keep = [True] * len(ops)
     for i, op in enumerate(ops):
         cell = None
         local_name = None
         if isinstance(op, (WriteReg, WriteElem)):
             cell = write_cell(op)
-            if cell is None or cell[1] == "*":
+            if cell[1] == "*":
                 continue  # computed index: never provably dead
-            if not _trap_free(op.value):
-                continue
-            if isinstance(op, WriteElem) and not _trap_free(op.index):
-                continue
+            trap_free = _trap_free(op.value) and (
+                not isinstance(op, WriteElem) or _trap_free(op.index)
+            )
         elif isinstance(op, WriteLocal):
             local_name = op.name
-            if not _trap_free(op.value):
-                continue
+            trap_free = _trap_free(op.value)
         else:
             continue
         dead = None
         for later in ops[i + 1:]:
             later_cells, later_locals = _op_reads(later)
             if cell is not None and any(
-                _cells_touch(cell, read) for read in later_cells
+                cells_collide(cell, read) for read in later_cells
             ):
                 dead = False
                 break
@@ -1007,11 +931,21 @@ def eliminate_dead_writes(func, model, stats):
             # escape; locals die with the function.
             dead = local_name is not None
         if dead:
-            keep[i] = False
-            stats.bump("dead_writes_removed")
-    if not all(keep):
+            yield i, trap_free
+
+
+def eliminate_dead_writes(func, model, stats):
+    """Remove the trap-free :func:`dead_writes` of ``func``.
+
+    Dead writes whose evaluation may fault stay, preserving fault
+    parity with the unoptimised form; ``repro-lint`` reports them
+    (``ir.dead-write``).
+    """
+    removed = {i for i, trap_free in dead_writes(func.ops) if trap_free}
+    if removed:
+        stats.bump("dead_writes_removed", len(removed))
         func.ops = tuple(
-            op for op, keep_op in zip(ops, keep) if keep_op
+            op for i, op in enumerate(func.ops) if i not in removed
         )
     return func
 
@@ -1439,6 +1373,7 @@ def dump_program_ir(model, program, stream=None):
     per-member, per-stage IR functions exactly as the backends will
     consume them -- the ground truth for debugging retargeting issues
     where two backends (or a model edit) are suspected of diverging.
+    A packet with an undecodable member prints the decoder's message.
     """
     from repro.simcc.portable import build_portable_table
 
@@ -1452,12 +1387,16 @@ def dump_program_ir(model, program, stream=None):
         ),
     ]
     emitted = set()
-    for pc in sorted(portable.table_spec):
-        per_stage, words, _ = portable.table_spec[pc]
+    for pc in sorted(set(portable.table_spec) | set(portable.traps)):
         if pc in emitted:
             continue
-        emitted.update(range(pc, pc + words))
         lines.append("")
+        message = portable.traps.get(pc)
+        if message is not None:
+            lines.append("packet 0x%x: trap (%s)" % (pc, message))
+            continue
+        per_stage, words, _ = portable.table_spec[pc]
+        emitted.update(range(pc, pc + words))
         lines.append("packet 0x%x (%d word%s):" % (
             pc, words, "s" if words != 1 else ""
         ))
@@ -1485,7 +1424,7 @@ __all__ = [
     "walk_values", "walk_ops", "op_values",
     "read_cells", "write_cell", "value_locals",
     "PassStats", "fold_constants", "coalesce_canonicalisation",
-    "eliminate_dead_writes", "hoist_helpers", "DEFAULT_PASSES",
+    "dead_writes", "eliminate_dead_writes", "hoist_helpers", "DEFAULT_PASSES",
     "run_passes", "optimize_column",
     "render_value", "render_ops", "render_function_source",
     "PythonExecBackend", "ModuleBackend",

@@ -2,18 +2,20 @@
 
 Two jobs live here:
 
-1. **Nativisability analysis.**  SimIR arithmetic is defined over
-   unbounded Python integers; C works in ``int64_t``.  A packet may run
-   natively only when the shared abstract interpreter
-   (:mod:`repro.analysis.absint`) proves every intermediate value of
-   every micro-op stays inside the signed 64-bit range (``INT64_MIN``
-   itself is excluded so magnitude negation can never overflow).
-   Packets that fail the proof -- or that write program memory, where
-   the self-modifying-code guard must observe every store -- simply
-   stay on the Python path; the burst driver hands control back
-   whenever the next fetch would enter one.  The same proofs let the
-   renderer drop canonicalisation masks from stores whose value is
-   provably canonical already.
+1. **Native admission.**  SimIR arithmetic is defined over unbounded
+   Python integers; C works in ``int64_t``.  A packet may run natively
+   only when its proof from the abstract interpreter
+   (:mod:`repro.analysis.absint`), computed when the table was built
+   and persisted with it (``table.proofs``), shows every intermediate
+   value of every micro-op inside the signed 64-bit range
+   (``INT64_MIN`` itself is excluded so magnitude negation can never
+   overflow).  Packets that fail the proof -- or that write program
+   memory, where the self-modifying-code guard must observe every
+   store -- simply stay on the Python path; the burst driver hands
+   control back whenever the next fetch would enter one.  Rendering
+   runs no analysis: a store is raw in C exactly when it is raw in the
+   IR (``width is None``), which the IR passes decided for every
+   backend alike.
 
 2. **Code generation.**  Each native packet's per-stage IR lowers to a
    ``static void f_<pc>_<stage>(int64_t *S)`` over the flat
@@ -34,9 +36,8 @@ re-raises the matching exception type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from repro.analysis import absint
 from repro.simcc import ir
 from repro.simcc.native import layout as L
 
@@ -75,13 +76,6 @@ class NativePlan:
         return self.pc_limit - self.pc_base
 
 
-def analyze_packet(funcs_by_stage, model, pmem_name):
-    """One packet's nativisability proof (see
-    :func:`repro.analysis.absint.analyze_packet`); the former private
-    interval walker lives on only as that shared analysis."""
-    return absint.analyze_packet(funcs_by_stage, model, pmem_name)
-
-
 # ---------------------------------------------------------------------------
 # C rendering
 # ---------------------------------------------------------------------------
@@ -97,12 +91,6 @@ class _CRenderer:
     def __init__(self, model, state_layout):
         self._model = model
         self._layout = state_layout
-        self._raw_stores: FrozenSet[int] = frozenset()
-
-    def set_raw_stores(self, raw_stores):
-        """Install the current packet's proof of already-canonical
-        stores (ids of write ops whose mask/sign-fold may be elided)."""
-        self._raw_stores = raw_stores
 
     def value(self, value):
         if isinstance(value, ir.Const):
@@ -174,10 +162,9 @@ class _CRenderer:
 
     def _store_value(self, op):
         source = self.value(op.value)
-        if op.width is None or id(op) in self._raw_stores:
-            # Either the pass pipeline or the abstract interpreter
-            # proved the value canonical for the declared dtype; the
-            # mask/sign-fold would be a no-op.
+        if op.width is None:
+            # The pass pipeline proved the value canonical for the
+            # declared dtype; the mask/sign-fold would be a no-op.
             return source
         if op.signed:
             return "h_cansig(%s, %d)" % (source, op.width)
@@ -604,7 +591,9 @@ def render_native_source(table, model, state_layout, telemetry=False):
     """Render the full burst module for ``table``.
 
     Returns ``(c_source, plan)``; ``plan.native_pcs`` names the packets
-    the analysis proved, everything else falls back per-fetch.
+    whose proof (``table.proofs``) admits them, everything else falls
+    back per-fetch.  A table without IR or without proofs is
+    unsupported.
 
     ``telemetry=True`` renders the instrumented variant: the buffer
     grows a side-region of per-packet dispatch/attributed-cycle
@@ -613,12 +602,13 @@ def render_native_source(table, model, state_layout, telemetry=False):
     the un-instrumented module -- profiling requested is the only thing
     that ever changes the generated C.
     """
-    pmem_name = model.config.program_memory
     depth = model.pipeline.depth
     ir_by_stage = table.ir_by_stage or {}
     pcs = sorted(table.slots)
     if not pcs or not ir_by_stage:
         raise L.NativeUnsupported("table has no lowered IR to render")
+    if table.proofs is None:
+        raise L.NativeUnsupported("table has no packet proofs")
     pc_base, pc_limit = pcs[0], pcs[-1] + 1
     if model.config.execute_stage is not None:
         exec_stage = model.pipeline.stage_index(model.config.execute_stage)
@@ -664,14 +654,13 @@ def render_native_source(table, model, state_layout, telemetry=False):
         if funcs_by_stage is None:
             reasons[pc] = "no lowered IR"
             continue
-        info = analyze_packet(funcs_by_stage, model, pmem_name)
-        if not info.native:
-            reasons[pc] = info.reason
+        proof = table.proofs[pc]
+        if not proof.native:
+            reasons[pc] = proof.reason
             continue
         native_pcs.add(pc)
-        reads |= info.reads
-        writes |= info.writes
-        renderer.set_raw_stores(info.raw_stores)
+        reads |= proof.reads
+        writes |= proof.writes
         per_stage = []
         for stage, funcs in enumerate(funcs_by_stage):
             if not funcs:
@@ -742,37 +731,39 @@ def render_native_source(table, model, state_layout, telemetry=False):
 def dump_program_c(model, program, stream=None):
     """Print the rendered C for every packet of ``program``.
 
-    Packets the analysis rejects print their fallback reason instead of
-    code.  Pure rendering: no toolchain is required.
+    Packets whose proof rejects them print their fallback reason instead
+    of code, and trap packets (an undecodable member) print the
+    decoder's message.  Pure rendering: no toolchain is required.
     """
     import sys
 
-    from repro.machine import PipelineControl, ProcessorState
     from repro.simcc.generator import generate_simulation_compiler
 
     out = stream or sys.stdout
     state_layout = L.StateLayout.build(model)
     compiler = generate_simulation_compiler(model)
     portable = compiler.compile_portable(program, level="instantiated")
-    state = ProcessorState(model)
-    control = PipelineControl()
-    table = portable.bind(state, control)
-    pmem_name = model.config.program_memory
+    functions = {func.name: func for func in portable.functions}
     renderer = _CRenderer(model, state_layout)
     out.write("/* native rendering: model=%s program=%s layout=%s */\n"
               % (model.name, program.name, state_layout.digest()[:16]))
-    for pc, funcs_by_stage in sorted(table.ir_by_stage.items()):
-        info = analyze_packet(funcs_by_stage, model, pmem_name)
-        if not info.native:
-            out.write("\n/* pc=0x%x: python fallback (%s) */\n"
-                      % (pc, info.reason))
+    for pc in sorted(set(portable.table_spec) | set(portable.traps)):
+        message = portable.traps.get(pc)
+        if message is not None:
+            out.write("\n/* pc=0x%x: trap (%s) */\n" % (pc, message))
             continue
-        renderer.set_raw_stores(info.raw_stores)
+        proof = portable.proofs[pc]
+        if not proof.native:
+            out.write("\n/* pc=0x%x: python fallback (%s) */\n"
+                      % (pc, proof.reason))
+            continue
         out.write("\n/* pc=0x%x: native */\n" % pc)
-        for stage, funcs in enumerate(funcs_by_stage):
-            if not funcs:
+        per_stage, _words, _insns = portable.table_spec[pc]
+        for stage, names in enumerate(per_stage):
+            if not names:
                 continue
             out.write(render_stage_function(
-                "f_%x_%d" % (pc, stage), funcs, renderer
+                "f_%x_%d" % (pc, stage),
+                [functions[name] for name in names], renderer,
             ))
             out.write("\n")

@@ -38,6 +38,7 @@ from __future__ import annotations
 import os
 from typing import Optional, Set, Tuple
 
+from repro.analysis.effects import cells_collide
 from repro.simcc import ir
 from repro.support.errors import BehaviorError
 
@@ -251,7 +252,7 @@ class _Verifier:
         for body_op in ir.walk_ops(op.body):
             cell = ir.write_cell(body_op)
             if cell is not None and any(
-                ir._cells_touch(cell, read) for read in cond_cells
+                cells_collide(cell, read) for read in cond_cells
             ):
                 return
             if isinstance(body_op, ir.WriteLocal) \

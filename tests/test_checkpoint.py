@@ -428,16 +428,17 @@ class TestRunConfigMetadata:
     reverting to defaults."""
 
     def test_capture_stamps_backend(self, testmodel, loop_program):
-        simulator = create_simulator(testmodel, "compiled", backend="python")
+        # ``native`` is stamped even when it falls back to Python.
+        simulator = create_simulator(testmodel, "compiled", backend="native")
         simulator.load_program(loop_program)
         for _ in range(MID_RUN_CYCLE):
             simulator.step()
         checkpoint = simulator.checkpoint()
-        assert checkpoint.backend == "python"
+        assert checkpoint.backend == "native"
         assert REMOVED_TIER_KEY not in checkpoint.to_payload()
 
         clone = Checkpoint.from_payload(checkpoint.to_payload())
-        assert clone.backend == "python"
+        assert clone.backend == "native"
 
     def test_legacy_payload_defaults_to_auto_off(
         self, testmodel, loop_program
@@ -461,12 +462,22 @@ class TestRunConfigMetadata:
         payload["backend"] = "module"
         assert Checkpoint.from_payload(payload).backend == "auto"
 
+    def test_retired_python_backend_loads_as_auto(
+        self, testmodel, loop_program
+    ):
+        checkpoint = _mid_run_checkpoint(
+            testmodel, "compiled", loop_program
+        )
+        payload = checkpoint.to_payload()
+        payload["backend"] = "python"
+        assert Checkpoint.from_payload(payload).backend == "auto"
+
     def test_restore_stays_config_portable(self, testmodel, loop_program,
                                            reference_runs):
-        # metadata never *gates* restore: a python-backend checkpoint
+        # metadata never *gates* restore: a native-backend checkpoint
         # restores fine on an auto-backend simulator
         simulator = create_simulator(
-            testmodel, "compiled", backend="python"
+            testmodel, "compiled", backend="native"
         )
         simulator.load_program(loop_program)
         for _ in range(MID_RUN_CYCLE):
@@ -501,13 +512,13 @@ class TestCliResumeConfig:
         ckpt = str(tmp_path / "loop.ckpt")
         with pytest.raises(SystemExit) as excinfo:
             sim_main([
-                lisa_file, asm_file, "--backend", "python",
+                lisa_file, asm_file, "--backend", "native",
                 "--max-cycles", "15", "--checkpoint-file", ckpt,
             ])
         assert excinfo.value.code == 3
         capsys.readouterr()
         loaded = load_checkpoint(ckpt)
-        assert loaded.backend == "python"
+        assert loaded.backend == "native"
 
         # uninterrupted reference
         assert sim_main([lisa_file, asm_file, "--dump", "dmem:7"]) == 0
@@ -519,7 +530,7 @@ class TestCliResumeConfig:
             lisa_file, asm_file, "--resume", ckpt, "--dump", "dmem:7",
         ]) == 0
         captured = capsys.readouterr()
-        assert "backend python)" in captured.err
+        assert "backend native)" in captured.err
         assert captured.out == reference
 
     def test_explicit_flags_override_stamped_ones(
@@ -528,7 +539,7 @@ class TestCliResumeConfig:
         ckpt = str(tmp_path / "loop.ckpt")
         with pytest.raises(SystemExit):
             sim_main([
-                lisa_file, asm_file, "--backend", "python",
+                lisa_file, asm_file, "--backend", "native",
                 "--max-cycles", "15", "--checkpoint-file", ckpt,
             ])
         capsys.readouterr()
@@ -547,14 +558,14 @@ class TestCliResumeConfig:
         ckpt = str(tmp_path / "legacy.ckpt")
         with pytest.raises(SystemExit) as excinfo:
             sim_main([
-                lisa_file, asm_file, "--backend", "python",
+                lisa_file, asm_file, "--backend", "native",
                 "--max-cycles", "15", "--checkpoint-file", ckpt,
             ])
         assert excinfo.value.code == 3
         capsys.readouterr()
         _restamp_body(ckpt, **{REMOVED_TIER_KEY: "aggressive"})
         loaded = load_checkpoint(ckpt)
-        assert loaded.backend == "python"
+        assert loaded.backend == "native"
         assert loaded.cycles == 15
 
         assert sim_main([lisa_file, asm_file, "--dump", "dmem:7"]) == 0

@@ -586,15 +586,20 @@ class TestNativeBackendFallback:
         assert len(fallbacks) == 1
         assert "no C compiler" in fallbacks[0].args["reason"]
 
-    def test_backend_validation(self, testmodel):
+    def test_backend_validation(self, testmodel, capsys):
+        from repro.cli import sim_main
         from repro.support.errors import ReproError
 
-        for backend in ("jit", "module"):
+        for backend in ("jit", "module", "python"):
             with pytest.raises(ReproError,
                                match="unknown simulation backend"):
                 create_simulator(testmodel, "unfolded", backend=backend)
         with pytest.raises(ReproError, match="table-based"):
             create_simulator(testmodel, "interpretive", backend="native")
+        with pytest.raises(SystemExit) as excinfo:
+            sim_main(["tinydsp", "program.asm", "--backend", "python"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'python'" in capsys.readouterr().err
 
 
 class TestDumpC:

@@ -82,13 +82,15 @@ class TestPacketLint:
 # A testmodel variant with a ``bad`` instruction whose behaviour stores
 # to a constant out-of-range data-memory index: the abstract interpreter
 # proves the store always faults, so linting a program that uses it
-# exercises the ``ir.trap`` (IR002) diagnostic end to end.
+# exercises the ``ir.trap`` (IR002) diagnostic end to end.  Its ``dead``
+# instruction loads ``ACC`` from a computed address and overwrites it
+# at once: a dead write that may fault, which the IR003 note reports.
 def _trap_capable_source():
     from tests.conftest import TESTMODEL_SOURCE
 
     return TESTMODEL_SOURCE.replace(
         "nop || add || ldi || st || brnz",
-        "nop || add || ldi || st || bad || brnz",
+        "nop || add || ldi || st || bad || dead || brnz",
     ).replace(
         "OPERATION brnz IN pipe.EX {",
         """OPERATION bad IN pipe.EX {
@@ -96,6 +98,13 @@ def _trap_capable_source():
     CODING { 0b0110 src 0bxxxxxxxx }
     SYNTAX { "bad" src }
     BEHAVIOR { dmem[100] = src; }
+}
+
+OPERATION dead IN pipe.EX {
+    DECLARE { GROUP src = { reg }; }
+    CODING { 0b0111 src 0bxxxxxxxx }
+    SYNTAX { "dead" src }
+    BEHAVIOR { ACC = dmem[src]; ACC = 0; }
 }
 
 OPERATION brnz IN pipe.EX {""",
@@ -145,6 +154,20 @@ class TestDiagnosticCodes:
         # Warnings fail only under --Werror.
         assert result.report.exit_code() == 0
         assert result.report.exit_code(werror=True) == 1
+
+    def test_dead_write_kept_for_trap_parity_gets_ir003(self, trap_model,
+                                                        trap_tools):
+        from repro.analysis import analyze_program
+
+        program = trap_tools.assembler.assemble_text(
+            "ldi r1, 5\ndead r1\nhalt\n", name="dead"
+        )
+        result = analyze_program(trap_model, program)
+        notes = [f for f in result.report if f.check == "ir.dead-write"]
+        assert [(f.address, f.code, f.severity) for f in notes] == [
+            (1, "IR003", "note"),
+        ]
+        assert "dead write to ACC survives elimination" in notes[0].message
 
     def test_unreachable_packet_gets_ir001(self, tinydsp, tinydsp_tools):
         from repro.analysis import analyze_program

@@ -97,7 +97,7 @@ def test_profile_mode_burst_counters_bit_identical(builder):
     model, program = load_app_program(app)
 
     py_obs, py_sim = _observed_run(
-        model, program, "unfolded", "python", obs.PROFILE_MODE
+        model, program, "unfolded", "auto", obs.PROFILE_MODE
     )
     nat_obs, nat_sim = _observed_run(
         model, program, "unfolded", "native", obs.PROFILE_MODE
@@ -127,7 +127,7 @@ def test_profile_mode_bursts_on_every_table_kind(kind):
     model, program = load_app_program(app)
 
     py_obs, py_sim = _observed_run(
-        model, program, kind, "python", obs.PROFILE_MODE
+        model, program, kind, "auto", obs.PROFILE_MODE
     )
     nat_obs, nat_sim = _observed_run(
         model, program, kind, "native", obs.PROFILE_MODE
@@ -179,7 +179,7 @@ def test_hot_region_report_backend_invariant():
     model, program = load_app_program(app)
 
     py_obs, _ = _observed_run(
-        model, program, "unfolded", "python", obs.PROFILE_MODE
+        model, program, "unfolded", "auto", obs.PROFILE_MODE
     )
     nat_obs, _ = _observed_run(
         model, program, "unfolded", "native", obs.PROFILE_MODE

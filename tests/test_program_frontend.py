@@ -62,7 +62,9 @@ def _load_counts(model, program, counts, kind, backend="auto"):
     return counts["decode"], counts["lower"]
 
 
-@pytest.mark.parametrize("backend", ["python", "native"])
+# The ids name the path: ``auto`` runs the table in Python.
+@pytest.mark.parametrize("backend", ["auto", "native"],
+                         ids=["python", "native"])
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 def test_table_load_decodes_and_lowers_each_word_once(
         c62x, adpcm, counts, kind, backend):

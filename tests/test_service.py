@@ -114,6 +114,7 @@ BAD_CHOICES = (
     ("kind", "unfoldd"),
     ("backend", "nativ"),
     ("backend", "module"),
+    ("backend", "python"),
     ("on_self_modify", "recompil"),
     ("on_self_modify", "recompile"),
     ("on_self_modify", "interpret"),
@@ -339,10 +340,10 @@ class TestDegradation:
             job = pool.submit(spec)
             status = pool.wait(job, timeout=120)
             assert status["state"] == "completed"
-            assert status["backend"] == "python"
+            assert status["backend"] == "auto"
             action = status["degradations"][0]
             assert (action["action"], action["from"], action["to"]) == \
-                ("backend", "native", "python")
+                ("backend", "native", "auto")
             families = pool.metrics_snapshot()["families"]
             assert families["service.degradations"][
                 "native_to_python"] == 1

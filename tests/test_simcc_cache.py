@@ -695,22 +695,22 @@ class TestFaultHarnessCorruption:
 
 
 class TestExistingEntriesStayWarm:
-    """Whole-program entries written before windowed payloads were
-    dropped must still hit: their digests are unchanged and a stored
-    ``"window": None`` key is ignored on load."""
+    """Entries of the current format stay warm: their digests are
+    pinned, so only a format bump invalidates them, and a stored
+    ``"window": None`` key (written by older writers) is ignored on
+    load."""
 
-    #: ``table_digest`` values of the test model/program at format 6,
-    #: computed when payloads still carried a ``window`` key.
+    #: ``table_digest`` values of the test model/program at format 7.
     PINNED = {
         "sequenced":
-            "69e4d5e4faf9437d78953703b65e1932a352a74483aecbb1dcc2b043a2b3a535",
+            "4f89717d0c874eaf025af15ca580fc09157bbaff419eaca0581d22c64e3b16c5",
         "instantiated":
-            "3d29f5376d8e88488f135f4da6491981b6867b35733b35efc9c88be143fd4b62",
+            "e4216fd1d0a7221a322eb3557fa7508dad1e72c6a8a5656890520f3603f783f6",
     }
 
     @pytest.mark.parametrize("level", sorted(PINNED))
     def test_digest_is_pinned(self, testmodel, program, level):
-        assert cache_mod.FORMAT_VERSION == 6
+        assert cache_mod.FORMAT_VERSION == 7
         assert table_digest(testmodel, program, level) == self.PINNED[level]
 
     def test_payload_with_window_key_loads(self, testmodel, program, cache):

@@ -1,29 +1,36 @@
 """Undecodable program words run as on the interpretive reference.
 
 A packet with an undecodable member issues the interpretive fetch's
-trap slot on every kind and backend: it raises the decoder's message
-only if it executes.  So an undecodable word fetched behind ``halt`` is
-squashed, the same word written there under the ``recover`` write
-guard likewise, and one that does execute fails at the same cycle and
-pc, with the same error, on every configuration.
+trap slot on every kind and backend, and in the emitted standalone
+module: it raises the decoder's message only if it executes.  So an
+undecodable word fetched behind ``halt`` is squashed, the same word
+written there under the ``recover`` write guard likewise, and one that
+does execute fails at the same cycle and pc, with the same error, on
+every configuration.  ``--dump-ir`` and ``--dump-c`` print the trap.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.machine.control import PipelineControl
+from repro.machine.driver import Pipeline
+from repro.machine.state import ProcessorState
 from repro.resilience.faults import FaultInjector
 from repro.sim import create_simulator
-from repro.support.errors import SimulationError
+from repro.simcc.emit import emit_simulator_module
+from repro.support.errors import SimulationError, annotate_simulation_error
 
 #: Every configuration besides the interpretive reference; the
 #: interpretive and predecoded kinds have no native backend.
-CONFIGS = [("predecoded", "python")] + [
+CONFIGS = [("predecoded", "auto")] + [
     (kind, backend)
     for kind in ("compiled", "static", "unfolded", "unfolded_static")
-    for backend in ("python", "native")
+    for backend in ("auto", "native")
 ]
-IDS = ["%s-%s" % config for config in CONFIGS]
+#: The ids name the path: ``auto`` runs the table in Python.
+IDS = ["%s-%s" % (kind, "native" if backend == "native" else "python")
+       for kind, backend in CONFIGS]
 
 BAD_WORD = 0xFFFF
 
@@ -97,10 +104,10 @@ def programs(tinydsp_tools):
 @pytest.fixture(scope="module")
 def references(tinydsp, programs):
     squashed, stats = _run(tinydsp, programs["squashed"], "interpretive",
-                           "python")
+                           "auto")
     countdown = programs["countdown"]
     rewritten, rewritten_stats = _run(
-        tinydsp, countdown, "interpretive", "python",
+        tinydsp, countdown, "interpretive", "auto",
         rewrite=countdown.symbols["after"],
     )
     assert rewritten.guard.stats["self_mod_writes"] == 1
@@ -110,7 +117,7 @@ def references(tinydsp, programs):
         "countdown": (rewritten.state.snapshot(), rewritten_stats.cycles,
                       rewritten_stats.instructions),
         "executed": _failure(tinydsp, programs["executed"], "interpretive",
-                             "python"),
+                             "auto"),
     }
 
 
@@ -150,3 +157,52 @@ class TestReferenceFigures:
         _, message, cycles, pc, _, _ = references["executed"]
         assert "word=0xffff, address=0x2" in message
         assert cycles == 4 and pc is not None
+
+
+def _module_pipeline(model, program):
+    """A pipeline over the emitted standalone module of ``program``."""
+    source = emit_simulator_module(model, program, level="instantiated")
+    namespace = {"__name__": "undecodable_emitted"}
+    exec(compile(source, "<emitted>", "exec"), namespace)
+    state = ProcessorState(model)
+    control = PipelineControl()
+    namespace["PROGRAM"].load_into(state)
+    frontend = namespace["make_frontend"](state, control)
+    return state, Pipeline(model, state, control, frontend)
+
+
+class TestEmittedModule:
+    def test_fetched_but_squashed(self, tinydsp, programs, references):
+        state, pipe = _module_pipeline(tinydsp, programs["squashed"])
+        pipe.run(1_000)
+        assert (state.snapshot(), pipe.cycles,
+                pipe.instructions_retired) == references["squashed"]
+
+    def test_executed_raises_like_interpretive(self, tinydsp, programs,
+                                               references):
+        state, pipe = _module_pipeline(tinydsp, programs["executed"])
+        with pytest.raises(SimulationError) as excinfo:
+            pipe.run(1_000)
+        # Annotated as Simulator.run annotates the in-process kinds.
+        exc = annotate_simulation_error(excinfo.value, cycles=pipe.cycles,
+                                        pc=state.pc)
+        assert (type(exc), str(exc), exc.sim_cycles, exc.sim_pc,
+                state.snapshot(), pipe.instructions_retired) \
+            == references["executed"]
+
+
+class TestDumps:
+    def test_dump_ir_prints_the_trap(self, tinydsp_tools, programs):
+        text = tinydsp_tools.dump_ir(programs["executed"])
+        assert ("packet 0x2: trap (no operation coding matches "
+                "(word=0xffff, address=0x2))") in text
+
+    def test_dump_c_prints_the_trap(self, tinydsp, programs):
+        import io
+
+        from repro.simcc.native import dump_program_c
+
+        out = io.StringIO()
+        dump_program_c(tinydsp, programs["executed"], stream=out)
+        assert ("/* pc=0x2: trap (no operation coding matches "
+                "(word=0xffff, address=0x2)) */") in out.getvalue()
