@@ -17,6 +17,10 @@ encoder codes         2048
 encoder reconstr.     4096
 decoder output        6144
 ====================  =========
+
+Each of the four sample regions holds one word per sample, so at most
+``CODE_BASE - IN_BASE`` = 1920 samples fit before the inputs run into
+the codes; :func:`build_adpcm` rejects more.
 """
 
 from __future__ import annotations
@@ -81,6 +85,11 @@ def build_adpcm(model_name="c62x", samples=128, seed=23, amplitude=12000):
     """Build the ADPCM encode+decode application (c62x only)."""
     if model_name != "c62x":
         raise ReproError("the ADPCM codec is only generated for the c62x")
+    if samples > CODE_BASE - IN_BASE:
+        raise ReproError(
+            "ADPCM layout overflow: %d samples, at most %d fit"
+            % (samples, CODE_BASE - IN_BASE)
+        )
     pcm = lcg_samples(seed, samples, amplitude)
     codes, recon = adpcm_encode_reference(pcm)
     decoded = adpcm_decode_reference(codes)

@@ -12,22 +12,26 @@ sidecar) persist through :class:`repro.simcc.cache.SimulationCache`
 keyed by a digest of the C source plus the state-layout contract; the
 compiler identity lives in the metadata so a shared object built by a
 stale compiler misses and is rebuilt rather than loaded.  Without a
-cache the build lands in a private temporary directory.
+cache the build compiles in a private temporary directory, removed once
+the library is loaded (or the compile fails), and identical C from the
+same compiler compiles once per process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import tempfile
 
 from repro.simcc.native import cgen
 from repro.simcc.native import layout as L
 from repro.simcc.native import toolchain
 
-#: In-process cache of loaded burst callables, keyed by shared-object
-#: path: re-dlopening the same artifact for every simulator is wasted
-#: work (and some platforms pin the mapping anyway).
+#: Burst callables loaded in this process, keyed by (artifact key,
+#: compiler identity): re-dlopening the same artifact for every
+#: simulator is wasted work (and some platforms pin the mapping
+#: anyway), and a cache-less build of C already loaded skips ``cc``.
 _LOADED = {}
 
 
@@ -36,7 +40,8 @@ class NativeModule:
 
     ``telemetry`` is the side-region geometry when the module was built
     instrumented (``build_native_module(..., telemetry=True)``), None
-    for the plain byte-identical-to-before module.
+    for the plain byte-identical-to-before module.  ``so_path`` is None
+    for a cache-less build, whose shared object is deleted once loaded.
     """
 
     def __init__(self, layout, plan, burst, so_path, source):
@@ -66,12 +71,20 @@ def _fallback(observer, reason, **args):
     return None
 
 
-def _load(so_path):
-    key = os.path.realpath(so_path)
-    burst = _LOADED.get(key)
-    if burst is None:
-        burst = _LOADED[key] = toolchain.load_burst(so_path)
-    return burst
+def _compile_uncached(cc, source, key):
+    """Compile and load ``source`` in a private directory, removing the
+    directory whether or not the compile succeeds (a loaded library
+    stays mapped after its file is gone)."""
+    workdir = tempfile.mkdtemp(prefix="repro-native-")
+    try:
+        c_path = os.path.join(workdir, key[:16] + ".c")
+        so_path = os.path.join(workdir, key[:16] + ".so")
+        with open(c_path, "w", encoding="utf-8") as handle:
+            handle.write(source)
+        toolchain.compile_shared(cc, c_path, so_path)
+        return toolchain.load_burst(so_path)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def build_native_module(model, table, cache=None, observer=None,
@@ -105,38 +118,38 @@ def build_native_module(model, table, cache=None, observer=None,
             observer, "no C compiler (set $CC or install cc)",
             model=model.name,
         )
+    packets = len(plan.native_pcs)
     try:
         identity = toolchain.compiler_identity(cc)
         key = artifact_key(source, state_layout)
 
         so_path = None
+        burst = _LOADED.get((key, identity))
         if cache is not None:
             hit = cache.load_native_artifact(key, identity)
             if hit is not None:
-                so_path = hit[1]
-                if observer is not None:
-                    observer.on_native("hit", key=key[:16])
-        if so_path is None:
-            with _obs.span(observer, "native.compile", model=model.name,
-                           packets=len(plan.native_pcs)):
-                if cache is not None:
+                so_path, outcome = hit[1], "hit"
+            else:
+                with _obs.span(observer, "native.compile", model=model.name,
+                               packets=packets):
                     _, so_path = cache.store_native_artifact(
                         key, identity, source,
                         lambda c, so: toolchain.compile_shared(cc, c, so),
                     )
-                else:
-                    workdir = tempfile.mkdtemp(prefix="repro-native-")
-                    c_path = os.path.join(workdir, key[:16] + ".c")
-                    so_path = os.path.join(workdir, key[:16] + ".so")
-                    with open(c_path, "w", encoding="utf-8") as handle:
-                        handle.write(source)
-                    toolchain.compile_shared(cc, c_path, so_path)
-            if observer is not None:
-                observer.on_native("compile", key=key[:16],
-                                   packets=len(plan.native_pcs))
-
-        burst = _load(so_path)
+                outcome = "compile"
+            if burst is None:
+                burst = toolchain.load_burst(so_path)
+        elif burst is not None:
+            outcome = "load"
+        else:
+            with _obs.span(observer, "native.compile", model=model.name,
+                           packets=packets):
+                burst = _compile_uncached(cc, source, key)
+            outcome = "compile"
+        _LOADED[key, identity] = burst
     except (OSError, toolchain.NativeToolchainError) as exc:
         return _fallback(observer, "native build failed: %s" % exc,
                          model=model.name)
+    if observer is not None:
+        observer.on_native(outcome, key=key[:16], packets=packets)
     return NativeModule(state_layout, plan, burst, so_path, source)

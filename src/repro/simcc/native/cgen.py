@@ -27,6 +27,21 @@ Two jobs live here:
    flush squashing.  Python is re-entered once per burst, not once per
    micro-op.
 
+   The driver is specialised to the table when it is rendered.  It
+   visits only the *active* stages (``NativePlan.active_stages``):
+   those where some native packet has a function, plus the execute
+   stage, where trap slots raise.  They are emitted deepest first as
+   straight-line code with each stage number a constant, and each
+   dispatches through one flat ``stage_fn[(pc - PC_BASE) * DEPTH +
+   stage]`` table of function pointers (0 where the packet has no code
+   there).  No c62x table has code in PG..DP, so a c62x driver visits 6
+   of the 11 stages, or 2 for straight-line code.  Inactive stages run
+   nothing, so all they need is the flush squash, which a post-pass
+   applies to every live slot below the cycle's final flush mark.  On
+   the ``long_native`` ledger workload this raised the median
+   ``sim_cps`` by 84 % (seed 11) and 61 % (seed 23); see
+   EXPERIMENTS.md E14.
+
 Trap parity: division by zero, negative shift counts, out-of-range
 element indices and negative stall requests raise in Python; the C
 helpers ``longjmp`` out of the burst with a trap code and the engine
@@ -58,7 +73,9 @@ class NativePlan:
     (None for the plain one); ``metric_insns[pc - pc_base]`` is the
     instruction count one issue of that address contributes to the
     dispatch metrics (1 for table holes, matching the trap pseudo-slot
-    the Python front-end issues there).
+    the Python front-end issues there).  ``active_stages`` are the
+    stages the burst driver visits, deepest first: every stage where a
+    native packet has code, plus the execute stage.
     """
 
     pc_base: int
@@ -70,6 +87,7 @@ class NativePlan:
     pull_names: Tuple[str, ...]
     telemetry: Optional[L.TelemetryRegion] = None
     metric_insns: Tuple[int, ...] = field(default=())
+    active_stages: Tuple[int, ...] = field(default=())
 
     @property
     def n_pc(self):
@@ -401,38 +419,61 @@ int64_t repro_burst(int64_t *S, const int64_t *native_ok,
         for (stage = DEPTH - 1; stage > 0; stage--)
             S[WIN_BASE + stage] = S[WIN_BASE + stage - 1];
         S[WIN_BASE] = incoming;
-        /* execute, deepest stage first */
-        for (stage = DEPTH - 1; stage >= 0; stage--) {
-            int64_t slot_pc = S[WIN_BASE + stage];
-            const opfn *fns;
-            if (slot_pc < 0) continue;
-            if (stage < S[HDR_FLUSH_BELOW]) {
+        /* execute the active stages, deepest first */
+@ACTIVE_STAGES@
+        /* Squash below the flush.  The flush mark only rises within a
+         * cycle, and only to the stage whose function requested it, so
+         * a stage is below the final mark exactly when it was below the
+         * mark when its turn came, the moment the Python driver squashes
+         * it: active stages down there are bubbles already, inactive
+         * ones (which run nothing) become bubbles here.  A trap needs
+         * none of this: a stage deeper than the trapping one can be
+         * below the mark only if the trapping stage is too, and then it
+         * is squashed, not run. */
+        for (stage = S[HDR_FLUSH_BELOW] - 1; stage >= 0; stage--)
+            if (S[WIN_BASE + stage] >= 0)
                 S[WIN_BASE + stage] = -1;
-                continue;
-            }
-            if (slot_pc < PC_BASE || slot_pc >= PC_LIMIT ||
-                pkt_trap[slot_pc - PC_BASE]) {
-                if (stage == EXEC_STAGE) {
-                    S[HDR_TRAP_PC] = slot_pc;
-                    S[HDR_TRAP_STAGE] = stage;
-                    trap(S, 5);  /* undefined fetch reached execute */
-                }
-                continue;
-            }
-            fns = stage_fns[(slot_pc - PC_BASE) * DEPTH + stage];
-            if (fns) {
-                S[HDR_CUR_STAGE] = stage;
-                S[HDR_TRAP_PC] = slot_pc;
-                S[HDR_TRAP_STAGE] = stage;
-                for (; *fns; fns++) (*fns)(S);
-            }
-        }
         S[HDR_FLUSH_BELOW] = -1;
         S[HDR_CYCLES] += 1;
         cycles_run += 1;
     }
 }
 """
+
+#: One active stage of the burst's execute phase, rendered once per
+#: active stage with ``%(stage)d`` a constant.
+_ACTIVE_STAGE = r"""        {
+            int64_t slot_pc = S[WIN_BASE + %(stage)d];
+            if (slot_pc >= 0) {
+                if (%(stage)d < S[HDR_FLUSH_BELOW]) {
+                    S[WIN_BASE + %(stage)d] = -1;
+                } else if (slot_pc < PC_BASE || slot_pc >= PC_LIMIT ||
+                           pkt_trap[slot_pc - PC_BASE]) {
+                    if (%(stage)d == EXEC_STAGE) {
+                        S[HDR_TRAP_PC] = slot_pc;
+                        S[HDR_TRAP_STAGE] = %(stage)d;
+                        trap(S, 5);  /* undefined fetch reached execute */
+                    }
+                } else {
+                    opfn fn =
+                        stage_fn[(slot_pc - PC_BASE) * DEPTH + %(stage)d];
+                    if (fn) {
+                        S[HDR_CUR_STAGE] = %(stage)d;
+                        S[HDR_TRAP_PC] = slot_pc;
+                        S[HDR_TRAP_STAGE] = %(stage)d;
+                        fn(S);
+                    }
+                }
+            }
+        }"""
+
+
+def _render_burst(active_stages, telemetry):
+    """The burst driver with its execute phase over ``active_stages``."""
+    burst, step = _telemetry_burst() if telemetry else (_BURST, _ACTIVE_STAGE)
+    return burst.replace("@ACTIVE_STAGES@", "\n".join(
+        step % {"stage": stage} for stage in active_stages
+    ))
 
 
 def _splice(text, old, new):
@@ -515,7 +556,8 @@ static void tel_bubble(int64_t *S) {
 
 
 def _telemetry_burst():
-    """The burst driver with per-packet counting spliced in.
+    """The burst driver and its active-stage step with per-packet
+    counting spliced in.
 
     Off-table fetches hand back to Python (exit 2) instead of issuing
     the native trap pseudo-slot, so the traced Python step counts them
@@ -564,17 +606,20 @@ def _telemetry_burst():
     )
     text = _splice(
         text,
-        "            if (stage < S[HDR_FLUSH_BELOW]) {\n"
-        "                S[WIN_BASE + stage] = -1;\n"
-        "                continue;\n"
-        "            }\n",
-        "            if (stage < S[HDR_FLUSH_BELOW]) {\n"
+        "            if (S[WIN_BASE + stage] >= 0)\n"
+        "                S[WIN_BASE + stage] = -1;\n",
+        "            if (S[WIN_BASE + stage] >= 0) {\n"
         "                S[WIN_BASE + stage] = -1;\n"
         "                S[TEL_SQUASH] += 1;\n"
-        "                continue;\n"
         "            }\n",
     )
-    return text
+    step = _splice(
+        _ACTIVE_STAGE,
+        "                    S[WIN_BASE + %(stage)d] = -1;\n",
+        "                    S[WIN_BASE + %(stage)d] = -1;\n"
+        "                    S[TEL_SQUASH] += 1;\n",
+    )
+    return text, step
 
 
 def render_stage_function(name, funcs, renderer):
@@ -648,7 +693,9 @@ def render_native_source(table, model, state_layout, telemetry=False):
         chunks.append(_TEL_BUBBLE)
     chunks.append("typedef void (*opfn)(int64_t *);")
 
-    stage_lists = {}
+    no_code = ["0"] * depth
+    stage_names = {}
+    active = {exec_stage}  # trap slots raise there
     for pc in pcs:
         funcs_by_stage = ir_by_stage.get(pc)
         if funcs_by_stage is None:
@@ -661,33 +708,21 @@ def render_native_source(table, model, state_layout, telemetry=False):
         native_pcs.add(pc)
         reads |= proof.reads
         writes |= proof.writes
-        per_stage = []
+        names = stage_names[pc] = list(no_code)
         for stage, funcs in enumerate(funcs_by_stage):
             if not funcs:
-                per_stage.append(None)
                 continue
-            name = "f_%x_%d" % (pc, stage)
-            chunks.append(render_stage_function(name, funcs, renderer))
-            per_stage.append(name)
-        stage_lists[pc] = per_stage
+            names[stage] = "f_%x_%d" % (pc, stage)
+            chunks.append(render_stage_function(names[stage], funcs,
+                                                renderer))
+            active.add(stage)
+    active_stages = tuple(sorted(active, reverse=True))
 
-    # Per-(pc, stage) NULL-terminated op lists, then the dispatch table.
-    entries = []
-    for pc in range(pc_base, pc_limit):
-        per_stage = stage_lists.get(pc)
-        for stage in range(depth):
-            name = per_stage[stage] if per_stage else None
-            if name is None:
-                entries.append("0")
-            else:
-                list_name = "ops_%x_%d" % (pc, stage)
-                chunks.append("static const opfn %s[] = { %s, 0 };"
-                              % (list_name, name))
-                entries.append(list_name)
-    chunks.append(
-        "static const opfn *const stage_fns[] = {\n    %s\n};"
-        % ",\n    ".join(entries)
-    )
+    # The flat dispatch table: one function (or 0) per (pc, stage).
+    rows = [", ".join(stage_names.get(pc, no_code))
+            for pc in range(pc_base, pc_limit)]
+    chunks.append("static const opfn stage_fn[] = {\n    %s\n};"
+                  % ",\n    ".join(rows))
 
     words = []
     insns = []
@@ -703,7 +738,7 @@ def render_native_source(table, model, state_layout, telemetry=False):
                   % ", ".join(insns))
     chunks.append("static const int32_t pkt_trap[] = { %s };"
                   % ", ".join(traps))
-    chunks.append(_telemetry_burst() if region is not None else _BURST)
+    chunks.append(_render_burst(active_stages, region is not None))
 
     metric_insns = tuple(
         table.slots[pc].insn_count if pc in table.slots else 1
@@ -719,6 +754,7 @@ def render_native_source(table, model, state_layout, telemetry=False):
         native_pcs=native_pcs, reasons=reasons,
         push_names=tuple(sorted(push)), pull_names=tuple(sorted(pull)),
         telemetry=region, metric_insns=metric_insns,
+        active_stages=active_stages,
     )
     return "\n\n".join(chunks) + "\n", plan
 

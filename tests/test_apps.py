@@ -157,6 +157,20 @@ class TestAdpcmApplication:
         with pytest.raises(ReproError):
             build_adpcm(model_name="tinydsp")
 
+    def test_layout_overflow_rejected(self):
+        with pytest.raises(ReproError, match="layout overflow"):
+            build_adpcm(samples=1921)
+
+    def test_largest_layout_keeps_regions_apart(self):
+        from repro.apps.adpcm import IN_BASE
+
+        samples = 1920
+        outputs = build_adpcm(samples=samples).expected["dmem"]
+        # Three output regions of one word per sample, none of them
+        # sharing an address with another or with the inputs.
+        assert len(outputs) == 3 * samples
+        assert min(outputs) >= IN_BASE + samples
+
 
 class TestGsmApplication:
     def test_verifies_on_compiled(self):

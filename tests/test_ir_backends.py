@@ -23,6 +23,8 @@ the Python engines.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.apps import build_adpcm, build_fir, build_gsm, build_synthetic
@@ -600,6 +602,90 @@ class TestNativeBackendFallback:
             sim_main(["tinydsp", "program.asm", "--backend", "python"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'python'" in capsys.readouterr().err
+
+
+@needs_cc
+class TestCachelessNativeBuild:
+    """Without a cache, identical C compiles once per process and no
+    build directory outlives the load, whether the compile succeeds or
+    fails."""
+
+    @pytest.fixture()
+    def private_tmp(self, tmp_path, monkeypatch):
+        import tempfile
+
+        from repro.simcc.native import backend
+
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(backend, "_LOADED", {})
+        return tmp_path
+
+    @staticmethod
+    def _build_dirs(tmp):
+        return [name for name in os.listdir(tmp)
+                if name.startswith("repro-native-")]
+
+    @staticmethod
+    def _run(model, program, backend, observer=None):
+        simulator = create_simulator(model, "unfolded_static",
+                                     backend=backend, observer=observer)
+        simulator.load_program(program)
+        simulator.run()
+        return simulator
+
+    def test_identical_builds_compile_once(self, private_tmp, monkeypatch):
+        from repro import obs
+        from repro.simcc.native import toolchain
+
+        compiles = []
+        real_compile = toolchain.compile_shared
+
+        def counting(*args):
+            compiles.append(args)
+            return real_compile(*args)
+
+        monkeypatch.setattr(toolchain, "compile_shared", counting)
+        model, program = load_app_program(build_fir("c62x", taps=4,
+                                                    samples=8))
+        reference = self._run(model, program, "auto")
+        sink = obs.ListSink()
+        for _ in range(3):
+            native = self._run(model, program, "native",
+                               obs.Observer(sinks=(sink,), mode="counters"))
+            assert isinstance(native.engine, NativePipeline)
+            assert native.engine.dispatch_counts["bursts"] > 0
+            assert native.state.differences(reference.state) == []
+            assert native.cycles == reference.cycles
+        assert len(compiles) == 1
+        assert self._build_dirs(private_tmp) == []
+        outcomes = [event.args["outcome"] for event in sink.events
+                    if event.kind == obs.NATIVE]
+        assert outcomes == ["compile", "load", "load"]
+
+    def test_failed_compile_leaves_nothing(self, private_tmp, monkeypatch):
+        from repro import obs
+        from repro.simcc.native import toolchain
+
+        def failing(cc, c_path, so_path):
+            with open(so_path, "wb") as handle:
+                handle.write(b"partial")
+            raise toolchain.NativeToolchainError("compilation failed")
+
+        monkeypatch.setattr(toolchain, "compile_shared", failing)
+        model, program = load_app_program(build_fir("tinydsp", taps=4,
+                                                    samples=8))
+        reference = self._run(model, program, "auto")
+        sink = obs.ListSink()
+        native = self._run(model, program, "native",
+                           obs.Observer(sinks=(sink,), mode="counters"))
+        assert not isinstance(native.engine, NativePipeline)
+        assert native.state.differences(reference.state) == []
+        assert self._build_dirs(private_tmp) == []
+        fallbacks = [event for event in sink.events
+                     if event.kind == obs.NATIVE_FALLBACK]
+        assert len(fallbacks) == 1
+        assert "compilation failed" in fallbacks[0].args["reason"]
 
 
 class TestDumpC:

@@ -146,6 +146,53 @@ class TestUndecodableWord:
         assert "no operation coding matches" in failure[1]
 
 
+def _trap(model, program, kind, backend):
+    simulator = create_simulator(model, kind, backend=backend)
+    simulator.load_program(program)
+    with pytest.raises(SimulationError) as excinfo:
+        simulator.run(max_cycles=1_000)
+    return simulator, (type(excinfo.value), str(excinfo.value),
+                       simulator.cycles, simulator.engine.window_pcs)
+
+
+@pytest.mark.parametrize(
+    "kind", ("compiled", "static", "unfolded", "unfolded_static")
+)
+def test_executed_trap_leaves_the_python_window(tinydsp, programs, kind):
+    """A native run that traps leaves the error, cycle count and
+    pipeline window the Python path of the same kind leaves."""
+    from repro.simcc.native import NativePipeline, native_available
+
+    native, native_failure = _trap(tinydsp, programs["executed"], kind,
+                                   "native")
+    _, python_failure = _trap(tinydsp, programs["executed"], kind, "auto")
+    assert native_failure == python_failure
+    if native_available():
+        assert isinstance(native.engine, NativePipeline)
+        assert native.engine.dispatch_counts["bursts"] > 0
+
+
+@pytest.mark.parametrize("kind", ("compiled", "unfolded"))
+def test_off_table_fetch_traps_inside_the_burst(tinydsp, tinydsp_tools,
+                                                kind):
+    """Running off the end issues a trap pseudo-slot that raises at the
+    execute stage inside the C burst, with the Python path's error,
+    cycle count and window.  (On the static kinds the Python path's
+    window after this trap lags one slot behind the dynamic driver's and
+    the burst's: a known difference of the static scheduler.)"""
+    from repro.simcc.native import native_available
+
+    program = tinydsp_tools.assembler.assemble_text(
+        "start:  nop\n        nop\n", name="off_the_end"
+    )
+    native, native_failure = _trap(tinydsp, program, kind, "native")
+    _, python_failure = _trap(tinydsp, program, kind, "auto")
+    assert native_failure == python_failure
+    assert "fetch outside the compiled region" in native_failure[1]
+    if native_available():
+        assert native.engine.dispatch_counts["traps"] == 1
+
+
 class TestReferenceFigures:
     """The interpretive figures the matrix above is held to."""
 
