@@ -33,7 +33,6 @@ from repro import obs
 from repro.bench import load_app_program
 from repro.bench.reporting import ExperimentReport, publish_json
 from repro.sim import create_simulator
-from repro.support.errors import SimulationError
 
 #: The acceptance bar: disabled-tracing FIR wall time vs the
 #: pre-instrumentation replica.
@@ -59,23 +58,23 @@ class _BaselinePipeline:
     This is ``repro.machine.driver.Pipeline`` as it stood before the
     observability layer: ``step`` is a plain method and there is no
     observer slot.  Kept here (not in the package) because its only job
-    is to be the honest baseline for the overhead assertion.
+    is to be the honest baseline for the overhead assertion.  Both
+    engines are raced through the same ``run_chunk`` loop.
     """
 
     __slots__ = (
         "_model", "_state", "_control", "_frontend", "_pc_name",
-        "_depth", "_watcher", "_read_pc", "_write_pc", "slots",
+        "_depth", "_read_pc", "_write_pc", "slots",
         "cycles", "instructions_retired",
     )
 
-    def __init__(self, model, state, control, frontend, watcher=None):
+    def __init__(self, model, state, control, frontend):
         self._model = model
         self._state = state
         self._control = control
         self._frontend = frontend
         self._pc_name = model.pc_name
         self._depth = model.pipeline.depth
-        self._watcher = watcher
         self._read_pc = partial(getattr, state, self._pc_name)
         self._write_pc = partial(setattr, state, self._pc_name)
         self.slots = [None] * self._depth
@@ -120,17 +119,12 @@ class _BaselinePipeline:
         control.flush_below = -1
 
         self.cycles += 1
-        if self._watcher is not None:
-            self._watcher(self)
 
-    def run(self, max_cycles=50_000_000):
+    def run_chunk(self, cycles):
         start = self.cycles
-        while not (self._control.halted and self.drained):
-            if self.cycles - start >= max_cycles:
-                raise SimulationError(
-                    "simulation exceeded %d cycles without halting"
-                    % max_cycles
-                )
+        end = start + cycles
+        control = self._control
+        while self.cycles < end and not (control.halted and self.drained):
             self.step()
         return self.cycles - start
 
@@ -158,7 +152,7 @@ def _best_run_seconds(model, program, max_cycles, **kwargs):
     for _ in range(TRIALS):
         engine = _fresh_engine(model, program, **kwargs)
         start = time.perf_counter()
-        engine.run(max_cycles)
+        engine.run_chunk(max_cycles)
         best = min(best, time.perf_counter() - start)
         cycles = engine.cycles
     return best, cycles, engine
@@ -291,6 +285,6 @@ def test_trace_overhead(benchmark, fir_app):
             )
 
     benchmark.pedantic(
-        lambda: _fresh_engine(model, program).run(max_cycles),
+        lambda: _fresh_engine(model, program).run_chunk(max_cycles),
         rounds=3, iterations=1,
     )

@@ -60,7 +60,7 @@ def main():
     standalone_sim.PROGRAM.load_into(state)
     frontend = standalone_sim.make_frontend(state, control)
     pipeline = Pipeline(model, state, control, frontend)
-    pipeline.run()
+    pipeline.run_chunk(10_000)
 
     print("\nran the emitted module: dmem[16] = %d (11 * 31 = %d)"
           % (state.dmem[16], 11 * 31))

@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Watch instructions flow through the pipeline, cycle by cycle.
 
-Uses the driver's watcher hook to print pipeline occupancy while a
-short tinydsp program with a taken branch executes -- the flush of the
-two younger stages (the pipeline operation the paper notes simple
-instruction sequencers cannot express) is clearly visible as squashed
-slots.
+Wraps the driver's front-end (``Pipeline.wrap_frontend``) to log every
+fetch, then steps the engine one cycle at a time and prints pipeline
+occupancy while a short tinydsp program with a taken branch executes
+-- the flush of the two younger stages (the pipeline operation the
+paper notes simple instruction sequencers cannot express) is clearly
+visible as squashed slots.
 """
 
 from repro import build_toolset, load_model
@@ -41,14 +42,16 @@ def main():
 
     # Track which pc each slot was fetched from by watching fetches.
     fetch_log = []
-    original_frontend = pipeline._frontend
 
-    def logging_frontend(pc):
-        slot = original_frontend(pc)
-        fetch_log.append(pc)
-        return slot
+    def logging(frontend):
+        def logging_frontend(pc):
+            slot = frontend(pc)
+            fetch_log.append(pc)
+            return slot
 
-    pipeline._frontend = logging_frontend
+        return logging_frontend
+
+    pipeline.wrap_frontend(logging)
     occupancy = [None] * model.pipeline.depth
 
     while not simulator.halted and simulator.cycles < 40:

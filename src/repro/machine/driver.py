@@ -21,8 +21,8 @@ Cycle semantics (one :meth:`Pipeline.step`):
    late stages.
 3. *control*: a ``flush()`` raised at stage *k* squashes the slots in
    stages younger than *k* in the same cycle, before they execute;
-   ``halt()`` additionally stops fetching, and :meth:`Pipeline.run`
-   returns once the pipeline has drained.
+   ``halt()`` additionally stops fetching, and
+   :meth:`Pipeline.run_chunk` returns once the pipeline has drained.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Tuple
 
-from repro.support.errors import SimulationError, SimulationTimeout
+from repro.support.errors import SimulationError
 
 
 @dataclass(frozen=True)
@@ -96,19 +96,17 @@ class Pipeline:
 
     __slots__ = (
         "_model", "_state", "_control", "_frontend", "_pc_name",
-        "_depth", "_watcher", "_read_pc", "_write_pc", "slots", "pcs",
+        "_depth", "_read_pc", "_write_pc", "slots", "pcs",
         "cycles", "instructions_retired", "_observer", "step",
     )
 
-    def __init__(self, model, state, control, frontend, watcher=None,
-                 observer=None):
+    def __init__(self, model, state, control, frontend, observer=None):
         self._model = model
         self._state = state
         self._control = control
         self._frontend = frontend
         self._pc_name = model.pc_name
         self._depth = model.pipeline.depth
-        self._watcher = watcher
         # Bound accessors so the hot loop skips the per-cycle attribute
         # name lookup (the PC register is fixed for the model's lifetime).
         self._read_pc = partial(getattr, state, self._pc_name)
@@ -144,13 +142,6 @@ class Pipeline:
     def drained(self):
         return all(slot is None for slot in self.slots)
 
-    def reset(self):
-        self.slots = [None] * self._depth
-        self.pcs = [None] * self._depth
-        self.cycles = 0
-        self.instructions_retired = 0
-        self._control.reset()
-
     @property
     def window_pcs(self):
         """Issue addresses of the in-flight window, stage 0 first."""
@@ -163,6 +154,9 @@ class Pipeline:
         write guard between the pipeline and the simulation table.
         """
         self._frontend = wrapper(self._frontend)
+
+    def invalidate(self, pcs):
+        """Nothing past the front-end is memoised here: no-op."""
 
     def restore_window(self, pcs, cycles, instructions_retired):
         """Rebuild the in-flight window from checkpointed issue pcs.
@@ -230,8 +224,6 @@ class Pipeline:
         control.flush_below = -1
 
         self.cycles += 1
-        if self._watcher is not None:
-            self._watcher(self)
 
     def _step_traced(self):
         """One cycle with trace hooks (same semantics as
@@ -288,29 +280,15 @@ class Pipeline:
             observer.on_squash(self.cycles, squashed)
 
         self.cycles += 1
-        if self._watcher is not None:
-            self._watcher(self)
-
-    def run(self, max_cycles=50_000_000):
-        """Run until the pipeline halts and drains; returns cycles run."""
-        start = self.cycles
-        while not (self._control.halted and self.drained):
-            if self.cycles - start >= max_cycles:
-                raise SimulationTimeout(
-                    "simulation exceeded %d cycles without halting"
-                    % max_cycles,
-                    budget="cycles", limit=max_cycles, cycles=self.cycles,
-                )
-            self.step()
-        return self.cycles - start
 
     def run_chunk(self, cycles):
-        """Step for up to ``cycles`` cycles or until halted-and-drained.
+        """Step for up to ``cycles`` cycles or until halted-and-drained;
+        returns how many cycles actually ran.
 
-        The budgeted-run building block: never raises on exhausting the
-        chunk, just returns how many cycles actually ran, so callers can
-        interleave wall-clock checks and checkpoints at cycle
-        boundaries.
+        The engine's only run primitive: every stop of a run (cycle
+        limit, wall deadline, autosnapshot, fault-plan cycle) belongs to
+        :meth:`repro.sim.base.Simulator.run`, which calls this between
+        them.
         """
         start = self.cycles
         end = start + cycles

@@ -39,7 +39,7 @@ from repro.resilience.guard import (
     GuardedMemory,
     ProgramMemoryGuard,
 )
-from repro.resilience.watchdog import RunBudget, run_with_budget
+from repro.resilience.watchdog import RunBudget
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -50,5 +50,4 @@ __all__ = [
     "ProgramMemoryGuard",
     "RunBudget",
     "program_digest",
-    "run_with_budget",
 ]

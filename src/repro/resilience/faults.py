@@ -288,39 +288,16 @@ class FaultInjector:
 
         ``plan`` is an iterable of ``(cycle, action)`` pairs; each
         ``action`` is called with the simulator once the engine reaches
-        that cycle (actions beyond the program's natural end never
-        fire).  Returns :class:`repro.sim.base.SimulationStats` from the
-        final ``run``.
+        that cycle (actions beyond the program's natural end, or beyond
+        the cycle limit, never fire).  Returns
+        :class:`repro.sim.base.SimulationStats`.
 
-        ``budget`` (a :class:`repro.resilience.watchdog.RunBudget`) and
-        ``on_checkpoint`` apply to the final run exactly as in
-        :meth:`repro.sim.base.Simulator.run`; additionally, the
-        stepping phase that walks the engine up to each fault cycle
-        honours ``budget.checkpoint_every``, so autosnapshots keep
-        their cadence even while faults are pending -- a process-kill
-        fault then finds a resume point already delivered.
+        The plan's cycles are stops of the simulator's one run loop
+        (:meth:`repro.sim.base.Simulator.run`), next to the cycle limit,
+        the wall deadline and the autosnapshot cadence: the engine runs
+        chunks between them -- native engines burst right up to a fault
+        -- and ``budget``/``on_checkpoint`` hold throughout, exactly as
+        in ``run``.  A process-kill fault therefore finds every resume
+        point its cadence promised already delivered.
         """
-        engine = simulator.engine
-        cadence = budget.checkpoint_every if budget is not None else None
-        next_snapshot = (
-            engine.cycles + cadence if cadence else None
-        )
-        for cycle, action in sorted(plan, key=lambda item: item[0]):
-            while (
-                engine.cycles < cycle
-                and not simulator.halted
-                and engine.cycles < max_cycles
-            ):
-                engine.step()
-                if (next_snapshot is not None
-                        and engine.cycles >= next_snapshot
-                        and not simulator.halted):
-                    snapshot = simulator.checkpoint(auto=True)
-                    if on_checkpoint is not None:
-                        on_checkpoint(snapshot)
-                    next_snapshot = engine.cycles + cadence
-            if simulator.halted:
-                break
-            action(simulator)
-        return simulator.run(max_cycles=max_cycles, budget=budget,
-                             on_checkpoint=on_checkpoint)
+        return simulator._drive(max_cycles, budget, on_checkpoint, plan)

@@ -369,19 +369,11 @@ class TableGuardTarget:
             table.has_control[pc] = True
             if table.schedule_safety is not None:
                 table.schedule_safety[pc] = "unknown"
-        # Interned window transitions may embed the stale slots; throw
-        # the memoised transitions away so every subsequent window is
-        # re-fetched through the guarded front-end.
-        flush = getattr(self._engine, "flush_interned", None)
-        if flush is not None:
-            flush()
-        # Native burst artifacts encode the *old* micro-ops and cannot
-        # be patched in place: demote the touched packets to the Python
-        # path permanently (the refreshed table serves them there).
-        invalidate_native = getattr(self._engine, "invalidate_native",
-                                    None)
-        if invalidate_native is not None:
-            invalidate_native(sorted(pcs))
+        # The engine drops whatever it memoised from the stale slots:
+        # interned static windows are re-fetched through the guarded
+        # front-end, and native bursts demote the packets to the Python
+        # path for good (the refreshed table serves them there).
+        self._engine.invalidate(pcs)
 
     def refresh(self, pc):
         """Re-decode the packet at ``pc`` from live memory; patch table."""

@@ -6,19 +6,22 @@ to (cycle *and* wall-clock budgets, both raising a typed
 *resumably* -- the timeout carries a checkpoint, and an optional
 autosnapshot interval persists progress while the run is healthy.
 
-The mechanism is chunked execution: the engine's ``run_chunk`` steps a
-bounded number of cycles and returns, so budget checks and snapshots
+A :class:`RunBudget` only describes the stops; the one run loop,
+:meth:`repro.sim.base.Simulator.run`, enforces them.  It runs the
+engine in chunks that end exactly at the next stop (cycle limit, wall
+check, autosnapshot, fault-plan cycle), so budget checks and snapshots
 happen at cycle boundaries without putting any check on the per-cycle
-hot path.
+hot path.  The snapshot cadence counts from the cycle at which the
+``run`` call started, and every snapshot carries the wall time
+accumulated up to it.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.support.errors import ReproError, SimulationTimeout
+from repro.support.errors import ReproError
 
 # Cycles between wall-clock deadline checks.  Large enough that the
 # perf_counter call amortises to nothing, small enough that overshoot
@@ -38,7 +41,7 @@ class RunBudget:
     ``checkpoint_every``
         Take an automatic checkpoint every N simulated cycles (N >= 1).
     ``check_interval``
-        Cycles between wall-clock checks (tune down for tests).
+        Cycles between wall-clock checks (N >= 1; tune down for tests).
     """
 
     max_cycles: Optional[int] = None
@@ -47,64 +50,11 @@ class RunBudget:
     check_interval: int = DEFAULT_CHECK_INTERVAL
 
     def __post_init__(self):
-        # An interval below one cycle would snapshot without stepping,
-        # forever.
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ReproError(
-                "checkpoint_every must be at least 1 cycle, got %r"
-                % (self.checkpoint_every,)
-            )
-
-
-def run_with_budget(simulator, engine, max_cycles, budget,
-                    on_checkpoint=None):
-    """Run ``engine`` to completion under ``budget``; returns cycles run.
-
-    ``on_checkpoint`` is called with each automatic
-    :class:`repro.resilience.checkpoint.Checkpoint`.  On budget
-    exhaustion a :class:`SimulationTimeout` is raised with
-    ``budget="cycles"`` or ``budget="wall"``; the caller
-    (``Simulator.run``) attaches a final checkpoint and the faulting PC.
-    """
-    limit = max_cycles
-    if budget.max_cycles is not None:
-        limit = min(limit, budget.max_cycles)
-    deadline = None
-    if budget.max_wall_seconds is not None:
-        deadline = time.perf_counter() + budget.max_wall_seconds
-
-    control = simulator.control
-    start = engine.cycles
-    until_snapshot = budget.checkpoint_every
-
-    def finished():
-        return control.halted and engine.drained
-
-    while not finished():
-        ran = engine.cycles - start
-        if ran >= limit:
-            raise SimulationTimeout(
-                "simulation exceeded %d cycles without halting" % limit,
-                budget="cycles", limit=limit, cycles=engine.cycles,
-            )
-        chunk = limit - ran
-        if until_snapshot is not None:
-            chunk = min(chunk, until_snapshot)
-        if deadline is not None:
-            chunk = min(chunk, budget.check_interval)
-            if time.perf_counter() >= deadline:
-                raise SimulationTimeout(
-                    "simulation exceeded wall-clock budget of %gs"
-                    % budget.max_wall_seconds,
-                    budget="wall", limit=budget.max_wall_seconds,
-                    cycles=engine.cycles,
+        # An interval below one cycle would snapshot (or read the
+        # clock) without stepping, forever.
+        for name in ("checkpoint_every", "check_interval"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ReproError(
+                    "%s must be at least 1 cycle, got %r" % (name, value)
                 )
-        stepped = engine.run_chunk(chunk)
-        if until_snapshot is not None:
-            until_snapshot -= stepped
-            if until_snapshot <= 0 and not finished():
-                snapshot = simulator.checkpoint(auto=True)
-                if on_checkpoint is not None:
-                    on_checkpoint(snapshot)
-                until_snapshot = budget.checkpoint_every
-    return engine.cycles - start

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro import obs as _obs
 from repro.machine.control import PipelineControl
@@ -65,10 +67,17 @@ class SimulationStats:
 class Simulator:
     """Base class for all simulator kinds.
 
-    Subclasses implement :meth:`_build_engine`, returning an object with
-    ``step()``, ``run(max_cycles)``, ``cycles``, ``instructions_retired``
-    and ``drained`` (either :class:`repro.machine.Pipeline` or the static
-    driver).
+    Subclasses implement :meth:`_build_engine`, returning an *engine*:
+    the dynamic :class:`repro.machine.Pipeline`, the static scheduler's
+    pipeline, or either wrapped for native bursts.  An engine only
+    advances time -- ``step()`` runs one cycle and ``run_chunk(n)`` up
+    to ``n`` cycles, stopping early only once the program has halted
+    and drained -- and exposes ``cycles``, ``instructions_retired``,
+    ``drained`` and ``window_pcs``, plus ``restore_window``,
+    ``wrap_frontend``, ``set_observer`` and ``invalidate(pcs)`` (drop
+    anything memoised from the packets at ``pcs``).  Every stop of a
+    run -- cycle limit, wall deadline, autosnapshot, fault-plan cycle
+    -- belongs to :meth:`run`'s one loop.
 
     ``observer`` (a :class:`repro.obs.Observer`) wires the simulator
     into the observability layer: the engines emit per-cycle trace
@@ -293,49 +302,98 @@ class Simulator:
         mid-run :class:`ReproError` is annotated with the cycle count
         and fetch PC before propagating.
         """
-        start = time.perf_counter()
-        counted = False
+        return self._drive(max_cycles, budget, on_checkpoint, ())
 
-        def _count():
-            nonlocal counted
-            if not counted:
-                self._wall_seconds += time.perf_counter() - start
-                counted = True
+    def _drive(self, max_cycles, budget, on_checkpoint, plan):
+        """The one loop that drives the engine through a run.
 
+        Its stops, in engine cycles: the cycle limit (counted from this
+        call's start), a wall-deadline check at least every
+        ``budget.check_interval`` cycles, an autosnapshot every
+        ``budget.checkpoint_every`` cycles from the start, and each
+        ``(cycle, action)`` of the fault ``plan``.  A fault fires before
+        a snapshot or timeout at its cycle, so the snapshot carries it;
+        nothing fires once the program has halted and drained.  Between
+        stops the engine runs ``run_chunk`` up to the nearest one.  Wall
+        time is folded into the stats before each autosnapshot, so the
+        snapshot carries it too.
+        """
         engine = self.engine
+        control = self.control
+        clock = time.perf_counter()
+        start = engine.cycles
+        limit = max_cycles
+        deadline = every = next_snapshot = None
+        if budget is not None:
+            if budget.max_cycles is not None:
+                limit = min(limit, budget.max_cycles)
+            if budget.max_wall_seconds is not None:
+                deadline = clock + budget.max_wall_seconds
+            every = budget.checkpoint_every
+            if every is not None:
+                next_snapshot = start + every
+        end = start + limit
+        faults = deque(sorted(plan, key=itemgetter(0)))
+        timeout = None
         try:
-            if budget is None:
-                engine.run(max_cycles)
-            else:
-                from repro.resilience.watchdog import run_with_budget
-
-                run_with_budget(
-                    self, engine, max_cycles, budget, on_checkpoint
-                )
-        except SimulationTimeout as exc:
-            _count()
-            if exc.pc is None:
-                exc.pc = self.state.pc
-            if exc.checkpoint is None:
-                try:
-                    exc.checkpoint = self.checkpoint()
-                except ReproError:
-                    pass  # resumability is best-effort on a timeout
-            if self.observer is not None:
-                self.observer.on_timeout(exc.budget, exc.cycles, exc.limit)
-            self._attach_flight_recording(exc)
-            raise
+            while not (control.halted and engine.drained):
+                now = engine.cycles
+                while faults and faults[0][0] <= now:
+                    faults.popleft()[1](self)
+                if next_snapshot is not None and now >= next_snapshot:
+                    tick = time.perf_counter()
+                    self._wall_seconds += tick - clock
+                    clock = tick
+                    snapshot = self.checkpoint(auto=True)
+                    if on_checkpoint is not None:
+                        on_checkpoint(snapshot)
+                    next_snapshot = now + every
+                if now >= end:
+                    timeout = SimulationTimeout(
+                        "simulation exceeded %d cycles without halting"
+                        % limit, budget="cycles", limit=limit, cycles=now,
+                    )
+                    break
+                stop = end
+                if deadline is not None:
+                    if time.perf_counter() >= deadline:
+                        timeout = SimulationTimeout(
+                            "simulation exceeded wall-clock budget of %gs"
+                            % budget.max_wall_seconds, budget="wall",
+                            limit=budget.max_wall_seconds, cycles=now,
+                        )
+                        break
+                    stop = min(stop, now + budget.check_interval)
+                if next_snapshot is not None:
+                    stop = min(stop, next_snapshot)
+                if faults:
+                    stop = min(stop, faults[0][0])
+                engine.run_chunk(stop - now)
         except ReproError as exc:
-            _count()
             raise self._attach_flight_recording(annotate_simulation_error(
                 exc, cycles=engine.cycles, pc=self.state.pc
             ))
         finally:
-            _count()
+            self._wall_seconds += time.perf_counter() - clock
+        if timeout is not None:
+            raise self._timed_out(timeout)
         stats = self.stats
         if self.observer is not None:
             self.observer.finish_run(self, stats)
         return stats
+
+    def _timed_out(self, exc):
+        """Complete a :class:`SimulationTimeout` raised at the current
+        position: fetch pc, a checkpoint to resume from (best-effort),
+        the ``on_timeout`` hook and the flight recording."""
+        exc.pc = self.state.pc
+        try:
+            exc.checkpoint = self.checkpoint()
+        except ReproError:
+            pass  # resumability is best-effort on a timeout
+        if self.observer is not None:
+            self.observer.on_timeout(exc.budget, exc.cycles, exc.limit)
+        return self._attach_flight_recording(exc)
 
     def run_until(self, predicate, max_cycles=50_000_000):
         """Step until ``predicate(self)`` is true or the program halts.
@@ -356,21 +414,10 @@ class Simulator:
             raise self._attach_flight_recording(annotate_simulation_error(
                 exc, cycles=engine.cycles, pc=self.state.pc
             ))
-        timeout = SimulationTimeout(
+        raise self._timed_out(SimulationTimeout(
             "run_until exceeded %d cycles" % max_cycles,
             budget="cycles", limit=max_cycles, cycles=engine.cycles,
-            pc=self.state.pc,
-        )
-        try:
-            timeout.checkpoint = self.checkpoint()
-        except ReproError:
-            pass
-        if self.observer is not None:
-            self.observer.on_timeout(
-                timeout.budget, timeout.cycles, timeout.limit
-            )
-        self._attach_flight_recording(timeout)
-        raise timeout
+        ))
 
     def run_to_pc(self, pc, max_cycles=50_000_000):
         """Run until the next fetch address reaches ``pc`` (breakpoint).

@@ -41,7 +41,7 @@ from functools import partial
 from repro.sim.base import Simulator
 from repro.simcc import ir
 from repro.simcc.generator import generate_simulation_compiler
-from repro.support.errors import SimulationError, SimulationTimeout
+from repro.support.errors import SimulationError
 
 
 class _WindowNode:
@@ -105,15 +105,6 @@ class StaticPipeline:
     # -- bookkeeping ----------------------------------------------------------
 
     @property
-    def window(self):
-        """Current (pc, slot) window, youngest first (for inspection)."""
-        node = self._node
-        return [
-            None if pc is None else (pc, slot)
-            for pc, slot in zip(node.pcs, node.slots)
-        ]
-
-    @property
     def drained(self):
         return self._node.empty
 
@@ -122,28 +113,23 @@ class StaticPipeline:
         """Issue addresses of the in-flight window, stage 0 first."""
         return tuple(self._node.pcs)
 
-    def reset(self):
-        self._node = self._root
-        self.cycles = 0
-        self.instructions_retired = 0
-        self._control.reset()
-
     def wrap_frontend(self, wrapper):
         """Replace the front-end with ``wrapper(current_frontend)`` (the
         resilience write guard interposes here); flushes the interned
         window graph so cached transitions cannot bypass the wrapper."""
         self._frontend = wrapper(self._frontend)
-        self.flush_interned()
+        self.invalidate(())
 
-    def flush_interned(self):
+    def invalidate(self, pcs):
         """Drop every interned window and cached transition.
 
-        Called after simulation-table entries are invalidated (self-
-        modifying code): interned nodes hold pre-fetched slots and
-        pre-composed columns, so future transitions must re-fetch
-        through the (guarded) front-end.  The current in-flight window
-        keeps its already-fetched slots -- matching hardware, where
-        instructions past fetch execute the code that was fetched.
+        Called after simulation-table entries at ``pcs`` are invalidated
+        (self-modifying code): any interned node may hold their
+        pre-fetched slots or pre-composed columns, so future transitions
+        must re-fetch through the (guarded) front-end.  The current
+        in-flight window keeps its already-fetched slots -- matching
+        hardware, where instructions past fetch execute the code that
+        was fetched.
         """
         for node in self._interned.values():
             node.next.clear()
@@ -345,18 +331,6 @@ class StaticPipeline:
             for pc, slot in zip(squashed, node.slots)
         )
         return self._intern(tuple(squashed), new_slots)
-
-    def run(self, max_cycles=50_000_000):
-        start = self.cycles
-        while not (self._control.halted and self.drained):
-            if self.cycles - start >= max_cycles:
-                raise SimulationTimeout(
-                    "simulation exceeded %d cycles without halting"
-                    % max_cycles,
-                    budget="cycles", limit=max_cycles, cycles=self.cycles,
-                )
-            self.step()
-        return self.cycles - start
 
     def run_chunk(self, cycles):
         """Step for up to ``cycles`` cycles or until halted-and-drained;

@@ -31,7 +31,7 @@ Usage::
     module.PROGRAM.load_into(state)
     frontend = module.make_frontend(state, control)
     pipeline = Pipeline(model, state, control, frontend)
-    pipeline.run()
+    pipeline.run_chunk(max_cycles)  # stops early once halted and drained
 """
 
 from functools import partial as _partial

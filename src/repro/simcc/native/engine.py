@@ -23,7 +23,12 @@ that region into the observer's :class:`repro.obs.MetricsRegistry`
 after every burst -- per-packet counters come out bit-identical to a
 per-cycle traced run.  Bursts are also disabled for packets the
 self-modifying-code guard has invalidated
-(:meth:`NativePipeline.invalidate_native`).
+(:meth:`NativePipeline.invalidate`).
+
+:meth:`repro.sim.base.Simulator.run` owns every stop of a run (cycle
+limit, wall deadline, autosnapshot, fault-plan cycle) and calls
+:meth:`NativePipeline.run_chunk` between them, so bursts run right up
+to each stop.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 from array import array
 
 from repro.simcc.native import layout as L
-from repro.support.errors import SimulationError, SimulationTimeout
+from repro.support.errors import SimulationError
 
 #: Burst exit codes (mirrored in the generated C).
 EXIT_COMPLETED = 0
@@ -114,9 +119,6 @@ class NativePipeline:
     def step(self):
         self._step_python()
 
-    def reset(self):
-        self._inner.reset()
-
     def set_observer(self, observer):
         self._observer = observer
         self._inner.set_observer(observer)
@@ -127,54 +129,23 @@ class NativePipeline:
     def wrap_frontend(self, wrapper):
         self._inner.wrap_frontend(wrapper)
 
-    def flush_interned(self):
-        flush = getattr(self._inner, "flush_interned", None)
-        if flush is not None:
-            flush()
-
-    def __getattr__(self, name):
-        # Anything outside the engine contract falls through to the
-        # wrapped engine (e.g. the static scheduler's column stats).
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._inner, name)
-
-    # -- native window invalidation (self-modifying code) -------------------
-
-    def invalidate_native(self, pcs):
+    def invalidate(self, pcs):
         """Permanently demote ``pcs`` to the Python path.
 
         Called by the resilience guard when a program-memory write
         lands inside a packet: the compiled artifact still encodes the
         *old* micro-ops, so those windows must never burst again.  The
-        guard's refreshed table serves them through the inner engine.
+        guard's refreshed table serves them through the inner engine,
+        which drops its own memoised windows too.
         """
         plan = self._module.plan
         for pc in pcs:
             if plan.pc_base <= pc < plan.pc_limit:
                 self._ok[pc - plan.pc_base] = 0
             self._python_pcs.add(pc)
+        self._inner.invalidate(pcs)
 
     # -- execution ----------------------------------------------------------
-
-    def run(self, max_cycles=50_000_000):
-        control = self._control
-        start = self.cycles
-        while not (control.halted and self._inner.drained):
-            ran = self.cycles - start
-            if ran >= max_cycles:
-                raise SimulationTimeout(
-                    "simulation exceeded %d cycles without halting"
-                    % max_cycles,
-                    budget="cycles", limit=max_cycles, cycles=self.cycles,
-                )
-            if self._can_burst():
-                rc = self._burst(max_cycles - ran)
-                if rc == EXIT_NEED_PYTHON:
-                    self._step_python()
-            else:
-                self._step_python()
-        return self.cycles - start
 
     def run_chunk(self, cycles):
         control = self._control

@@ -403,7 +403,7 @@ def test_concrete_runs_stay_within_proven_intervals(builder):
     initial = {name: _resource_values(state, model, name)
                for name in joined}
     frontend = namespace["make_frontend"](state, control)
-    Pipeline(model, state, control, frontend).run(10_000_000)
+    Pipeline(model, state, control, frontend).run_chunk(10_000_000)
     _assert_within_proofs(model, joined, initial, state, "module")
 
     # Backend 3: native bursts (when the host has a toolchain).

@@ -397,7 +397,8 @@ class TestScheduleGating:
         )
         table.schedule_safety = None  # hand-built/legacy table
         pipeline = StaticPipeline(c62x, state, control, table)
-        pipeline.run()
+        pipeline.run_chunk(10_000)
+        assert pipeline.drained and control.halted
         assert any(
             node.column for node in pipeline._interned.values()
         )

@@ -56,7 +56,7 @@ class TestEmittedExecution:
         namespace["PROGRAM"].load_into(state)
         frontend = namespace["make_frontend"](state, control)
         pipe = Pipeline(testmodel, state, control, frontend)
-        pipe.run(1000)
+        pipe.run_chunk(1000)
 
         reference = create_simulator(testmodel, "compiled")
         reference.load_program(program)
@@ -80,5 +80,5 @@ class TestEmittedExecution:
         namespace["PROGRAM"].load_into(state)
         frontend = namespace["make_frontend"](state, control)
         pipe = Pipeline(c62x, state, control, frontend)
-        pipe.run(1000)
+        pipe.run_chunk(1000)
         assert state.A[3] == 11

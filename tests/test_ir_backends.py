@@ -65,7 +65,7 @@ def _run_module_backend(model, program, max_cycles=10_000_000):
     namespace["PROGRAM"].load_into(state)
     frontend = namespace["make_frontend"](state, control)
     pipe = Pipeline(model, state, control, frontend)
-    pipe.run(max_cycles)
+    pipe.run_chunk(max_cycles)
     return state, pipe.cycles
 
 

@@ -213,7 +213,7 @@ class TestTrapSlots:
             return trap_slot(testmodel, "should be squashed")
 
         pipe = Pipeline(testmodel, state, control, frontend)
-        cycles = pipe.run(max_cycles=100)
+        cycles = pipe.run_chunk(100)
         assert control.halted
         assert cycles <= 100  # and no SimulationError was raised
 
@@ -235,37 +235,19 @@ class TestRun:
             return next(feed, None) or trap_slot(testmodel, "off the end")
 
         pipe = Pipeline(testmodel, state, control, frontend)
-        pipe.run(max_cycles=100)
+        pipe.run_chunk(100)
         assert executed == ["a"]
         assert pipe.drained
 
-    def test_run_raises_on_cycle_limit(self, machine, testmodel):
+    def test_run_chunk_stops_at_cycle_limit(self, machine, testmodel):
+        # A chunk ends at its cycle count without raising; the
+        # cycle-limit timeout is Simulator.run's (see
+        # test_resilience.py::TestWatchdog::test_run_raises_typed_timeout).
         state, control = machine
         pipe = Pipeline(
             testmodel, state, control,
             lambda pc: slot(empty_stages()),
         )
-        with pytest.raises(SimulationError):
-            pipe.run(max_cycles=10)
-
-    def test_watcher_called_every_cycle(self, machine, testmodel):
-        state, control = machine
-        seen = []
-        pipe = Pipeline(
-            testmodel, state, control,
-            lambda pc: slot(empty_stages()),
-            watcher=lambda p: seen.append(p.cycles),
-        )
-        for _ in range(3):
-            pipe.step()
-        assert seen == [1, 2, 3]
-
-    def test_reset(self, machine, testmodel):
-        state, control = machine
-        pipe = Pipeline(
-            testmodel, state, control, lambda pc: slot(empty_stages())
-        )
-        pipe.step()
-        pipe.reset()
-        assert pipe.cycles == 0
-        assert pipe.drained
+        assert pipe.run_chunk(10) == 10
+        assert pipe.cycles == 10
+        assert not control.halted

@@ -629,6 +629,13 @@ class TestWatchdog:
         with pytest.raises(ReproError, match="checkpoint_every"):
             RunBudget(checkpoint_every=interval)
 
+    @pytest.mark.parametrize("interval", [0, -5])
+    def test_check_interval_below_one_rejected(self, interval):
+        """Such an interval would read the clock without stepping,
+        until the deadline passed."""
+        with pytest.raises(ReproError, match="check_interval"):
+            RunBudget(max_wall_seconds=0.5, check_interval=interval)
+
     def test_unbudgeted_run_completes_unchanged(self, testmodel, smc_program):
         simulator = create_simulator(testmodel, "compiled")
         simulator.load_program(smc_program)
@@ -913,10 +920,9 @@ class TestFaultPlans:
     def test_stepping_phase_keeps_snapshot_cadence(
         self, testmodel, smc_program
     ):
-        # while a fault is still pending, run_with_faults *steps* the
-        # engine; autosnapshots must keep their cadence there too, or a
-        # process kill before the first budget-run chunk would lose
-        # everything
+        # a pending fault is just one more stop of the run loop;
+        # autosnapshots must keep their cadence while it is pending,
+        # or a process kill before the fault would lose everything
         beats = []
         injector = FaultInjector()
         simulator = create_simulator(testmodel, "compiled")
@@ -934,3 +940,160 @@ class TestFaultPlans:
         assert stepped_beats[0] <= 8  # cadence held from the start
         for earlier, later in zip(beats, beats[1:]):
             assert later > earlier
+
+
+@pytest.fixture(scope="module")
+def fir_tinydsp(tinydsp, tinydsp_tools):
+    """A FIR long enough for mid-run faults: ``(model, program)``."""
+    from repro.apps import build_fir
+
+    return tinydsp, build_fir("tinydsp", taps=8, samples=48).assemble(
+        tinydsp_tools
+    )
+
+
+#: A mid-run cycle of the tinydsp FIR, and a bit flip of an input
+#: sample that is still to be read at that cycle.
+FLIP_CYCLE = 2_001
+FLIP = {"cycle": FLIP_CYCLE, "action": "flip_memory_bit",
+        "args": {"memory": "dmem", "address": 50, "bit": 3}}
+
+
+def _run_fir_with_flip(model, program, kind, backend="auto"):
+    """Run the FIR with :data:`FLIP` planned; returns the simulator,
+    its stats and the cycles at which the plan's actions ran."""
+    injector = FaultInjector()
+    simulator = create_simulator(model, kind, backend=backend)
+    simulator.load_program(program)
+    seen = []
+    plan = injector.compile_plan([FLIP])
+    plan.append((FLIP_CYCLE, lambda sim: seen.append(sim.cycles)))
+    stats = injector.run_with_faults(simulator, plan, max_cycles=100_000)
+    return simulator, stats, seen
+
+
+class TestRunLoopStops:
+    """Fault-plan cycles are stops of the one run loop, next to the
+    cycle limit, the wall deadline and the autosnapshot cadence."""
+
+    def test_fault_beyond_max_cycles_never_fires(
+        self, testmodel, smc_program
+    ):
+        fired = []
+        injector = FaultInjector()
+        simulator = create_simulator(testmodel, "compiled")
+        simulator.load_program(smc_program)
+        with pytest.raises(SimulationTimeout) as excinfo:
+            injector.run_with_faults(
+                simulator, [(20, lambda sim: fired.append(sim.cycles))],
+                max_cycles=10,
+            )
+        assert fired == []
+        assert excinfo.value.budget == "cycles"
+        assert excinfo.value.cycles == 10
+        assert simulator.cycles == 10
+
+    def test_wall_budget_holds_while_fault_pending(
+        self, testmodel, smc_program
+    ):
+        simulator = create_simulator(testmodel, "compiled")
+        simulator.load_program(smc_program)
+        budget = RunBudget(max_wall_seconds=0.0, check_interval=4)
+        with pytest.raises(SimulationTimeout) as excinfo:
+            FaultInjector().run_with_faults(
+                simulator, [(10_000, lambda sim: None)],  # past the end
+                max_cycles=100_000, budget=budget,
+            )
+        assert excinfo.value.budget == "wall"
+        assert excinfo.value.checkpoint is not None
+
+    def test_budget_cycles_hold_while_fault_pending(
+        self, testmodel, smc_program
+    ):
+        simulator = create_simulator(testmodel, "compiled")
+        simulator.load_program(smc_program)
+        with pytest.raises(SimulationTimeout) as excinfo:
+            FaultInjector().run_with_faults(
+                simulator, [(10_000, lambda sim: None)],  # past the end
+                max_cycles=100_000, budget=RunBudget(max_cycles=6),
+            )
+        assert excinfo.value.budget == "cycles"
+        assert excinfo.value.cycles == 6
+
+    def test_faults_annotate_errors_like_run(
+        self, testmodel, testmodel_tools
+    ):
+        program = testmodel_tools.assembler.assemble_text(
+            TestErrorAnnotation.BAD_BRANCH
+        )
+        simulator = create_simulator(testmodel, "compiled")
+        simulator.load_program(program)
+        with pytest.raises(SimulationError) as excinfo:
+            FaultInjector().run_with_faults(
+                simulator, [(10_000, lambda sim: None)],
+                max_cycles=10_000,
+            )
+        assert excinfo.value.sim_cycles is not None
+        assert excinfo.value.sim_pc is not None
+
+    def test_native_bursts_up_to_a_fault(self, fir_tinydsp):
+        """A mid-run bit flip on ``native`` matches the interpretive run
+        with the same plan, and every cycle still runs in bursts."""
+        from repro.simcc.native import NativePipeline, native_available
+
+        if not native_available():
+            pytest.skip("no usable C compiler on the host")
+        model, program = fir_tinydsp
+        reference, ref_stats, ref_seen = _run_fir_with_flip(
+            model, program, "interpretive"
+        )
+        native, stats, seen = _run_fir_with_flip(
+            model, program, "unfolded_static", backend="native"
+        )
+        assert ref_seen == seen == [FLIP_CYCLE]
+        assert (stats.cycles, stats.instructions) == \
+            (ref_stats.cycles, ref_stats.instructions)
+        assert native.state.snapshot() == reference.state.snapshot()
+        unfaulted = create_simulator(model, "interpretive")
+        unfaulted.load_program(program)
+        unfaulted.run()
+        assert unfaulted.state.snapshot() != reference.state.snapshot()
+
+        engine = native.engine
+        assert isinstance(engine, NativePipeline)
+        assert not engine._python_pcs  # every packet is native
+        assert engine.dispatch_counts["python_cycles"] == 0
+        assert engine.dispatch_counts["native_cycles"] == stats.cycles
+
+
+class TestAutosnapshotWallTime:
+    def _snapshots(self, testmodel, smc_program):
+        simulator = create_simulator(testmodel, "compiled")
+        simulator.load_program(smc_program)
+        snapshots = []
+        stats = simulator.run(
+            max_cycles=10_000, budget=RunBudget(checkpoint_every=4),
+            on_checkpoint=snapshots.append,
+        )
+        assert len(snapshots) >= 4
+        return stats, snapshots
+
+    def test_snapshots_carry_the_wall_time_so_far(
+        self, testmodel, smc_program
+    ):
+        stats, snapshots = self._snapshots(testmodel, smc_program)
+        walls = [snapshot.wall_seconds for snapshot in snapshots]
+        assert all(wall > 0.0 for wall in walls)
+        assert walls == sorted(walls)
+        assert walls[-1] <= stats.wall_seconds
+
+    def test_resumed_run_keeps_the_snapshot_wall_time(
+        self, testmodel, smc_program
+    ):
+        _, snapshots = self._snapshots(testmodel, smc_program)
+        snapshot = snapshots[len(snapshots) // 2]
+        resumed = create_simulator(testmodel, "compiled")
+        resumed.load_program(smc_program)
+        resumed.restore(snapshot)
+        stats = resumed.run(max_cycles=10_000)
+        assert stats.wall_seconds >= snapshot.wall_seconds > 0.0

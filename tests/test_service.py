@@ -303,10 +303,20 @@ class TestHeartbeat:
 
 class TestWallTimeout:
     def test_wall_budget_attempts_resume_with_progress(self, fir_spec):
+        self._assert_wall_attempts_progress(fir_spec)
+
+    def test_wall_budget_holds_while_fault_pending(self, fir_spec):
+        # a fault planned past the program's end stays pending for the
+        # whole run; the wall budget must hold all the same
+        self._assert_wall_attempts_progress(
+            fir_spec, fault_plan=kill_plan(10 * KILL_CYCLE, attempts=None)
+        )
+
+    def _assert_wall_attempts_progress(self, fir_spec, **overrides):
         # a wall budget so tight every attempt times out after ~one
         # chunk; the retries must make monotonic progress from the
         # timeout checkpoints until the run completes
-        spec = respec(fir_spec, max_wall_seconds=1e-3)
+        spec = respec(fir_spec, max_wall_seconds=1e-3, **overrides)
         with Supervisor(workers=1,
                         policy=fast_policy(max_retries=10)) as pool:
             job = pool.submit(spec)

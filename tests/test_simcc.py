@@ -113,7 +113,8 @@ class TestLevels:
             pipe = Pipeline(
                 testmodel, state, control, table.make_frontend(testmodel)
             )
-            pipe.run(1000)
+            pipe.run_chunk(1000)
+            assert pipe.drained and control.halted
             results.append(state.snapshot())
         assert results[0] == results[1]
 

@@ -221,7 +221,7 @@ def _module_pipeline(model, program):
 class TestEmittedModule:
     def test_fetched_but_squashed(self, tinydsp, programs, references):
         state, pipe = _module_pipeline(tinydsp, programs["squashed"])
-        pipe.run(1_000)
+        pipe.run_chunk(1_000)
         assert (state.snapshot(), pipe.cycles,
                 pipe.instructions_retired) == references["squashed"]
 
@@ -229,7 +229,7 @@ class TestEmittedModule:
                                                references):
         state, pipe = _module_pipeline(tinydsp, programs["executed"])
         with pytest.raises(SimulationError) as excinfo:
-            pipe.run(1_000)
+            pipe.run_chunk(1_000)
         # Annotated as Simulator.run annotates the in-process kinds.
         exc = annotate_simulation_error(excinfo.value, cycles=pipe.cycles,
                                         pc=state.pc)
