@@ -643,6 +643,9 @@ class MachineModel:
     config: ModelConfig
     operations: Dict[str, Operation]
     source_filename: str = "<string>"
+    #: SHA-256 of the LISA text the model was compiled from; ``None``
+    #: for a model built from an AST (``compile_ast``).
+    source_digest: Optional[str] = None
 
     @property
     def root_operation(self):

@@ -7,6 +7,8 @@ simulation-compiler generator and the tool generators consume.
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.behavior import ast as bast
 from repro.behavior.parser import parse_expression, parse_statements
 from repro.behavior.runtime import INTRINSIC_NAMES
@@ -46,8 +48,16 @@ def _concat(high, width, value, care):
 
 
 def compile_source(source, filename="<string>", sink=None):
-    """Parse and semantically check a LISA source text."""
-    return compile_ast(parse_source(source, filename), filename, sink)
+    """Parse and semantically check a LISA source text.
+
+    The model is stamped with the SHA-256 of ``source``
+    (``model.source_digest``), which keys its cached simulation tables.
+    """
+    model = compile_ast(parse_source(source, filename), filename, sink)
+    model.source_digest = hashlib.sha256(
+        source.encode("utf-8", "surrogatepass")
+    ).hexdigest()
+    return model
 
 
 def compile_ast(model_ast, filename="<string>", sink=None):
@@ -720,11 +730,39 @@ class _Analyzer:
                     self._operations[a].has_coding for a in alternatives
                 ):
                     continue
-                for i, name_a in enumerate(alternatives):
-                    for name_b in alternatives[i + 1 :]:
-                        self._check_pair(
-                            op, slot_name, name_a, name_b, cache
-                        )
+                for name_a, name_b in self._overlap_candidates(
+                    alternatives, cache
+                ):
+                    self._check_pair(
+                        op, slot_name, name_a, name_b, cache
+                    )
+
+    def _overlap_candidates(self, alternatives, cache):
+        """The pairs of a slot's alternatives that may overlap, in pair
+        order.
+
+        Two patterns overlap only when they agree on every bit both care
+        about, so in particular on the bits every pattern of the slot
+        cares about.  Only alternatives sharing a (width, value on those
+        bits) key can overlap.
+        """
+        patterns = [self._discriminators(a, cache) for a in alternatives]
+        common = -1
+        for group in patterns:
+            for _width, _value, care in group:
+                common &= care
+        buckets = {}
+        for index, group in enumerate(patterns):
+            for key in {(width, value & common) for width, value, _ in group}:
+                buckets.setdefault(key, []).append(index)
+        pairs = {
+            (index_a, index_b)
+            for members in buckets.values()
+            for i, index_a in enumerate(members)
+            for index_b in members[i + 1:]
+        }
+        for index_a, index_b in sorted(pairs):
+            yield alternatives[index_a], alternatives[index_b]
 
     def _check_pair(self, op, slot_name, name_a, name_b, cache):
         patterns_a = self._discriminators(name_a, cache)

@@ -6,14 +6,21 @@ process entirely.  A compiled simulation (as a state-independent
 :class:`repro.simcc.portable.PortableTable`) is stored on disk keyed by
 a digest of everything that determines its content:
 
-* the LISA model data base (the JSON dump plus a stable rendering of
-  every behaviour/guard AST, so editing an operation's arithmetic
-  invalidates dependent tables),
+* the LISA text the model was compiled from (its SHA-256, stamped on the
+  model by :func:`repro.lisa.semantics.compile_source`), together with
+  :data:`FORMAT_VERSION`, which stands for the LISA compiler and the
+  simulation compiler that turn that text into a table,
 * the program bytes (the serialised object file),
 * the simulation level.
 
-Any change to model, program or level therefore produces a different
-key -- invalidation is automatic and exact, and entries never go stale.
+Any change to model text, program or level therefore produces a
+different key -- invalidation is automatic and exact, and entries never
+go stale.  A change to the compilers that alters the model built from
+the same text must bump :data:`FORMAT_VERSION`;
+``tests/test_frontend_golden.py`` pins both, side by side.  Keying by
+the text means a warm lookup never serialises the freshly compiled
+model.  A model built from an AST alone has no text and is keyed by its
+content instead (:func:`model_digest`).
 
 Entry format (versioned): a magic line followed by one :mod:`marshal`
 payload holding the table spec, the generated function sources, and
@@ -63,7 +70,10 @@ from repro.simcc.portable import PortableTable
 #:    IR (no render-time analysis), so a v6 entry would keep wraps the
 #:    C no longer elides.  v6 entries are clean misses; native
 #:    artifacts record the format and rebuild once.
-FORMAT_VERSION = 7
+#: 8: tables are keyed by the SHA-256 of the model's LISA text instead
+#:    of :func:`model_digest`; payloads are unchanged, but every key
+#:    moved, so v7 entries are clean misses.
+FORMAT_VERSION = 8
 
 _MAGIC = b"repro-simtab\n"
 
@@ -102,7 +112,15 @@ def _stable_ast_repr(model):
 
 
 def model_digest(model):
-    """Hex digest of the model data base (cached on the model)."""
+    """Hex digest of the model data base's content (cached on the model).
+
+    The JSON dump plus a stable rendering of every behaviour/guard AST,
+    so editing an operation's arithmetic changes it while a comment-only
+    edit of the LISA text does not.  Checkpoints carry it as the model's
+    identity.  Simulation tables are keyed by the LISA text instead (see
+    :func:`table_digest`): dumping a freshly compiled model costs more
+    than the warm lookup it would key.
+    """
     cached = getattr(model, "_simtab_digest", None)
     if cached is not None:
         return cached
@@ -117,11 +135,19 @@ def model_digest(model):
     return digest
 
 
+def _model_key(model):
+    """What identifies a model in a table key: its LISA text, or its
+    content when it was built from an AST."""
+    if model.source_digest is not None:
+        return "lisa:" + model.source_digest
+    return "model:" + model_digest(model)
+
+
 def table_digest(model, program, level):
     """The content address of one compiled simulation."""
     digest = hashlib.sha256()
     digest.update(b"repro-simtab:%d\n" % FORMAT_VERSION)
-    digest.update(model_digest(model).encode("ascii"))
+    digest.update(_model_key(model).encode("ascii"))
     digest.update(b"\n")
     digest.update(
         json.dumps(program.to_dict(), sort_keys=True).encode("utf-8")

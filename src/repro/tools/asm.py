@@ -26,6 +26,7 @@ Coding fields that never appear in an operation's SYNTAX assemble as 0.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -73,10 +74,31 @@ class _PendingInstruction:
 
 @dataclass
 class _PendingData:
+    """The words of one ``.word`` or ``.space`` line, from ``address``."""
+
     line_no: int
     memory: str
     address: int
-    value: object  # int or _SymbolicValue
+    values: List[object]  # int or _SymbolicValue
+
+
+_PLAIN_INT = r"-?(?:0[xX][0-9a-fA-F]+|0[bB][01]+|[0-9]+)"
+
+#: A ``.word`` line of plain ASCII integer literals, the shape of every
+#: generated data table.  Such a line skips the tokenizer; any other
+#: spelling (symbols, ``+``/``-`` expressions, other spacing, non-ASCII
+#: digits, a label) takes the general path and its diagnostics.
+_PLAIN_WORDS = re.compile(
+    r"\.word[ \t]+(%s(?:[ \t]*,[ \t]*%s)*)" % (_PLAIN_INT, _PLAIN_INT)
+)
+
+def _plain_int(text):
+    """The value of one ``_PLAIN_INT`` literal, read as the lexer does
+    (``int`` ignores the surrounding blanks)."""
+    try:
+        return int(text)
+    except ValueError:  # a 0x or 0b literal
+        return int(text, 0)
 
 
 class _LineScanner:
@@ -85,11 +107,6 @@ class _LineScanner:
     def __init__(self, tokens):
         self.tokens = tokens  # excludes the eof token
         self.pos = 0
-
-    def clone(self):
-        other = _LineScanner(self.tokens)
-        other.pos = self.pos
-        return other
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -149,6 +166,10 @@ class Assembler:
     def _first_pass(self, text, symbols, instructions, data, entry):
         memory = self._pmem
         counters = {memory: 0}
+        # Label-free instruction text -> its matched spec.  A program
+        # repeats most of its lines, and a line's match depends on its
+        # text alone; the placement checks below still run per line.
+        matched = {}
         for line_no, raw_line in enumerate(text.splitlines(), start=1):
             line = _strip_comment(raw_line).strip()
             if not line:
@@ -161,29 +182,41 @@ class Assembler:
                     raise AssemblerError(
                         "line %d: '||' without an instruction" % line_no
                     )
-            tokens = self._tokenize_line(line, line_no)
-            scanner = _LineScanner(tokens)
-            # label definitions: ident ':' (possibly several)
-            while (
-                len(scanner.tokens) >= scanner.pos + 2
-                and scanner.tokens[scanner.pos].kind == "ident"
-                and scanner.tokens[scanner.pos + 1].is_punct(":")
-            ):
-                label = scanner.next().text
-                scanner.next()
-                if label in symbols:
-                    raise AssemblerError(
-                        "line %d: duplicate label %r" % (line_no, label)
-                    )
-                symbols[label] = counters.setdefault(memory, 0)
-            if scanner.at_end():
-                continue
-            token = scanner.peek()
-            if token.is_punct("."):
-                memory = self._directive(
-                    scanner, line_no, symbols, counters, memory, data, entry
-                )
-                continue
+            spec = matched.get(line)
+            if spec is None:
+                words = _PLAIN_WORDS.fullmatch(line)
+                if words is not None:
+                    if parallel:
+                        raise _misplaced_bar(line_no)
+                    values = [_plain_int(v) for v in words[1].split(",")]
+                    address = counters.setdefault(memory, 0)
+                    data.append(_PendingData(line_no, memory, address, values))
+                    counters[memory] = address + len(values)
+                    continue
+                tokens = self._tokenize_line(line, line_no)
+                scanner = _LineScanner(tokens)
+                # label definitions: ident ':' (possibly several)
+                while (
+                    len(scanner.tokens) >= scanner.pos + 2
+                    and scanner.tokens[scanner.pos].kind == "ident"
+                    and scanner.tokens[scanner.pos + 1].is_punct(":")
+                ):
+                    label = scanner.next().text
+                    scanner.next()
+                    if label in symbols:
+                        raise AssemblerError(
+                            "line %d: duplicate label %r" % (line_no, label)
+                        )
+                    symbols[label] = counters.setdefault(memory, 0)
+                if scanner.at_end() or scanner.peek().is_punct("."):
+                    if parallel:
+                        raise _misplaced_bar(line_no)
+                    if not scanner.at_end():
+                        memory = self._directive(
+                            scanner, line_no, symbols, counters, memory,
+                            data, entry,
+                        )
+                    continue
             if parallel and not self._model.is_vliw:
                 raise AssemblerError(
                     "line %d: '||' is only valid for VLIW models" % line_no
@@ -193,7 +226,11 @@ class Assembler:
                     "line %d: instructions must go to program memory %r "
                     "(currently in section %r)" % (line_no, self._pmem, memory)
                 )
-            spec = self._match_instruction(scanner, line_no, line)
+            if spec is None:
+                label_free = scanner.pos == 0
+                spec = self._match_instruction(scanner, line_no, line)
+                if label_free:
+                    matched[line] = spec
             address = counters.setdefault(memory, 0)
             instructions.append(
                 _PendingInstruction(line_no, memory, address, spec, parallel)
@@ -246,25 +283,25 @@ class Assembler:
             memory = token.text
             counters.setdefault(memory, 0)
         elif name == "word":
-            while True:
-                value = self._parse_operand_expr(scanner, line_no)
-                address = counters.setdefault(memory, 0)
-                data.append(_PendingData(line_no, memory, address, value))
-                counters[memory] = address + 1
-                if scanner.at_end():
-                    break
+            values = [self._parse_operand_expr(scanner, line_no)]
+            while not scanner.at_end():
                 token = scanner.next()
                 if not token.is_punct(","):
                     raise AssemblerError(
                         "line %d: expected ',' between .word values" % line_no
                     )
+                values.append(self._parse_operand_expr(scanner, line_no))
+            address = counters.setdefault(memory, 0)
+            data.append(_PendingData(line_no, memory, address, values))
+            counters[memory] = address + len(values)
         elif name == "space":
             count = self._expect_const_expr(scanner, line_no, symbols)
-            address = counters.setdefault(memory, 0)
-            for offset in range(count):
-                data.append(
-                    _PendingData(line_no, memory, address + offset, 0)
+            if count < 0:
+                raise AssemblerError(
+                    "line %d: .space count %d is negative" % (line_no, count)
                 )
+            address = counters.setdefault(memory, 0)
+            data.append(_PendingData(line_no, memory, address, [0] * count))
             counters[memory] = address + count
         elif name == "equ":
             token = scanner.next()
@@ -549,17 +586,24 @@ class Assembler:
     def _second_pass(self, name, symbols, instructions, data, entry):
         images = {}  # memory -> {address: word}
         parallel_fixups = []
+        # Occurrences of one matched line share their spec, and its word
+        # depends only on the spec and the (final) symbols: encode once.
+        encoded = {}  # id(spec) -> word
         for pending in instructions:
-            spec = self._resolve_spec(
-                pending.spec, self._model.operations[pending.spec.operation],
-                symbols, pending.line_no,
-            )
-            try:
-                word = self._encoder.encode(spec)
-            except Exception as exc:
-                raise AssemblerError(
-                    "line %d: %s" % (pending.line_no, exc)
-                ) from exc
+            word = encoded.get(id(pending.spec))
+            if word is None:
+                spec = self._resolve_spec(
+                    pending.spec,
+                    self._model.operations[pending.spec.operation],
+                    symbols, pending.line_no,
+                )
+                try:
+                    word = self._encoder.encode(spec)
+                except Exception as exc:
+                    raise AssemblerError(
+                        "line %d: %s" % (pending.line_no, exc)
+                    ) from exc
+                encoded[id(pending.spec)] = word
             image = images.setdefault(pending.memory, {})
             if pending.address in image:
                 raise AssemblerError(
@@ -572,17 +616,26 @@ class Assembler:
         self._apply_parallel_bits(images, parallel_fixups)
 
         for pending in data:
-            value = pending.value
-            if isinstance(value, _SymbolicValue):
-                value = value.resolve(symbols, pending.line_no)
-            mem = self._model.memories[pending.memory]
+            # A word takes a signed or an unsigned value of its width.
+            width = self._model.memories[pending.memory].dtype.width
+            lowest, highest = -(1 << (width - 1)), mask(width)
             image = images.setdefault(pending.memory, {})
-            if pending.address in image:
-                raise AssemblerError(
-                    "line %d: address 0x%x assembled twice"
-                    % (pending.line_no, pending.address)
-                )
-            image[pending.address] = value & mem.dtype.mask
+            address = pending.address
+            for value in pending.values:
+                if isinstance(value, _SymbolicValue):
+                    value = value.resolve(symbols, pending.line_no)
+                if not lowest <= value <= highest:
+                    raise AssemblerError(
+                        "line %d: value %d does not fit in %d-bit memory %r"
+                        % (pending.line_no, value, width, pending.memory)
+                    )
+                if address in image:
+                    raise AssemblerError(
+                        "line %d: address 0x%x assembled twice"
+                        % (pending.line_no, address)
+                    )
+                image[address] = value & highest
+                address += 1
 
         program = Program(name=name, symbols=dict(symbols))
         for memory, image in images.items():
@@ -636,6 +689,12 @@ class Assembler:
                 line_no,
             )
         return resolved
+
+
+def _misplaced_bar(line_no):
+    return AssemblerError(
+        "line %d: '||' must be followed by an instruction" % line_no
+    )
 
 
 def _strip_comment(line):

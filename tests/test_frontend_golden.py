@@ -4,9 +4,10 @@ Every token the lexer produces for the shipped models, the benchmark
 applications and the example programs is hashed as
 ``(kind, text, value, line, column)`` and compared with recorded
 digests, so any change to a kind, spelling, value or location of any
-token shows here.  Model digests key the
-persistent simulation-table cache, so pinning them keeps existing
-caches warm across front-end changes.
+token shows here.  Model digests identify the model in checkpoints, so
+pinning them keeps existing checkpoints resumable across front-end
+changes; they sit next to the cache's ``FORMAT_VERSION`` because the
+cache keys by the LISA text and only a format bump can invalidate it.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ from repro.apps import build_adpcm, build_fir, build_gsm, build_synthetic
 from repro.lisa.lexer import tokenize
 from repro.lisa.semantics import compile_source
 from repro.models import model_source
-from repro.simcc.cache import model_digest
+from repro.simcc.cache import FORMAT_VERSION, model_digest
 from repro.support.errors import LisaSyntaxError
 from repro.tools.asm import _strip_comment
 
@@ -150,6 +151,11 @@ def test_assembly_token_stream(name):
 
 @pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
 def test_model_digest(name):
+    # The simulation cache keys tables by the LISA text, not by this
+    # digest.  A change that moves a digest here changes the model the
+    # same text compiles to: bump FORMAT_VERSION with the new pins, or
+    # warm caches serve tables of the old model.
+    assert FORMAT_VERSION == 8
     model = compile_source(model_source(name), name + ".lisa")
     assert model_digest(model) == MODEL_DIGESTS[name]
 

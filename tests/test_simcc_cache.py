@@ -694,23 +694,99 @@ class TestFaultHarnessCorruption:
         assert kinds == ["cache_corruption", "cache_format_spoof"]
 
 
+class TestTextKey:
+    """Tables are keyed by the model's LISA text, so a warm lookup never
+    serialises the model; checkpoints keep the model's content digest,
+    which a comment-only edit leaves alone."""
+
+    COMMENTED_SOURCE = TESTMODEL_SOURCE + "\n// a comment-only edit\n"
+
+    @pytest.fixture
+    def model_dumps(self, monkeypatch):
+        calls = []
+        dump = cache_mod.model_to_json
+
+        def counting_dump(model, *args, **kwargs):
+            calls.append(model.name)
+            return dump(model, *args, **kwargs)
+
+        monkeypatch.setattr(cache_mod, "model_to_json", counting_dump)
+        return calls
+
+    @pytest.mark.parametrize("reopen", [False, True],
+                             ids=["memory", "disk"])
+    def test_warm_load_never_dumps_the_model(self, program, cache,
+                                             model_dumps, reopen):
+        _load(compile_source(TESTMODEL_SOURCE, "testmodel.lisa"), program,
+              cache)
+        if reopen:
+            cache = SimulationCache(cache.root)
+        del model_dumps[:]
+        fresh = compile_source(TESTMODEL_SOURCE, "testmodel.lisa")
+        table = _load(fresh, program, cache)
+        assert table.word_count == 5
+        assert cache.stats["memory_hits" if not reopen else "disk_hits"] == 1
+        assert model_dumps == []
+
+    def test_ast_model_is_keyed_by_content(self, testmodel, program):
+        from repro.lisa.parser import parse_source
+        from repro.lisa.semantics import compile_ast
+
+        built = compile_ast(
+            parse_source(TESTMODEL_SOURCE, "testmodel.lisa"),
+            "testmodel.lisa",
+        )
+        assert built.source_digest is None
+        assert (table_digest(built, program, "sequenced")
+                != table_digest(testmodel, program, "sequenced"))
+        assert model_digest(built) == model_digest(testmodel)
+
+    def test_comment_edit_moves_table_key_only(self, testmodel, program):
+        edited = compile_source(self.COMMENTED_SOURCE, "testmodel.lisa")
+        assert edited.source_digest != testmodel.source_digest
+        assert model_digest(edited) == model_digest(testmodel)
+        assert (table_digest(edited, program, "sequenced")
+                != table_digest(testmodel, program, "sequenced"))
+
+    @pytest.mark.parametrize("kind", ["interpretive", "unfolded_static"])
+    def test_checkpoint_restores_across_comment_edit(self, testmodel,
+                                                     program, kind):
+        edited = compile_source(self.COMMENTED_SOURCE, "testmodel.lisa")
+        reference = create_simulator(testmodel, kind)
+        reference.load_program(program)
+        expected = reference.run(max_cycles=1000).cycles
+        for source_model, target_model in ((testmodel, edited),
+                                           (edited, testmodel)):
+            simulator = create_simulator(source_model, kind)
+            simulator.load_program(program)
+            simulator.step()
+            simulator.step()
+            checkpoint = simulator.checkpoint()
+            resumed = create_simulator(target_model, kind)
+            resumed.load_program(program)
+            resumed.restore(checkpoint)
+            assert resumed.run(max_cycles=1000).cycles == expected
+            assert resumed.state.snapshot() == reference.state.snapshot()
+
+
 class TestExistingEntriesStayWarm:
     """Entries of the current format stay warm: their digests are
     pinned, so only a format bump invalidates them, and a stored
     ``"window": None`` key (written by older writers) is ignored on
     load."""
 
-    #: ``table_digest`` values of the test model/program at format 7.
+    #: ``table_digest`` values of the test model/program at format 8,
+    #: keyed by the LISA text.
     PINNED = {
         "sequenced":
-            "4f89717d0c874eaf025af15ca580fc09157bbaff419eaca0581d22c64e3b16c5",
+            "72cec9661a4c17d80896c4782b116cbc895dd60074c20412b02e5da8aa1abad1",
         "instantiated":
-            "e4216fd1d0a7221a322eb3557fa7508dad1e72c6a8a5656890520f3603f783f6",
+            "118dc034f153899688a6d227cc3bbdeeeca4cfc7231c936a7ad629dfe88a6fe8",
     }
 
     @pytest.mark.parametrize("level", sorted(PINNED))
     def test_digest_is_pinned(self, testmodel, program, level):
-        assert cache_mod.FORMAT_VERSION == 7
+        assert cache_mod.FORMAT_VERSION == 8
         assert table_digest(testmodel, program, level) == self.PINNED[level]
 
     def test_payload_with_window_key_loads(self, testmodel, program, cache):
