@@ -17,13 +17,18 @@ import time
 
 from repro.bench import paper_reference
 from repro.bench.reporting import ExperimentReport
-from repro.models import MODEL_REGISTRY, load_model
+from repro.lisa.parser import parse_source
+from repro.lisa.semantics import compile_ast
+from repro.models import MODEL_REGISTRY, model_source, model_source_path
 from repro.simcc import generate_simulation_compiler
 
 
 def _translate(name):
+    text, path = model_source(name), model_source_path(name)
     start = time.perf_counter()
-    model = load_model(name, use_cache=False)
+    # the uncached compiler: compile_source would return the process's
+    # stored model after the first call
+    model = compile_ast(parse_source(text, path), path)
     lisa_time = time.perf_counter() - start
     start = time.perf_counter()
     generate_simulation_compiler(model)

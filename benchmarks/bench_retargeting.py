@@ -19,7 +19,9 @@ import time
 from repro.apps import build_fir
 from repro.bench import compilation_speed, simulation_speed
 from repro.bench.reporting import ExperimentReport
-from repro.models import load_model
+from repro.lisa.parser import parse_source
+from repro.lisa.semantics import compile_ast
+from repro.models import model_source, model_source_path
 from repro.simcc import generate_simulation_compiler
 
 _FIR_ARGS = {
@@ -38,8 +40,9 @@ def test_retargeting(benchmark):
     )
     speedups = {}
     for name in ("tinydsp", "c54x", "c62x"):
+        text, path = model_source(name), model_source_path(name)
         start = time.perf_counter()
-        model = load_model(name, use_cache=False)
+        model = compile_ast(parse_source(text, path), path)
         generate_simulation_compiler(model)
         toolgen_s = time.perf_counter() - start
         app = build_fir(name, **_FIR_ARGS[name])

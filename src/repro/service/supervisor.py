@@ -515,7 +515,7 @@ class Supervisor:
             self._attempt_failed(job, "compile_fault", detail,
                                  retry_only_if_degraded=True)
         else:
-            # decode/simulation/checkpoint/internal errors are
+            # model/decode/simulation/checkpoint/internal errors are
             # deterministic -- a retry would fail identically
             self._quarantine(job, "%s_error" % category, detail)
 

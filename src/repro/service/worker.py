@@ -17,10 +17,10 @@ vocabulary:
     dumps, the worker's :mod:`repro.obs` metrics snapshot and the
     shared-cache statistics.
 ``error``
-    The job failed *in process* (timeout, compile fault, simulation
-    error); carries a category the supervisor's degradation policy
-    dispatches on, the flight recording, and -- for timeouts -- the
-    resume checkpoint.
+    The job failed *in process* (model error, timeout, compile fault,
+    simulation error); carries a category the supervisor's degradation
+    policy dispatches on, the flight recording, and -- for timeouts --
+    the resume checkpoint.
 
 A worker that dies without a word (SIGKILL, native crash) is detected
 by the supervisor through its process sentinel; that path deliberately
@@ -50,7 +50,17 @@ def _resolve_model(spec_model):
 
 
 def classify_error(exc, phase):
-    """Map an in-worker exception to a degradation-policy category."""
+    """Map an in-worker exception to a degradation-policy category.
+
+    Any error while the job's model is read and compiled (phase
+    ``model``) is category ``model``: the same spec fails identically on
+    every retry and on every kind, so it is neither degraded nor
+    retried.
+    """
+    if phase == "model":
+        return "model"
+    if not isinstance(exc, ReproError):
+        return "internal"
     if isinstance(exc, SimulationTimeout):
         return "timeout"
     if isinstance(exc, StaleTableError):
@@ -96,10 +106,11 @@ def run_job(conn, message, cache_dir):
         "type": "started", "job": job_id, "attempt": attempt,
         "pid": os.getpid(),
     })
-    phase = "load"
+    phase = "model"
     cache = None
     try:
         model = _resolve_model(spec.model)
+        phase = "load"
         program = Program.from_dict(spec.program)
         if cache_dir:
             from repro.simcc.cache import SimulationCache
@@ -156,7 +167,7 @@ def run_job(conn, message, cache_dir):
             "metrics": observer.snapshot(),
             "cache_stats": dict(cache.stats) if cache is not None else {},
         })
-    except ReproError as exc:
+    except Exception as exc:  # never take the worker loop down on a job
         checkpoint = getattr(exc, "checkpoint", None)
         conn.send({
             "type": "error", "job": job_id, "attempt": attempt,
@@ -170,15 +181,6 @@ def run_job(conn, message, cache_dir):
                            if checkpoint is not None else None),
             "flight": recorder.snapshot(),
             "cache_stats": dict(cache.stats) if cache is not None else {},
-        })
-    except Exception as exc:  # never take the worker loop down on a job
-        conn.send({
-            "type": "error", "job": job_id, "attempt": attempt,
-            "phase": phase, "category": "internal",
-            "error": type(exc).__name__, "message": str(exc),
-            "cycles": None, "checkpoint": None,
-            "flight": recorder.snapshot(),
-            "cache_stats": {},
         })
 
 

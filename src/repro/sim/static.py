@@ -248,13 +248,15 @@ class StaticPipeline:
             self._write_pc(pc + next_node.slots[0].words)
 
         # -- execute ---------------------------------------------------------
+        # the window advances before it executes, so an error raised at
+        # execute leaves it where the dynamic driver's and a burst's is
+        self._node = next_node
         column = next_node.column
         if column is not None:
             for fn in column:
                 fn()
         else:
-            next_node = self._execute_dynamic(next_node, control)
-        self._node = next_node
+            self._node = self._execute_dynamic(next_node, control)
         self.cycles += 1
 
     def _step_traced(self):
@@ -285,6 +287,7 @@ class StaticPipeline:
             observer.on_issue(self.cycles, pc, next_node.slots[0])
 
         # -- execute ---------------------------------------------------------
+        self._node = next_node
         column = next_node.column
         if column is not None:
             observer.on_static_cycle()
@@ -293,7 +296,8 @@ class StaticPipeline:
         else:
             observer.on_dynamic_cycle()
             entered = next_node
-            next_node = self._execute_dynamic(next_node, control)
+            next_node = self._node = self._execute_dynamic(next_node,
+                                                           control)
             if next_node is not entered:
                 squashed = sum(
                     1 for before, after in zip(entered.pcs, next_node.pcs)
@@ -301,7 +305,6 @@ class StaticPipeline:
                 )
                 if squashed:
                     observer.on_squash(self.cycles, squashed)
-        self._node = next_node
         self.cycles += 1
 
     def _execute_dynamic(self, node, control):

@@ -19,13 +19,6 @@ class TestModelRegistry:
     def test_load_model_cached(self):
         assert load_model("tinydsp") is load_model("tinydsp")
 
-    def test_load_model_uncached(self):
-        from repro.models import load_model as raw_load
-
-        fresh = raw_load("tinydsp", use_cache=False)
-        assert fresh is not load_model("tinydsp")
-        assert fresh.name == "tinydsp"
-
     def test_unknown_model_rejected(self):
         with pytest.raises(ReproError):
             load_model("z80")
@@ -36,6 +29,36 @@ class TestModelRegistry:
         from repro.models import model_source_path
 
         assert os.path.exists(model_source_path("c62x"))
+
+
+@pytest.mark.parametrize("model_name", ["tinydsp", "c62x"])
+def test_shared_model_is_unchanged_by_use(model_name):
+    """A loaded model is shared read-only: FIR on every kind and backend
+    leaves its data base as a fresh compile builds it."""
+    from repro.apps import build_fir
+    from repro.lisa.database import model_to_json
+    from repro.lisa.parser import parse_source
+    from repro.lisa.semantics import compile_ast
+    from repro.models import model_source, model_source_path
+    from repro.sim import create_simulator
+
+    model = load_model(model_name)
+    app = build_fir(model_name, taps=4, samples=8)
+    program = app.assemble(build_toolset(model))
+    configs = [("interpretive", "auto"), ("predecoded", "auto")] + [
+        (kind, backend)
+        for kind in ("compiled", "static", "unfolded", "unfolded_static")
+        for backend in ("auto", "native")
+    ]
+    for kind, backend in configs:
+        simulator = create_simulator(model, kind, backend=backend)
+        simulator.load_program(program)
+        simulator.run(app.max_cycles)
+        app.verify(simulator.state)
+    path = model_source_path(model_name)
+    fresh = compile_ast(parse_source(model_source(model_name), path), path)
+    assert model_to_json(model) == model_to_json(fresh)
+    assert load_model(model_name) is model
 
 
 class TestCompileHelpers:

@@ -1,13 +1,18 @@
 """Tests for the LISA compiler (semantic analysis)."""
 
+import uuid
+
 import pytest
 
-from repro.lisa.semantics import compile_source
+from repro.lisa import semantics
+from repro.lisa.parser import parse_source
+from repro.lisa.semantics import MODEL_MEMO_SIZE, compile_ast, compile_source
 from repro.support.errors import (
     BehaviorError,
     CodingError,
     LisaSemanticError,
 )
+from tests.conftest import TESTMODEL_SOURCE
 
 HEADER = """
 RESOURCE {
@@ -338,3 +343,75 @@ class TestDiagnostics:
         )
         warnings = [d.message for d in model.diagnostics.warnings]
         assert any("shadows" in w for w in warnings)
+
+
+def unique_source(source=TESTMODEL_SOURCE):
+    """``source`` plus a comment no other call adds: a text the model
+    memo has not seen."""
+    return source + "\n// %s\n" % uuid.uuid4().hex
+
+
+class TestModelMemo:
+    """``compile_source`` compiles a text once per process and hands
+    every later caller the same, shared model."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+
+        def counting_parse(source, filename="<string>"):
+            calls.append(filename)
+            return parse_source(source, filename)
+
+        monkeypatch.setattr(semantics, "parse_source", counting_parse)
+        return calls
+
+    def test_same_text_compiles_once(self, parses):
+        source = unique_source()
+        models = [compile_source(source, "memo.lisa") for _ in range(10)]
+        assert all(model is models[0] for model in models)
+        assert parses == ["memo.lisa"]
+
+    def test_other_filename_or_text_is_another_model(self):
+        source = unique_source()
+        model = compile_source(source, "a.lisa")
+        renamed = compile_source(source, "b.lisa")
+        edited = compile_source(source + "// edited\n", "a.lisa")
+        assert renamed is not model and edited is not model
+        assert (model.source_filename, renamed.source_filename,
+                edited.source_filename) == ("a.lisa", "b.lisa", "a.lisa")
+        assert renamed.source_digest == model.source_digest
+        assert edited.source_digest != model.source_digest
+
+    def test_failing_text_is_never_stored(self, parses):
+        source = unique_source(HEADER + ROOT_OK + """
+            OPERATION alpha IN pipe.EX { CODING { 0b0010 } }
+        """)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(LisaSemanticError) as excinfo:
+                compile_source(source, "bad.lisa")
+            messages.append(str(excinfo.value))
+        assert messages == [messages[0]] * 3
+        assert parses == ["bad.lisa"] * 3
+
+    def test_least_recently_used_is_evicted(self):
+        sources = [unique_source() for _ in range(MODEL_MEMO_SIZE + 1)]
+        models = [compile_source(source) for source in sources]
+        assert compile_source(sources[-1]) is models[-1]
+        assert compile_source(sources[1]) is models[1]
+        assert compile_source(sources[0]) is not models[0]
+
+    def test_hit_refreshes_recency(self):
+        sources = [unique_source() for _ in range(MODEL_MEMO_SIZE + 1)]
+        models = [compile_source(source) for source in sources[:-1]]
+        assert compile_source(sources[0]) is models[0]
+        compile_source(sources[-1])
+        assert compile_source(sources[0]) is models[0]
+        assert compile_source(sources[1]) is not models[1]
+
+    def test_compile_ast_never_memoizes(self):
+        model_ast = parse_source(TESTMODEL_SOURCE, "t.lisa")
+        first = compile_ast(model_ast, "t.lisa")
+        assert compile_ast(model_ast, "t.lisa") is not first
+        assert first.source_digest is None

@@ -179,6 +179,9 @@ class TestErrorClassification:
         assert classify_error(DecodeError("d"), "run") == "decode"
         assert classify_error(ReproError("x"), "load") == "compile"
         assert classify_error(ReproError("x"), "run") == "simulation"
+        assert classify_error(ReproError("x"), "model") == "model"
+        assert classify_error(OSError("x"), "model") == "model"
+        assert classify_error(KeyError("x"), "run") == "internal"
 
     @pytest.mark.parametrize("kind", ["interpretive", "predecoded",
                                       "compiled", "unfolded_static"])
@@ -338,6 +341,31 @@ class TestWallTimeout:
             assert status["state"] == "failed"
             assert status["cause"] == "cycle_budget_exhausted"
             assert status["attempt"] == 1  # deterministic: no retries
+
+
+class TestModelErrors:
+    """A job whose model cannot be read or compiled fails identically on
+    every attempt and every kind, so it is quarantined at once."""
+
+    @pytest.mark.parametrize("text, error", [
+        ("MODEL broken; RESOURCE {", "LisaSyntaxError"),
+        (None, "FileNotFoundError"),
+    ], ids=["syntax", "missing"])
+    def test_unusable_model_is_quarantined_at_once(self, fir_spec, tmp_path,
+                                                   text, error):
+        path = tmp_path / "broken.lisa"
+        if text is not None:
+            path.write_text(text)
+        with Supervisor(workers=1, policy=fast_policy()) as pool:
+            job = pool.submit(respec(fir_spec, model=str(path)))
+            status = pool.wait(job, timeout=120)
+        assert status["state"] == "failed"
+        assert status["cause"] == "model_error"
+        assert status["attempt"] == 1
+        assert status["degradations"] == []
+        assert status["kind"] == fir_spec.kind
+        record, = status["attempts"]
+        assert (record["category"], record["error"]) == ("model", error)
 
 
 class TestDegradation:

@@ -9,6 +9,7 @@ and freshly compiled simulation.
 from __future__ import annotations
 
 import os
+import uuid
 
 import pytest
 
@@ -717,12 +718,15 @@ class TestTextKey:
                              ids=["memory", "disk"])
     def test_warm_load_never_dumps_the_model(self, program, cache,
                                              model_dumps, reopen):
-        _load(compile_source(TESTMODEL_SOURCE, "testmodel.lisa"), program,
-              cache)
+        # A text no other test compiles, cold-loaded under another file
+        # name (the table key is the text alone): compile_source hands
+        # the warm load a model nothing has digested yet.
+        source = TESTMODEL_SOURCE + "\n// %s\n" % uuid.uuid4().hex
+        _load(compile_source(source, "cold.lisa"), program, cache)
         if reopen:
             cache = SimulationCache(cache.root)
         del model_dumps[:]
-        fresh = compile_source(TESTMODEL_SOURCE, "testmodel.lisa")
+        fresh = compile_source(source, "testmodel.lisa")
         table = _load(fresh, program, cache)
         assert table.word_count == 5
         assert cache.stats["memory_hits" if not reopen else "disk_hits"] == 1

@@ -172,14 +172,14 @@ def test_executed_trap_leaves_the_python_window(tinydsp, programs, kind):
         assert native.engine.dispatch_counts["bursts"] > 0
 
 
-@pytest.mark.parametrize("kind", ("compiled", "unfolded"))
+@pytest.mark.parametrize(
+    "kind", ("compiled", "static", "unfolded", "unfolded_static")
+)
 def test_off_table_fetch_traps_inside_the_burst(tinydsp, tinydsp_tools,
                                                 kind):
     """Running off the end issues a trap pseudo-slot that raises at the
     execute stage inside the C burst, with the Python path's error,
-    cycle count and window.  (On the static kinds the Python path's
-    window after this trap lags one slot behind the dynamic driver's and
-    the burst's: a known difference of the static scheduler.)"""
+    cycle count and window."""
     from repro.simcc.native import native_available
 
     program = tinydsp_tools.assembler.assemble_text(
