@@ -2,14 +2,12 @@
 
 The fast paths of this code base rest on facts about run-time values:
 the native backend may only evaluate a packet in ``int64_t`` arithmetic
-when every intermediate value provably fits, the self-modify guard only
-needs its fetch interposer when a packet can actually store into
-program memory, and a store's canonicalisation wrap can be dropped when
-the stored value is provably already canonical.  Before this module
-those facts were computed by private, duplicated walkers (the old
-``_fits``/``_bit_bound`` analysis in :mod:`repro.simcc.native.cgen`) or
-simply assumed (the guard instrumented every program).  This module is
-the one shared analysis they all consume.
+when every intermediate value provably fits, and a store's
+canonicalisation wrap can be dropped when the stored value is provably
+already canonical.  Before this module those facts were computed by
+private, duplicated walkers (the old ``_fits``/``_bit_bound`` analysis
+in :mod:`repro.simcc.native.cgen`).  This module is the one shared
+analysis they all consume.
 
 Two abstract domains, combined as a reduced product:
 
@@ -26,8 +24,7 @@ Two abstract domains, combined as a reduced product:
 :func:`analyze_packet` runs both domains over one packet's per-stage IR
 and produces a :class:`PacketProof`: the nativisability verdict (the
 exact admission rule the old cgen analysis implemented), resource
-read/write sets, the set of resources reachable by ``WriteElem`` stores
-(the guard-elision fact), per-resource intervals of every stored value
+read/write sets, per-resource intervals of every stored value
 (validated against concrete execution by the test suite), and any
 provably-trapping operations (surfaced by ``repro-lint`` as ``IR002``).
 Proofs serialise to marshal-compatible payloads and persist with the
@@ -244,25 +241,21 @@ class PacketProof:
     """Per-packet facts proven by abstract interpretation.
 
     ``native`` is the int64-safety verdict the native backend gates on
-    (``reason`` names the first failure).  ``reads``/``writes`` are the
-    resource names touched; ``elem_stores`` the resources reachable by
-    an element store (the guard-elision fact -- a program none of whose
-    packets can ``WriteElem`` into program memory cannot self-modify
-    from generated code).  ``cells`` maps each written resource to the
-    joined ``(lo, hi)`` interval of every value stored into it (``None``
-    ends mean unbounded); concrete runs must stay inside it.  ``traps``
-    lists provably-faulting operations.
+    (``reason`` names the first failure, a run-time loop or a store
+    into program memory among them).  ``reads``/``writes`` are the
+    resource names touched.  ``cells`` maps each written resource to
+    the joined ``(lo, hi)`` interval of every value stored into it
+    (``None`` ends mean unbounded); concrete runs must stay inside it.
+    ``traps`` lists provably-faulting operations.
     """
 
     native: bool
     reason: str = ""
     reads: FrozenSet[str] = frozenset()
     writes: FrozenSet[str] = frozenset()
-    elem_stores: FrozenSet[str] = frozenset()
     cells: Dict[str, Tuple[Optional[int], Optional[int]]] = \
         field(default_factory=dict)
     traps: Tuple[str, ...] = ()
-    has_loop: bool = False
 
     def to_payload(self):
         """Marshal-compatible rendering (persisted with cached tables)."""
@@ -271,26 +264,22 @@ class PacketProof:
             self.reason,
             tuple(sorted(self.reads)),
             tuple(sorted(self.writes)),
-            tuple(sorted(self.elem_stores)),
             tuple(sorted(
                 (name, lo, hi) for name, (lo, hi) in self.cells.items()
             )),
             tuple(self.traps),
-            1 if self.has_loop else 0,
         )
 
     @classmethod
     def from_payload(cls, payload):
-        native, reason, reads, writes, stores, cells, traps, loop = payload
+        native, reason, reads, writes, cells, traps = payload
         return cls(
             native=bool(native),
             reason=str(reason),
             reads=frozenset(reads),
             writes=frozenset(writes),
-            elem_stores=frozenset(stores),
             cells={str(name): (lo, hi) for name, lo, hi in cells},
             traps=tuple(traps),
-            has_loop=bool(loop),
         )
 
 
@@ -302,10 +291,8 @@ class _Analysis:
         self.pmem_name = pmem_name
         self.reads: Set[str] = set()
         self.writes: Set[str] = set()
-        self.elem_stores: Set[str] = set()
         self.cells: Dict[str, AbsVal] = {}
         self.traps: List[str] = []
-        self.has_loop = False
         self.failure: Optional[str] = None
 
     def fail(self, reason):
@@ -491,7 +478,6 @@ def _exec_store(op, env, acc):
     if isinstance(op, ir.WriteElem):
         index = _eval_value(op.index, env, acc)
         _check_index(resource, index, acc)
-        acc.elem_stores.add(resource)
     fact = _eval_value(op.value, env, acc)
     acc.writes.add(resource)
     stored = _stored_fact(op, fact)
@@ -535,7 +521,6 @@ def _exec_ops(ops, env, acc):
             if (then_ops, else_ops) != (op.then_ops, op.else_ops):
                 op = ir.Guard(op.cond, then_ops, else_ops)
         elif isinstance(op, ir.Loop):
-            acc.has_loop = True
             acc.fail("contains a run-time loop")
             _eval_value(op.cond, env, acc)
             _widen_loop_body(op.body, env, acc)
@@ -562,7 +547,6 @@ def _widen_loop_body(body, env, acc):
                     "writes program memory (guard must observe the store)"
                 )
             acc.writes.add(op.resource)
-            acc.elem_stores.add(op.resource)
             acc.record_store(op.resource, TOP)
         for value in ir.op_values(op):
             for node in ir.walk_values(value):
@@ -591,13 +575,11 @@ def analyze_packet(funcs_by_stage, model, pmem_name):
         reason=acc.failure or "",
         reads=frozenset(acc.reads),
         writes=frozenset(acc.writes),
-        elem_stores=frozenset(acc.elem_stores),
         cells={
             name: (fact.lo, fact.hi)
             for name, fact in sorted(acc.cells.items())
         },
         traps=tuple(acc.traps),
-        has_loop=acc.has_loop,
     )
 
 
@@ -611,24 +593,6 @@ def drop_canonical_wraps(ops, model):
     walks it, so the packet proofs of the rewritten IR are unchanged.
     """
     return _exec_ops(ops, {}, _Analysis(model, None))
-
-
-# ---------------------------------------------------------------------------
-# Whole-table helpers (proof persistence consumers)
-# ---------------------------------------------------------------------------
-
-
-def table_store_resources(table, model):
-    """Resources any packet may element-store into, or ``None`` when the
-    table carries no proofs (the direct level-2 table, hand-built
-    tables): the guard must then assume the worst."""
-    proofs = table.proofs
-    if proofs is None:
-        return None
-    targets = set()
-    for proof in proofs.values():
-        targets |= proof.elem_stores
-    return targets
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +687,6 @@ __all__ = [
     "analyze_packet",
     "check_ir",
     "drop_canonical_wraps",
-    "table_store_resources",
     "proofs_to_payload",
     "proofs_from_payload",
 ]

@@ -59,8 +59,6 @@ from repro.obs.events import (
     FAULT,
     FETCH,
     FLUSH,
-    GUARD_ELIDE,
-    GUARD_REARM,
     GUARD_RESOLVE,
     HALT,
     HAZARD,
@@ -189,7 +187,7 @@ def opcode_labeler(model, program):
 __all__ = [
     "BUBBLE", "CACHE", "CHECKPOINT", "COUNTERS_MODE",
     "DEFAULT_EVENT_CAPACITY", "EVENT_KINDS", "FALLBACK", "FAULT",
-    "FETCH", "FLUSH", "GUARD_ELIDE", "GUARD_REARM", "GUARD_RESOLVE",
+    "FETCH", "FLUSH", "GUARD_RESOLVE",
     "HALT", "HAZARD", "MEM_WRITE", "NATIVE", "NATIVE_FALLBACK",
     "NULL_SINK", "NULL_SPAN", "OBSERVER_MODES", "PROFILE_MODE",
     "REG_WRITE",

@@ -51,14 +51,12 @@ TIMEOUT = "resilience.timeout"          # cycle/wall budget expired
 FAULT = "resilience.fault"              # injected fault (test harness)
 NATIVE = "native"                       # native artifact outcome (hit/compile)
 NATIVE_FALLBACK = "native.fallback"     # native backend unavailable, degraded
-GUARD_ELIDE = "resilience.guard_elide"  # proof elided fetch instrumentation
-GUARD_REARM = "resilience.guard_rearm"  # elided guard re-armed by a store
 
 EVENT_KINDS = (
     FETCH, BUBBLE, SQUASH, STALL, FLUSH, HALT,
     FALLBACK, HAZARD, REG_WRITE, MEM_WRITE, CACHE, RUN_END,
     SELF_MODIFY, GUARD_RESOLVE, CHECKPOINT, RESTORE, TIMEOUT, FAULT,
-    NATIVE, NATIVE_FALLBACK, GUARD_ELIDE, GUARD_REARM,
+    NATIVE, NATIVE_FALLBACK,
 )
 
 # -- observer modes ----------------------------------------------------------
@@ -418,16 +416,6 @@ class Observer:
             SELF_MODIFY, address=address, policy=policy,
             invalidated=invalidated,
         )
-
-    def on_guard_elide(self, **args):
-        """A store-reachability proof elided fetch instrumentation."""
-        self.metrics.inc("resilience.guard_elisions")
-        self.emit(GUARD_ELIDE, **args)
-
-    def on_guard_rearm(self, address):
-        """A store into program memory re-armed an elided guard."""
-        self.metrics.inc("resilience.guard_rearms")
-        self.emit(GUARD_REARM, address=address)
 
     def on_guard_resolve(self, pc, action):
         """A stale packet was degraded per policy at fetch time."""

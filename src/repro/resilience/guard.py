@@ -12,8 +12,10 @@ the interpretive reference.  The guard closes this coherence hole:
   assignment, so every store path is covered);
 * the guard maps each written address to the issue packets whose encoding
   covers it and marks those packets *stale*;
-* the engine's front-end is wrapped so a fetch of a stale packet
-  degrades per policy instead of executing stale behaviours:
+* the write that first marks a packet stale wraps the engine's
+  front-end, so a fetch of a stale packet degrades per policy instead
+  of executing stale behaviours (until then every fetch is clean, and
+  the front-end runs unwrapped):
 
   ``error``
       raise a typed :class:`repro.support.errors.StaleTableError` at the
@@ -36,11 +38,7 @@ and ``resilience.interpreted_fetches`` metrics plus
 from __future__ import annotations
 
 from repro.machine.packets import packet_extent
-from repro.support.errors import (
-    ReproError,
-    SimulationError,
-    StaleTableError,
-)
+from repro.support.errors import StaleTableError
 from repro.tools.objfile import Program
 
 GUARD_POLICIES = ("error", "recover")
@@ -80,30 +78,24 @@ class ProgramMemoryGuard:
     """
 
     def __init__(self, simulator, policy):
-        if policy not in GUARD_POLICIES:
-            raise ReproError(
-                "unknown self-modify policy %r (choose from %s)"
-                % (policy, ", ".join(GUARD_POLICIES))
-            )
+        # ``policy`` was checked by Simulator.enable_write_guard
         self.simulator = simulator
         self.policy = policy
         self.stale = set()
         # packet issue pcs recover has recompiled once; a later stale
         # fetch of one of them is interpreted instead
         self.recompiled = set()
-        self.elided = False
         self.stats = {
             "program_writes": 0,
             "self_mod_writes": 0,
             "invalidated_packets": 0,
             "recompiled_packets": 0,
             "interpreted_fetches": 0,
-            "elisions": 0,
-            "rearms": 0,
         }
         self._pmem_name = simulator.model.config.program_memory
         self._target = None
         self._engine = None
+        self._interposed = False
         # address -> set of packet issue pcs whose encoding covers it
         self._covering = {}
         # packet issue pc -> words covered (for incremental re-covering)
@@ -120,20 +112,23 @@ class ProgramMemoryGuard:
 
     # -- arming ------------------------------------------------------------
 
-    def attach(self, target, engine, elide=False):
-        """Arm the guard: wrap storage, build the cover map, interpose.
+    def attach(self, target, engine):
+        """Arm the guard: wrap program memory and build the cover map.
 
-        With ``elide=True`` (the simulator proved, via the absint
-        store-reachability facts, that no compiled packet can store into
-        program memory) the fetch-path interposer is *not* installed:
-        clean programs fetch at full, uninstrumented speed.  Program
-        memory stays wrapped, so an out-of-band store -- a debugger
-        poke, fault injection, a checkpoint restore of patched memory --
-        still reaches :meth:`_note_write`, which lazily installs the
-        interposer before any stale packet can be fetched.  The first
-        self-modifying write therefore behaves bit-identically to a
-        never-elided guard (whose wrapper is a no-op while ``stale`` is
-        empty).
+        The fetch interposer is not installed here but by the write that
+        first marks a packet stale (:meth:`_note_write`).  That is exact
+        because the interposer diverts only fetches of stale pcs, and
+        ``stale`` grows only in :meth:`_note_write` -- and in
+        :meth:`resync`, from packets :meth:`_resolve` recompiled, which
+        only the installed interposer calls.  Every engine reads its
+        front-end at each fetch, and the static engine flushes its
+        interned windows when the front-end is wrapped, as it already
+        does mid-step on every invalidation.  Stores into program memory
+        run in Python through :class:`GuardedMemory` (the native
+        backend admits no packet that makes one), so no store can stale
+        a packet unseen.  A run that never rewrites its code, or writes
+        only data that happens to live in program memory, fetches
+        through the unwrapped front-end throughout.
         """
         self._target = target
         self._engine = engine
@@ -142,18 +137,11 @@ class ProgramMemoryGuard:
         self._extent_of = {}
         for pc, words in target.packet_map().items():
             self._cover(pc, words)
-        self.elided = bool(elide)
-        if self.elided:
-            self.stats["elisions"] += 1
-            observer = self.observer
-            if observer is not None:
-                observer.on_guard_elide(policy=self.policy)
-        else:
-            engine.wrap_frontend(self._make_frontend)
         return self
 
     def disarm(self):
-        """Stop watching writes (the front-end wrapper stays, inert)."""
+        """Stop watching writes (an installed front-end wrapper stays,
+        inert)."""
         storage = getattr(self.simulator.state, self._pmem_name, None)
         if isinstance(storage, GuardedMemory):
             storage.on_write = None
@@ -198,19 +186,6 @@ class ProgramMemoryGuard:
         pcs = self._covering.get(address)
         if not pcs:
             return  # a data store that happens to live in program memory
-        if self.elided:
-            # The static proof covered every *compiled* store; this one
-            # arrived out of band (fault injection, debugger, restore of
-            # patched memory).  Install the fetch interposer now --
-            # before this write marks anything stale, the wrapper is a
-            # no-op, so behaviour is bit-identical to a never-elided
-            # guard from here on.
-            self.elided = False
-            self.stats["rearms"] += 1
-            self._engine.wrap_frontend(self._make_frontend)
-            observer = self.observer
-            if observer is not None:
-                observer.on_guard_rearm(address)
         self.stats["self_mod_writes"] += 1
         coherent = self._target.coherent
         fresh = (
@@ -237,6 +212,10 @@ class ProgramMemoryGuard:
                 pcs=sorted(pcs),
             )
         if fresh:
+            if not self._interposed:
+                # the first stale packet: from here on fetches divert
+                self._interposed = True
+                self._engine.wrap_frontend(self._make_frontend)
             self.stats["invalidated_packets"] += len(fresh)
             self.stale.update(fresh)
         # Invalidate on *every* self-modifying write, not just the first
@@ -330,6 +309,15 @@ class ProgramMemoryGuard:
                     self._note_write(address)
 
 
+def _segment_limit(simulator, pmem_name, pc, default):
+    """End of the loaded program segment holding ``pc``, else
+    ``default``: a refresh decodes no packet past its segment."""
+    for segment in simulator.program.segments_in(pmem_name):
+        if segment.base <= pc < segment.end:
+            return segment.end
+    return default
+
+
 class TableGuardTarget:
     """Guard coupling for the simulation-table kinds.
 
@@ -346,12 +334,7 @@ class TableGuardTarget:
     def __init__(self, simulator, engine):
         self._sim = simulator
         self._engine = engine
-        pmem_name = simulator.model.config.program_memory
-        self._pmem_name = pmem_name
-        self._ranges = [
-            (segment.base, segment.end)
-            for segment in simulator.program.segments_in(pmem_name)
-        ]
+        self._pmem_name = simulator.model.config.program_memory
 
     def packet_map(self):
         return {
@@ -382,7 +365,7 @@ class TableGuardTarget:
         sim = self._sim
         state = sim.state
         pmem = getattr(state, self._pmem_name)
-        limit = self._segment_limit(pc, len(pmem))
+        limit = _segment_limit(sim, self._pmem_name, pc, len(pmem))
         extent = packet_extent(sim.model, pmem.__getitem__, pc, limit)
         words = [int(word) for word in pmem[pc:pc + extent]]
         patch = Program(name="<recompile:0x%x>" % pc, entry=pc)
@@ -412,12 +395,6 @@ class TableGuardTarget:
             updates[pc] = slot.words
         return updates
 
-    def _segment_limit(self, pc, default):
-        for base, end in self._ranges:
-            if base <= pc < end:
-                return end
-        return default
-
 
 class PredecodedGuardTarget:
     """Guard coupling for the predecoded simulator.
@@ -429,15 +406,9 @@ class PredecodedGuardTarget:
 
     coherent = False
 
-    def __init__(self, simulator, engine):
+    def __init__(self, simulator):
         self._sim = simulator
-        self._engine = engine
-        pmem_name = simulator.model.config.program_memory
-        self._pmem_name = pmem_name
-        self._ranges = [
-            (segment.base, segment.end)
-            for segment in simulator.program.segments_in(pmem_name)
-        ]
+        self._pmem_name = simulator.model.config.program_memory
 
     def packet_map(self):
         return dict(self._sim.front.extents)
@@ -450,33 +421,27 @@ class PredecodedGuardTarget:
         front = sim.front
         pmem = getattr(sim.state, self._pmem_name)
         members = front.reload(
-            pmem.__getitem__, pc, self._segment_limit(pc, len(pmem))
+            pmem.__getitem__, pc,
+            _segment_limit(sim, self._pmem_name, pc, len(pmem)),
         )
         updates = {address: front.extents[address] for address in members}
         return sim._fetch(pc), updates
-
-    def _segment_limit(self, pc, default):
-        for base, end in self._ranges:
-            if base <= pc < end:
-                return end
-        return default
 
 
 class CoherentGuardTarget:
     """Guard coupling for simulators that re-decode on every fetch.
 
-    The interpretive simulator is always coherent with program memory,
-    so nothing needs invalidating -- but the guard still *classifies*
-    and counts self-modifying writes, which keeps metrics comparable
-    across kinds (and lets tests assert the reference also saw the SMC
-    event).
+    The interpretive simulator is always coherent with program memory:
+    no packet of it ever goes stale, so the guard never interposes on
+    its fetches.  The guard still *classifies* and counts
+    self-modifying writes, which keeps metrics comparable across kinds
+    (and lets tests assert the reference also saw the SMC event).
     """
 
     coherent = True
 
-    def __init__(self, simulator, engine):
+    def __init__(self, simulator):
         self._sim = simulator
-        self._engine = engine
 
     def packet_map(self):
         program = self._sim.program
@@ -486,11 +451,3 @@ class CoherentGuardTarget:
             for segment in program.segments_in(pmem_name)
             for address in range(segment.base, segment.end)
         }
-
-    def invalidate(self, pcs):
-        pass
-
-    def refresh(self, pc):
-        raise SimulationError(
-            "coherent simulator should never resolve a stale packet"
-        )

@@ -211,29 +211,8 @@ class Simulator:
 
         guard = ProgramMemoryGuard(self, self._guard_policy)
         self.guard = guard.attach(
-            self._guard_target(self._engine), self._engine,
-            elide=self._guard_store_proof(),
+            self._guard_target(self._engine), self._engine
         )
-
-    def _guard_store_proof(self):
-        """Whether the absint store-reachability proofs license eliding
-        the guard's fetch interposer.
-
-        True only when this simulator runs a proof-carrying simulation
-        table *and* no packet of it can element-store into program
-        memory.  Kinds without a table (or tables without proofs --
-        hand-built, legacy cache entries) answer False and keep the
-        full interposer.
-        """
-        table = getattr(self, "table", None)
-        if table is None:
-            return False
-        from repro.analysis import absint
-
-        targets = absint.table_store_resources(table, self.model)
-        if targets is None:
-            return False
-        return self.model.config.program_memory not in targets
 
     def _guard_target(self, engine):
         raise SimulationError(

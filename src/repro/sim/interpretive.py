@@ -76,7 +76,7 @@ class InterpretiveSimulator(Simulator):
     def _guard_target(self, engine):
         from repro.resilience.guard import CoherentGuardTarget
 
-        return CoherentGuardTarget(self, engine)
+        return CoherentGuardTarget(self)
 
     def _build_engine(self, program):
         return Pipeline(

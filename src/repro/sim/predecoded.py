@@ -32,7 +32,7 @@ class PredecodedSimulator(Simulator):
     def _guard_target(self, engine):
         from repro.resilience.guard import PredecodedGuardTarget
 
-        return PredecodedGuardTarget(self, engine)
+        return PredecodedGuardTarget(self)
 
     def _build_engine(self, program):
         from repro.simcc.frontend import ProgramFrontEnd

@@ -73,7 +73,10 @@ from repro.simcc.portable import PortableTable
 #: 8: tables are keyed by the SHA-256 of the model's LISA text instead
 #:    of :func:`model_digest`; payloads are unchanged, but every key
 #:    moved, so v7 entries are clean misses.
-FORMAT_VERSION = 8
+#: 9: packet proofs drop their element-store targets and loop flag
+#:    (six fields, not eight); v8 entries are clean misses, and native
+#:    artifacts record the format and rebuild once.
+FORMAT_VERSION = 9
 
 _MAGIC = b"repro-simtab\n"
 

@@ -51,10 +51,9 @@ class SimulationTable:
 
     ``proofs`` maps packet starts to
     :class:`repro.analysis.absint.PacketProof` facts (nativisability,
-    store-target reachability, per-resource value intervals).  Portable
-    tables carry them through :meth:`bind`; ``None`` means no proof is
-    available (the direct level-2 table) and consumers (guard elision,
-    native admission) must stay conservative.
+    per-resource value intervals).  Portable tables carry them through
+    :meth:`bind`; ``None`` means no proof is available (the direct
+    level-2 table), and native admission must stay conservative.
     """
 
     level: str

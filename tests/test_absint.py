@@ -159,7 +159,6 @@ class TestAnalyzePacket:
         assert proof.native
         assert proof.reason == ""
         assert proof.writes == {"ACC", "dmem"}
-        assert proof.elem_stores == {"dmem"}
         assert proof.reads == {"ACC"}
         assert proof.cells["ACC"] == (5, 5)
         lo, hi = proof.cells["dmem"]
@@ -173,7 +172,7 @@ class TestAnalyzePacket:
         )
         assert not proof.native
         assert "program memory" in proof.reason
-        assert "pmem" in proof.elem_stores
+        assert "pmem" in proof.writes
 
     def test_loop_rejected_but_summarised(self, testmodel):
         proof = _packet(
@@ -184,10 +183,9 @@ class TestAnalyzePacket:
                                   width=32, signed=True),)),
         )
         assert not proof.native
-        assert proof.has_loop
         assert "loop" in proof.reason
         # The widened body still contributes read/write facts.
-        assert "dmem" in proof.elem_stores
+        assert "dmem" in proof.writes
         assert "R" in proof.reads
 
     def test_provable_traps_recorded(self, testmodel):
@@ -280,21 +278,6 @@ class TestTableProofs:
         control = PipelineControl()
         table = portable.bind(state, control)
         assert table.proofs == portable.proofs
-
-    def test_store_resources_exclude_program_memory(self, testmodel,
-                                                    portable):
-        state = ProcessorState(testmodel)
-        table = portable.bind(state, PipelineControl())
-        targets = absint.table_store_resources(table, testmodel)
-        assert "dmem" in targets  # the ``st`` instruction
-        assert "pmem" not in targets  # guard elision is licensed
-
-    def test_proofless_table_answers_none(self, testmodel):
-        class Bare:
-            proofs = None
-            ir_by_stage = None
-
-        assert absint.table_store_resources(Bare(), testmodel) is None
 
 
 # -- soundness over the application matrix ------------------------------------

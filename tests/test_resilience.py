@@ -9,6 +9,8 @@ typed :class:`StaleTableError` under the ``error`` policy.
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro import obs
@@ -145,6 +147,18 @@ def _assert_recover_branches(guard, writes):
         assert guard.stats["interpreted_fetches"] >= 1
 
 
+def _guard_wraps(simulator):
+    """How many guard interposers sit in the engine's front-end (a
+    native engine fetches through its inner Python engine)."""
+    engine = simulator.engine
+    frontend = getattr(engine, "_inner", engine)._frontend
+    wraps = 0
+    while frontend.__name__ == "guarded_frontend":
+        wraps += 1
+        frontend = inspect.getclosurevars(frontend).nonlocals["base"]
+    return wraps
+
+
 class TestSelfModifyingCode:
     @pytest.mark.parametrize("writes", WRITES)
     @pytest.mark.parametrize("kind", COMPILED_KINDS)
@@ -160,6 +174,8 @@ class TestSelfModifyingCode:
         assert stats.cycles == ref_cycles
         assert simulator.state.snapshot() == ref_snapshot
         _assert_recover_branches(simulator.guard, writes)
+        # the out-of-band patch installed the interposer, once
+        assert _guard_wraps(simulator) == 1
 
     @pytest.mark.parametrize("writes", WRITES)
     @pytest.mark.parametrize("kind", TABLE_KINDS)
@@ -270,6 +286,8 @@ class TestSelfModifyingCode:
         assert simulator.guard.stats["self_mod_writes"] == 0
         stats = simulator.run(max_cycles=10_000)
         assert stats.cycles > 0
+        # it stales nothing, so the fetch interposer never goes in
+        assert _guard_wraps(simulator) == 0
 
     def test_recompile_goes_through_cache(
         self, testmodel, smc_program, patch_word, tmp_path
@@ -334,131 +352,30 @@ class TestSelfModifyingCode:
             simulator._guard_target(None)
 
 
-class TestGuardElision:
-    """Proof-gated elision of the guard's fetch interposer.
+class TestLazyInterposer:
+    """The guard's fetch interposer goes in at the first write that
+    makes a packet stale, and not before: a fetch of a clean packet
+    never needs it."""
 
-    The absint store-reachability proof shows no packet of the SMC test
-    program can store into program memory from *generated* code (its
-    only store targets dmem), so the armed guard skips the front-end
-    wrapper entirely -- and lazily re-installs it the moment an
-    out-of-band store (fault injection here) touches a covered address.
-    """
-
-    @pytest.mark.parametrize("kind", ["unfolded", "unfolded_static"])
-    def test_proof_elides_fetch_interposer(self, testmodel, smc_program,
-                                           kind):
-        observer = obs.Observer()
-        simulator = create_simulator(
-            testmodel, kind, observer=observer, on_self_modify="error"
-        )
-        simulator.load_program(smc_program)
-        guard = simulator.guard
-        assert guard.elided
-        assert guard.stats["elisions"] == 1
-        assert guard.stats["rearms"] == 0
-        # The engine's front-end is the unwrapped original.
-        frontend = simulator.engine._frontend
-        assert frontend.__name__ != "guarded_frontend"
-        counters = observer.snapshot()["counters"]
-        assert counters["resilience.guard_elisions"] == 1
-        assert obs.GUARD_ELIDE in [e.kind for e in observer.events]
-
-    def test_elided_run_is_bit_exact_and_uninstrumented(
-        self, testmodel, smc_program
+    def test_interpretive_smc_leaves_frontend_unwrapped(
+        self, testmodel, smc_program, patch_word, repatch_word,
+        smc_references,
     ):
-        reference = create_simulator(testmodel, "interpretive")
-        reference.load_program(smc_program)
-        reference.run(max_cycles=10_000)
-
-        guarded = create_simulator(testmodel, "unfolded",
-                                   on_self_modify="error")
-        guarded.load_program(smc_program)
-        stats = guarded.run(max_cycles=10_000)
-        assert guarded.guard.elided  # never re-armed: zero instrumentation
-        assert guarded.guard.stats["rearms"] == 0
-        assert guarded.guard.stats["self_mod_writes"] == 0
-        assert guarded.state.snapshot() == reference.state.snapshot()
-        assert stats.cycles == reference.cycles
-
-    def test_cached_sequenced_table_carries_the_proof(
-        self, testmodel, smc_program, tmp_path
-    ):
-        """Portable tables persist proofs at every level, so a cached
-        level-2 simulator elides too."""
-        cache = SimulationCache(tmp_path / "simtab")
-        simulator = create_simulator(testmodel, "compiled", cache=cache,
-                                     on_self_modify="error")
-        simulator.load_program(smc_program)
-        assert simulator.guard.elided
-        # And again from disk: the proof round-tripped the payload.
-        reloaded = create_simulator(
-            testmodel, "compiled", cache=SimulationCache(cache.root),
-            on_self_modify="error",
-        )
-        reloaded.load_program(smc_program)
-        assert reloaded.guard.elided
-
-    def test_proofless_table_stays_conservative(self, testmodel,
-                                                smc_program):
-        """The cacheless sequenced path compiles without lowered IR, so
-        no proof exists and the full interposer stays."""
-        simulator = create_simulator(testmodel, "compiled",
-                                     on_self_modify="error")
-        simulator.load_program(smc_program)
-        assert not simulator.guard.elided
-        assert simulator.guard.stats["elisions"] == 0
-        assert simulator.engine._frontend.__name__ == "guarded_frontend"
-
-    def test_interpretive_kind_never_elides(self, testmodel, smc_program):
-        simulator = create_simulator(testmodel, "interpretive",
-                                     on_self_modify="recover")
-        simulator.load_program(smc_program)
-        assert not simulator.guard.elided
-        assert simulator.guard.stats["elisions"] == 0
-
-    def test_external_patch_rearms_then_degrades(
-        self, testmodel, smc_program, patch_word, smc_reference
-    ):
-        """Fault injection into an elided guard: the interposer comes
-        back before any stale fetch, so the run stays bit-identical to
-        the never-elided PR 5 behaviour."""
-        ref_cycles, ref_snapshot = smc_reference
-        observer = obs.Observer()
+        """The reference re-decodes every fetch: its guard counts the
+        writes and never interposes."""
         simulator, stats = _run_with_patch(
-            testmodel, "unfolded", "recover", smc_program, patch_word,
-            observer=observer,
+            testmodel, "interpretive", "recover", smc_program, patch_word,
+            repatch=_repatch(2, repatch_word),
         )
-        guard = simulator.guard
-        assert guard.stats["elisions"] == 1
-        assert guard.stats["rearms"] == 1
-        assert not guard.elided
-        assert simulator.engine._frontend.__name__ == "guarded_frontend"
-        assert stats.cycles == ref_cycles
-        assert simulator.state.snapshot() == ref_snapshot
-        counters = observer.snapshot()["counters"]
-        assert counters["resilience.guard_rearms"] == 1
-        assert obs.GUARD_REARM in [e.kind for e in observer.events]
-
-    def test_data_store_in_program_memory_does_not_rearm(
-        self, testmodel, smc_program
-    ):
-        """A store outside every packet is data, not self-modification:
-        the elision must survive it."""
-        simulator = create_simulator(testmodel, "unfolded",
-                                     on_self_modify="error")
-        simulator.load_program(smc_program)
-        simulator.state.write_memory("pmem", 200, 0x1234)
-        assert simulator.guard.elided
-        assert simulator.guard.stats["rearms"] == 0
-        assert simulator.guard.stats["program_writes"] == 1
+        assert simulator.guard.stats["self_mod_writes"] == 2
+        assert simulator.guard.stale == set()
+        assert _guard_wraps(simulator) == 0
+        assert stats.cycles == smc_references[2][0]
 
 
 # A testmodel variant whose ``stp`` instruction stores a register into
-# program memory: programs using it are provably self-modify-capable,
-# so the guard keeps its full fetch interposer.
-SMC_CAPABLE_SOURCE = None  # built lazily from the conftest source
-
-
+# program memory: programs using it rewrite their own code from
+# generated behaviour code.
 def _smc_capable_model():
     from repro.lisa.semantics import compile_source
     from tests.conftest import TESTMODEL_SOURCE
@@ -481,8 +398,22 @@ OPERATION brnz IN pipe.EX {""",
     return compile_source(source, "smcmodel.lisa")
 
 
-class TestProofGatedElision:
-    """Programs that *can* store to program memory keep the full guard."""
+#: Every guarded configuration of a table kind -- backend, and whether
+#: the table comes through a cache (the cacheless ``compiled``/``static``
+#: table is the direct level-2 one) -- plus predecoded.
+GUARDED_CONFIGS = [
+    pytest.param(kind, backend, cached,
+                 id="%s-%s-%s" % (kind, backend,
+                                  "cache" if cached else "nocache"))
+    for kind in TABLE_KINDS
+    for backend in ("auto", "native")
+    for cached in (False, True)
+] + [pytest.param("predecoded", "auto", False, id="predecoded")]
+
+
+class TestSelfPatchingProgram:
+    """A program that rewrites its own code from generated behaviour
+    code, on every guarded configuration."""
 
     # The program overwrites the nop at ``target:`` with a nop encoding
     # (word 0) loaded through r1 -- a genuine self-modifying store whose
@@ -524,54 +455,64 @@ target: nop
         }
 
     @pytest.fixture(scope="class")
-    def self_patch_program(self, self_patch_programs):
-        return self_patch_programs[1]
+    def cache_root(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("selfpatch-simtab")
 
-    def test_store_capable_program_is_not_elided(
-        self, smc_model, self_patch_program
+    def _load(self, smc_model, program, kind, backend, cached, policy,
+              cache_root):
+        simulator = create_simulator(
+            smc_model, kind, backend=backend, on_self_modify=policy,
+            cache=SimulationCache(cache_root) if cached else None,
+        )
+        simulator.load_program(program)
+        return simulator
+
+    @pytest.mark.parametrize("kind, backend, cached", GUARDED_CONFIGS + [
+        pytest.param("interpretive", "auto", False, id="interpretive"),
+    ])
+    @pytest.mark.parametrize("policy", ["recover", "error"])
+    def test_frontend_unwrapped_at_load(
+        self, smc_model, self_patch_programs, cache_root, kind, backend,
+        cached, policy,
     ):
-        simulator = create_simulator(smc_model, "unfolded",
-                                     on_self_modify="recover")
-        simulator.load_program(self_patch_program)
-        guard = simulator.guard
-        assert not guard.elided
-        assert guard.stats["elisions"] == 0
-        assert simulator.engine._frontend.__name__ == "guarded_frontend"
-        # The proof names the reason: pmem is a reachable store target.
-        from repro.analysis import absint
-
-        targets = absint.table_store_resources(simulator.table, smc_model)
-        assert "pmem" in targets
+        simulator = self._load(smc_model, self_patch_programs[1], kind,
+                               backend, cached, policy, cache_root)
+        assert _guard_wraps(simulator) == 0
 
     @pytest.mark.parametrize("writes", WRITES)
+    @pytest.mark.parametrize("kind, backend, cached", GUARDED_CONFIGS)
     def test_self_patch_matches_interpretive(
-        self, smc_model, self_patch_programs, writes
+        self, smc_model, self_patch_programs, cache_root, kind, backend,
+        cached, writes,
     ):
         program = self_patch_programs[writes]
         reference = create_simulator(smc_model, "interpretive",
                                      on_self_modify="recover")
         reference.load_program(program)
-        reference.run(max_cycles=10_000)
+        expected = reference.run(max_cycles=10_000)
         assert reference.guard.stats["self_mod_writes"] == writes
 
-        simulator = create_simulator(smc_model, "unfolded",
-                                     on_self_modify="recover")
-        simulator.load_program(program)
+        simulator = self._load(smc_model, program, kind, backend, cached,
+                               "recover", cache_root)
+        assert _guard_wraps(simulator) == 0
         stats = simulator.run(max_cycles=10_000)
-        assert simulator.guard.stats["elisions"] == 0
         _assert_recover_branches(simulator.guard, writes)
         assert simulator.state.snapshot() == reference.state.snapshot()
-        assert stats.cycles == reference.cycles
+        assert (stats.cycles, stats.instructions) == (
+            expected.cycles, expected.instructions)
+        # installed once, by the first write, and kept
+        assert _guard_wraps(simulator) == 1
 
+    @pytest.mark.parametrize("kind, backend, cached", GUARDED_CONFIGS)
     def test_self_patch_error_policy_raises(
-        self, smc_model, self_patch_program
+        self, smc_model, self_patch_programs, cache_root, kind, backend,
+        cached,
     ):
-        simulator = create_simulator(smc_model, "unfolded",
-                                     on_self_modify="error")
-        simulator.load_program(self_patch_program)
-        assert not simulator.guard.elided
+        simulator = self._load(smc_model, self_patch_programs[1], kind,
+                               backend, cached, "error", cache_root)
         with pytest.raises(StaleTableError):
             simulator.run(max_cycles=10_000)
+        assert _guard_wraps(simulator) == 0
 
 
 class TestWatchdog:

@@ -779,18 +779,18 @@ class TestExistingEntriesStayWarm:
     ``"window": None`` key (written by older writers) is ignored on
     load."""
 
-    #: ``table_digest`` values of the test model/program at format 8,
+    #: ``table_digest`` values of the test model/program at format 9,
     #: keyed by the LISA text.
     PINNED = {
         "sequenced":
-            "72cec9661a4c17d80896c4782b116cbc895dd60074c20412b02e5da8aa1abad1",
+            "d38ff2bd75c814843be5c4840411ce623acaffff9ac011a45fbd6b08a97bde96",
         "instantiated":
-            "118dc034f153899688a6d227cc3bbdeeeca4cfc7231c936a7ad629dfe88a6fe8",
+            "12b9af0c2bbdd2bfe2be50dfad1cb59ac3e8a3c13ef71a1fe3e5145ecc713f5c",
     }
 
     @pytest.mark.parametrize("level", sorted(PINNED))
     def test_digest_is_pinned(self, testmodel, program, level):
-        assert cache_mod.FORMAT_VERSION == 8
+        assert cache_mod.FORMAT_VERSION == 9
         assert table_digest(testmodel, program, level) == self.PINNED[level]
 
     def test_payload_with_window_key_loads(self, testmodel, program, cache):
