@@ -23,6 +23,8 @@ halt     request end of simulation (pipeline drains)           control
 
 from __future__ import annotations
 
+from types import FunctionType
+
 from repro.support.bitutils import mask as _mask
 from repro.support.bitutils import saturate_signed, sign_extend
 
@@ -86,3 +88,17 @@ CODEGEN_INTRINSIC_NAMES = {
     "min": "__min",
     "max": "__max",
 }
+
+
+def bind_function(fn, state, control):
+    """``fn(s, c, ...)`` bound to a state/control pair as a
+    zero-argument function over the same code object.
+
+    ``(state, control)`` are prepended to ``fn``'s defaults (the hoisted
+    runtime helpers), so a call passes no argument and goes through no
+    ``functools.partial``.
+    """
+    return FunctionType(
+        fn.__code__, fn.__globals__, fn.__name__,
+        (state, control) + (fn.__defaults__ or ()), fn.__closure__,
+    )

@@ -672,6 +672,14 @@ class MachineModel:
     def stage_index(self, stage_name):
         return self.pipeline.stage_index(stage_name)
 
+    @property
+    def execute_stage_index(self):
+        """The default execute stage: the configured one, else the last
+        (where unstaged operations run and trap slots raise)."""
+        if self.config.execute_stage is not None:
+            return self.pipeline.stage_index(self.config.execute_stage)
+        return self.pipeline.depth - 1
+
     def stage_of(self, operation):
         """Pipeline stage index where ``operation`` executes.
 
@@ -680,9 +688,7 @@ class MachineModel:
         """
         if operation.stage is not None:
             return self.pipeline.stage_index(operation.stage)
-        if self.config.execute_stage is not None:
-            return self.pipeline.stage_index(self.config.execute_stage)
-        return self.pipeline.depth - 1
+        return self.execute_stage_index
 
     def operation(self, name):
         try:

@@ -23,6 +23,19 @@ Cycle semantics (one :meth:`Pipeline.step`):
    stages younger than *k* in the same cycle, before they execute;
    ``halt()`` additionally stops fetching, and
    :meth:`Pipeline.run_chunk` returns once the pipeline has drained.
+
+A simulation table knows which stages carry code at all
+(``SimulationTable.active_stages``: every stage where some slot has an
+op, plus the execute stage, where trap slots raise).  The execute phase
+visits only those, deepest first, and then squashes every live slot
+below the cycle's final flush mark.  That is exact: the mark only rises
+within a cycle, and only to the stage whose op requested it, so a stage
+is below the final mark exactly when it was below the mark when its
+turn came -- the moment a visit of every stage would have squashed it.
+Skipped stages run nothing, so the squash is all they need.  An error
+raised at stage *k* ends the cycle before the squash, and then no
+deeper stage can be below the mark either (else *k* would be too, and
+would have been squashed instead of run).
 """
 
 from __future__ import annotations
@@ -68,10 +81,7 @@ def trap_slot(model, message):
     never fires.  If one *does* reach its execute stage, the program
     really ran into undefined memory and the trap reports it.
     """
-    if model.config.execute_stage is not None:
-        stage = model.pipeline.stage_index(model.config.execute_stage)
-    else:
-        stage = model.pipeline.depth - 1
+    stage = model.execute_stage_index
 
     def trap():
         raise SimulationError(message)
@@ -83,24 +93,35 @@ def trap_slot(model, message):
     return IssueSlot(ops_by_stage=ops, words=1, insn_count=1, label="<trap>")
 
 
+def all_stages(depth):
+    """Every stage of a ``depth``-stage pipeline, deepest first."""
+    return tuple(range(depth - 1, -1, -1))
+
+
 class Pipeline:
     """Drives issue slots through the model's pipeline stages.
 
-    Observability: ``step`` is an instance attribute selected by
-    :meth:`set_observer` -- the unhooked :meth:`_step_plain` when no
-    observer is attached (bytecode-identical to the pre-instrumentation
-    hot loop, so the disabled path costs nothing) or
+    ``active_stages`` are the stages the execute phase visits, deepest
+    first: a simulation table's ``active_stages``, or every stage when
+    omitted (the interpretive and predecoded front-ends have no table).
+    :meth:`wrap_frontend` puts the pipeline back on every stage, because
+    the slots a wrapper serves may carry code anywhere.
+
+    Observability: with no observer attached, :meth:`run_chunk` runs
+    the cycle body inline (:meth:`_run_plain`) and ``step`` is its
+    one-cycle case, :meth:`_step_plain`; with one, both go through
     :meth:`_step_traced`, which additionally emits fetch/bubble/squash
     trace events and updates the metrics registry.
     """
 
     __slots__ = (
         "_model", "_state", "_control", "_frontend", "_pc_name",
-        "_depth", "_read_pc", "_write_pc", "slots", "pcs",
+        "_depth", "_read_pc", "_write_pc", "_active", "slots", "pcs",
         "cycles", "instructions_retired", "_observer", "step",
     )
 
-    def __init__(self, model, state, control, frontend, observer=None):
+    def __init__(self, model, state, control, frontend, observer=None,
+                 active_stages=None):
         self._model = model
         self._state = state
         self._control = control
@@ -111,6 +132,10 @@ class Pipeline:
         # name lookup (the PC register is fixed for the model's lifetime).
         self._read_pc = partial(getattr, state, self._pc_name)
         self._write_pc = partial(setattr, state, self._pc_name)
+        self._active = (
+            all_stages(self._depth) if active_stages is None
+            else active_stages
+        )
         self.slots = [None] * self._depth
         # Issue addresses parallel to ``slots`` (None for bubbles):
         # checkpointing captures this window and restore re-fetches it,
@@ -139,6 +164,11 @@ class Pipeline:
         return self._control
 
     @property
+    def active_stages(self):
+        """The stages the execute phase visits, deepest first."""
+        return self._active
+
+    @property
     def drained(self):
         return all(slot is None for slot in self.slots)
 
@@ -151,9 +181,12 @@ class Pipeline:
         """Replace the front-end with ``wrapper(current_frontend)``.
 
         Used by the resilience layer to interpose the program-memory
-        write guard between the pipeline and the simulation table.
+        write guard between the pipeline and the simulation table.  The
+        guard's recompiled and interpreted slots may use stages where
+        the table has no code, so from here on every stage is visited.
         """
         self._frontend = wrapper(self._frontend)
+        self._active = all_stages(self._depth)
 
     def invalidate(self, pcs):
         """Nothing past the front-end is memoised here: no-op."""
@@ -179,55 +212,105 @@ class Pipeline:
         self.cycles = cycles
         self.instructions_retired = instructions_retired
 
+    def run_chunk(self, cycles):
+        """Step for up to ``cycles`` cycles or until halted-and-drained;
+        returns how many cycles actually ran.
+
+        The engine's only run primitive: every stop of a run (cycle
+        limit, wall deadline, autosnapshot, fault-plan cycle) belongs to
+        :meth:`repro.sim.base.Simulator.run`, which calls this between
+        them.
+        """
+        control = self._control
+        if cycles <= 0 or (control.halted and self.drained):
+            return 0
+        if self._observer is None:
+            return self._run_plain(cycles)
+        start = self.cycles
+        end = start + cycles
+        while True:
+            self._step_traced()
+            if self.cycles >= end or (control.halted and self.drained):
+                return self.cycles - start
+
     def _step_plain(self):
-        """Simulate one cycle (unhooked path; keep in sync with
-        :meth:`_step_traced`)."""
+        """Simulate one cycle: the plain loop's one-cycle case."""
+        self._run_plain(1)
+
+    def _run_plain(self, cycles):
+        """Run at least one and up to ``cycles`` cycles with no
+        observer, stopping early once halted and drained; returns the
+        cycles run.  Keep the cycle body in sync with
+        :meth:`_step_traced`.
+
+        The front-end and the active stages are read every cycle: the
+        write guard can wrap the front-end from inside an op.  The
+        counters live in locals and are written back even when an op
+        raises, so an error leaves them where a per-cycle step would.
+        """
         control = self._control
         slots = self.slots
         pcs = self.pcs
+        read_pc = self._read_pc
+        write_pc = self._write_pc
+        retired = self.instructions_retired
+        ran = 0
+        try:
+            while True:
+                # -- advance ----------------------------------------------
+                retiring = slots.pop()
+                pcs.pop()
+                if retiring is not None:
+                    retired += retiring.insn_count
+                if control.halted:
+                    incoming = None
+                    issue_pc = None
+                elif control.stall_cycles > 0:
+                    control.stall_cycles -= 1
+                    incoming = None
+                    issue_pc = None
+                else:
+                    pc = read_pc()
+                    incoming = self._frontend(pc)
+                    issue_pc = pc if incoming is not None else None
+                    if incoming is not None:
+                        write_pc(pc + incoming.words)
+                slots.insert(0, incoming)
+                pcs.insert(0, issue_pc)
 
-        # -- advance ------------------------------------------------------
-        retiring = slots.pop()
-        pcs.pop()
-        if retiring is not None:
-            self.instructions_retired += retiring.insn_count
-        if control.halted:
-            incoming = None
-            issue_pc = None
-        elif control.stall_cycles > 0:
-            control.stall_cycles -= 1
-            incoming = None
-            issue_pc = None
-        else:
-            pc = self._read_pc()
-            incoming = self._frontend(pc)
-            issue_pc = pc if incoming is not None else None
-            if incoming is not None:
-                self._write_pc(pc + incoming.words)
-        slots.insert(0, incoming)
-        pcs.insert(0, issue_pc)
+                # -- execute (oldest first) + same-cycle flush -------------
+                for stage in self._active:
+                    slot = slots[stage]
+                    if slot is None:
+                        continue
+                    if stage < control.flush_below:
+                        slots[stage] = None
+                        pcs[stage] = None
+                        continue
+                    ops = slot.ops_by_stage[stage]
+                    if ops:
+                        control.current_stage = stage
+                        for fn in ops:
+                            fn()
+                below = control.flush_below
+                if below > 0:
+                    # squash what the visit skipped (see the module doc)
+                    slots[:below] = [None] * below
+                    pcs[:below] = [None] * below
+                control.flush_below = -1
 
-        # -- execute (oldest first) + same-cycle flush ---------------------
-        for stage in range(self._depth - 1, -1, -1):
-            slot = slots[stage]
-            if slot is None:
-                continue
-            if stage < control.flush_below:
-                slots[stage] = None
-                pcs[stage] = None
-                continue
-            ops = slot.ops_by_stage[stage]
-            if ops:
-                control.current_stage = stage
-                for fn in ops:
-                    fn()
-        control.flush_below = -1
-
-        self.cycles += 1
+                ran += 1
+                if ran >= cycles or (
+                    control.halted and all(s is None for s in slots)
+                ):
+                    return ran
+        finally:
+            self.cycles += ran
+            self.instructions_retired = retired
 
     def _step_traced(self):
         """One cycle with trace hooks (same semantics as
-        :meth:`_step_plain`, plus event emission)."""
+        :meth:`_run_plain`, plus event emission; visits every stage)."""
         control = self._control
         slots = self.slots
         pcs = self.pcs
@@ -280,19 +363,3 @@ class Pipeline:
             observer.on_squash(self.cycles, squashed)
 
         self.cycles += 1
-
-    def run_chunk(self, cycles):
-        """Step for up to ``cycles`` cycles or until halted-and-drained;
-        returns how many cycles actually ran.
-
-        The engine's only run primitive: every stop of a run (cycle
-        limit, wall deadline, autosnapshot, fault-plan cycle) belongs to
-        :meth:`repro.sim.base.Simulator.run`, which calls this between
-        them.
-        """
-        start = self.cycles
-        end = start + cycles
-        control = self._control
-        while self.cycles < end and not (control.halted and self.drained):
-            self.step()
-        return self.cycles - start

@@ -123,5 +123,6 @@ class CompiledSimulator(Simulator):
         engine = Pipeline(
             self.model, self.state, self.control,
             self.table.make_frontend(self.model),
+            active_stages=self.table.active_stages,
         )
         return maybe_wrap_native(self, engine)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from functools import partial
 
+from repro.machine.driver import all_stages
 from repro.sim.base import Simulator
 from repro.simcc import ir
 from repro.simcc.generator import generate_simulation_compiler
@@ -59,12 +60,19 @@ class _WindowNode:
 
 
 class StaticPipeline:
-    """Pipeline driver running statically scheduled columns."""
+    """Pipeline driver running statically scheduled columns.
+
+    Windows that run dynamically visit only the table's active stages
+    (see :class:`repro.machine.driver.Pipeline`), or every stage once
+    :meth:`wrap_frontend` has interposed a front-end.  With no observer,
+    :meth:`run_chunk` runs the cycle body inline (:meth:`_run_plain`)
+    and ``step`` is its one-cycle case.
+    """
 
     __slots__ = (
         "_model", "_state", "_control", "_table", "_frontend",
         "_column_compiler", "_pc_name", "_depth", "_read_pc",
-        "_write_pc", "_interned", "_root", "_node", "cycles",
+        "_write_pc", "_active", "_interned", "_root", "_node", "cycles",
         "instructions_retired", "_safety", "_verify_schedule",
         "_observer", "step",
     )
@@ -85,6 +93,10 @@ class StaticPipeline:
         # and the register name never changes after construction.
         self._read_pc = partial(getattr, state, self._pc_name)
         self._write_pc = partial(setattr, state, self._pc_name)
+        self._active = (
+            all_stages(self._depth) if table.active_stages is None
+            else table.active_stages
+        )
         self._observer = None
         self.step = self._step_plain
         self._interned = {}
@@ -105,6 +117,11 @@ class StaticPipeline:
     # -- bookkeeping ----------------------------------------------------------
 
     @property
+    def active_stages(self):
+        """The stages a dynamic window visits, deepest first."""
+        return self._active
+
+    @property
     def drained(self):
         return self._node.empty
 
@@ -116,8 +133,11 @@ class StaticPipeline:
     def wrap_frontend(self, wrapper):
         """Replace the front-end with ``wrapper(current_frontend)`` (the
         resilience write guard interposes here); flushes the interned
-        window graph so cached transitions cannot bypass the wrapper."""
+        window graph so cached transitions cannot bypass the wrapper,
+        and visits every stage from here on, as
+        :meth:`repro.machine.driver.Pipeline.wrap_frontend` does."""
         self._frontend = wrapper(self._frontend)
+        self._active = all_stages(self._depth)
         self.invalidate(())
 
     def invalidate(self, pcs):
@@ -227,41 +247,61 @@ class StaticPipeline:
     # -- execution ----------------------------------------------------------------
 
     def _step_plain(self):
-        """One cycle (unhooked path; keep in sync with
-        :meth:`_step_traced`)."""
+        """One cycle: the plain loop's one-cycle case."""
+        self._run_plain(1)
+
+    def _run_plain(self, cycles):
+        """Run at least one and up to ``cycles`` cycles with no
+        observer, stopping early once halted and drained; returns the
+        cycles run (see :meth:`repro.machine.driver.Pipeline._run_plain`).
+        Keep the cycle body in sync with :meth:`_step_traced`."""
         control = self._control
+        read_pc = self._read_pc
+        write_pc = self._write_pc
         node = self._node
+        retired = self.instructions_retired
+        ran = 0
+        try:
+            while True:
+                # -- advance ----------------------------------------------
+                retired += node.retire_insns
+                if control.halted:
+                    node = self._advance_node(node, None, None)
+                elif control.stall_cycles > 0:
+                    control.stall_cycles -= 1
+                    node = self._advance_node(node, None, None)
+                else:
+                    pc = read_pc()
+                    next_node = node.next.get(pc)
+                    if next_node is None:
+                        next_node = self._advance_node(
+                            node, pc, self._frontend(pc)
+                        )
+                    node = next_node
+                    write_pc(pc + node.slots[0].words)
 
-        # -- advance ------------------------------------------------------
-        self.instructions_retired += node.retire_insns
-        if control.halted:
-            next_node = self._advance_node(node, None, None)
-        elif control.stall_cycles > 0:
-            control.stall_cycles -= 1
-            next_node = self._advance_node(node, None, None)
-        else:
-            pc = self._read_pc()
-            next_node = node.next.get(pc)
-            if next_node is None:
-                slot = self._frontend(pc)
-                next_node = self._advance_node(node, pc, slot)
-            self._write_pc(pc + next_node.slots[0].words)
+                # -- execute -------------------------------------------------
+                # the window advances before it executes, so an error
+                # raised at execute leaves it where the dynamic driver's
+                # and a burst's is
+                self._node = node
+                column = node.column
+                if column is not None:
+                    for fn in column:
+                        fn()
+                else:
+                    node = self._node = self._execute_dynamic(node, control)
 
-        # -- execute ---------------------------------------------------------
-        # the window advances before it executes, so an error raised at
-        # execute leaves it where the dynamic driver's and a burst's is
-        self._node = next_node
-        column = next_node.column
-        if column is not None:
-            for fn in column:
-                fn()
-        else:
-            self._node = self._execute_dynamic(next_node, control)
-        self.cycles += 1
+                ran += 1
+                if ran >= cycles or (control.halted and node.empty):
+                    return ran
+        finally:
+            self.cycles += ran
+            self.instructions_retired = retired
 
     def _step_traced(self):
         """One cycle with trace hooks (same semantics as
-        :meth:`_step_plain`); counts static vs dynamic cycles and emits
+        :meth:`_run_plain`); counts static vs dynamic cycles and emits
         fetch/bubble/squash events so the metrics agree with the
         per-fetch simulator kinds even across cached transitions."""
         control = self._control
@@ -308,11 +348,12 @@ class StaticPipeline:
         self.cycles += 1
 
     def _execute_dynamic(self, node, control):
-        """Per-stage execution with flush handling; returns the node for
-        the (possibly squashed) resulting window."""
+        """Per-stage execution over the active stages with flush
+        handling; returns the node for the (possibly squashed) resulting
+        window."""
         slots = node.slots
         squashed = None
-        for stage in range(self._depth - 1, -1, -1):
+        for stage in self._active:
             slot = slots[stage]
             if slot is None:
                 continue
@@ -326,7 +367,14 @@ class StaticPipeline:
                 control.current_stage = stage
                 for fn in ops:
                     fn()
+        below = control.flush_below
         control.flush_below = -1
+        for stage in range(below - 1, -1, -1):
+            # squash what the visit skipped (see repro.machine.driver)
+            if slots[stage] is not None:
+                if squashed is None:
+                    squashed = list(node.pcs)
+                squashed[stage] = None
         if squashed is None:
             return node
         new_slots = tuple(
@@ -339,12 +387,17 @@ class StaticPipeline:
         """Step for up to ``cycles`` cycles or until halted-and-drained;
         returns the cycles actually run (see
         :meth:`repro.machine.driver.Pipeline.run_chunk`)."""
+        control = self._control
+        if cycles <= 0 or (control.halted and self._node.empty):
+            return 0
+        if self._observer is None:
+            return self._run_plain(cycles)
         start = self.cycles
         end = start + cycles
-        control = self._control
-        while self.cycles < end and not (control.halted and self.drained):
-            self.step()
-        return self.cycles - start
+        while True:
+            self._step_traced()
+            if self.cycles >= end or (control.halted and self._node.empty):
+                return self.cycles - start
 
 
 class StaticScheduledSimulator(Simulator):
@@ -356,11 +409,13 @@ class StaticScheduledSimulator(Simulator):
     instruction (oldest first), re-runs dead-write elimination over the
     combined sequence -- a write superseded by a younger instruction in
     the same cycle is dropped -- and compiles one function per interned
-    occupancy; every level-3 table is bound from a portable table, so
-    the IR is always there, cached or not.  ``column_stats``
-    accumulates the pass counters across every fused column (the
-    ``dead_writes_removed`` count is the observable proof that column
-    DCE fires).
+    occupancy that joins two or more functions; a column of one
+    function runs the table's bound op.  Every level-3 table is bound
+    from a portable table, so the IR is always there, cached or not.
+    ``column_stats`` accumulates the pass counters across every fused
+    column (the ``dead_writes_removed`` count is the observable proof
+    that column DCE fires), and ``_column_counter`` counts the fused
+    columns.
     """
 
     def __init__(self, model, level="sequenced", cache=None,
@@ -419,17 +474,23 @@ class StaticScheduledSimulator(Simulator):
         instruction, deepest stage (oldest instruction) first, then
         re-runs dead-write elimination: composition opens exactly one
         new optimisation -- a write made dead by a younger instruction
-        writing the same cell later in the same cycle.
+        writing the same cell later in the same cycle.  A column of one
+        function opens none (that function already went through the
+        passes), so it runs the slot's bound op as it stands.
         """
         table = self.table
-        ops = []
-        for stage in range(self.model.pipeline.depth - 1, -1, -1):
-            pc = pcs[stage]
-            if pc is not None:
-                for func in table.ir_by_stage[pc][stage]:
-                    ops.extend(func.ops)
-        if not ops:
+        cells = [
+            (stage, func)
+            for stage in range(self.model.pipeline.depth - 1, -1, -1)
+            if pcs[stage] is not None
+            for func in table.ir_by_stage[pcs[stage]][stage]
+        ]
+        if not cells:
             return ()
+        if len(cells) == 1:
+            stage = cells[0][0]
+            return slots[stage].ops_by_stage[stage]
+        ops = [op for _stage, func in cells for op in func.ops]
         self._column_counter += 1
         func = ir.optimize_column(
             "column_%d" % self._column_counter, ops, self.model,

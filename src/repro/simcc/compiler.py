@@ -54,6 +54,12 @@ class SimulationTable:
     per-resource value intervals).  Portable tables carry them through
     :meth:`bind`; ``None`` means no proof is available (the direct
     level-2 table), and native admission must stay conservative.
+
+    ``active_stages`` are the stages where some slot has an op, plus
+    the model's execute stage (where trap slots raise), deepest first:
+    the only stages the Python drivers visit (``None``, for a hand-built
+    table: every stage).  On a table whose packets are all native it
+    equals the burst driver's ``NativePlan.active_stages``.
     """
 
     level: str
@@ -64,6 +70,7 @@ class SimulationTable:
     schedule_safety: Optional[Dict[int, str]] = None
     ir_by_stage: Optional[Dict[int, Tuple[Tuple[object, ...], ...]]] = None
     proofs: Optional[Dict[int, object]] = None
+    active_stages: Optional[Tuple[int, ...]] = None
 
     def slot_at(self, pc):
         slot = self.slots.get(pc)
@@ -148,6 +155,7 @@ class SimulationCompiler:
         ctx = EvalContext(state, control, model, {})
         slots = {}
         has_control = {}
+        active = {model.execute_stage_index}
 
         with _obs.span(observer, "simcc.compile", level=level):
             front = ProgramFrontEnd(model, program)
@@ -177,13 +185,18 @@ class SimulationCompiler:
                         has_control[pc] = True
                         continue
                     members = range(pc, pc + extent)
+                    ops_by_stage = tuple(
+                        tuple(itertools.chain.from_iterable(
+                            bound[member][stage] for member in members
+                        ))
+                        for stage in range(model.pipeline.depth)
+                    )
+                    active.update(
+                        stage for stage, ops in enumerate(ops_by_stage)
+                        if ops
+                    )
                     slots[pc] = IssueSlot(
-                        ops_by_stage=tuple(
-                            tuple(itertools.chain.from_iterable(
-                                bound[member][stage] for member in members
-                            ))
-                            for stage in range(model.pipeline.depth)
-                        ),
+                        ops_by_stage=ops_by_stage,
                         words=extent,
                         insn_count=extent,
                     )
@@ -202,6 +215,7 @@ class SimulationCompiler:
             instruction_count=len(front.words),
             word_count=len(front.words),
             schedule_safety=safety,
+            active_stages=tuple(sorted(active, reverse=True)),
         )
 
     def compile_portable(self, program, level="sequenced", observer=None):

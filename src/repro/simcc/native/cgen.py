@@ -22,7 +22,7 @@ Two jobs live here:
    :class:`repro.simcc.native.layout.StateLayout` buffer, and one
    exported ``repro_burst`` drives whole stretches of cycles with
    exactly the semantics of
-   :meth:`repro.machine.driver.Pipeline._step_plain`: retire, fetch (or
+   :meth:`repro.machine.driver.Pipeline._run_plain`: retire, fetch (or
    stall/halt bubble), window shift, deepest-first stage execution with
    flush squashing.  Python is re-entered once per burst, not once per
    micro-op.
@@ -30,7 +30,8 @@ Two jobs live here:
    The driver is specialised to the table when it is rendered.  It
    visits only the *active* stages (``NativePlan.active_stages``):
    those where some native packet has a function, plus the execute
-   stage, where trap slots raise.  They are emitted deepest first as
+   stage, where trap slots raise (the Python drivers do the same over
+   ``SimulationTable.active_stages``).  They are emitted deepest first as
    straight-line code with each stage number a constant, and each
    dispatches through one flat ``stage_fn[(pc - PC_BASE) * DEPTH +
    stage]`` table of function pointers (0 where the packet has no code
@@ -655,10 +656,7 @@ def render_native_source(table, model, state_layout, telemetry=False):
     if table.proofs is None:
         raise L.NativeUnsupported("table has no packet proofs")
     pc_base, pc_limit = pcs[0], pcs[-1] + 1
-    if model.config.execute_stage is not None:
-        exec_stage = model.pipeline.stage_index(model.config.execute_stage)
-    else:
-        exec_stage = depth - 1
+    exec_stage = model.execute_stage_index
 
     region = None
     if telemetry:

@@ -42,10 +42,9 @@ benchmarks enforce it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, Optional, Tuple
 
-from repro.behavior.runtime import CODEGEN_GLOBALS
+from repro.behavior.runtime import CODEGEN_GLOBALS, bind_function
 from repro.machine.driver import IssueSlot, trap_slot
 from repro.simcc.ir import (
     IRFunction,
@@ -80,6 +79,8 @@ class PortableTable:
     traps: Dict[int, str] = field(default_factory=dict)
     _code: Optional[object] = field(default=None, repr=False, compare=False)
     _namespace: Optional[dict] = field(default=None, repr=False, compare=False)
+    _stages: Optional[frozenset] = field(default=None, repr=False,
+                                         compare=False)
 
     # -- code ---------------------------------------------------------------
 
@@ -108,15 +109,29 @@ class PortableTable:
             self._namespace = namespace
         return self._namespace
 
+    def active_stages(self, model):
+        """The stages where some packet has a function, plus ``model``'s
+        execute stage (where trap slots raise), deepest first."""
+        if self._stages is None:
+            self._stages = frozenset(
+                stage
+                for per_stage, _words, _insns in self.table_spec.values()
+                for stage, stage_names in enumerate(per_stage)
+                if stage_names
+            )
+        return tuple(sorted(self._stages | {model.execute_stage_index},
+                            reverse=True))
+
     # -- binding ------------------------------------------------------------
 
     def bind(self, state, control):
         """Rehydrate into a :class:`SimulationTable` bound to a
         state/control pair, without re-running the simulation compiler.
 
-        The bound table carries ``ir_by_stage`` rebuilt from the
-        persisted IR, so static level-3 column *fusion* works on
-        cache-rehydrated tables too.
+        Each op is a zero-argument function over the shared code
+        (:func:`repro.behavior.runtime.bind_function`).  The bound table
+        carries ``ir_by_stage`` rebuilt from the persisted IR, so static
+        level-3 column *fusion* works on cache-rehydrated tables too.
         """
         from repro.simcc.compiler import SimulationTable
 
@@ -128,7 +143,7 @@ class PortableTable:
         for pc, (per_stage, words, insn_count) in self.table_spec.items():
             ops_by_stage = tuple(
                 tuple(
-                    partial(namespace[name], state, control)
+                    bind_function(namespace[name], state, control)
                     for name in stage_names
                 ) if stage_names else empty
                 for stage_names in per_stage
@@ -158,6 +173,7 @@ class PortableTable:
             proofs=(
                 dict(self.proofs) if self.proofs is not None else None
             ),
+            active_stages=self.active_stages(state.model),
         )
 
     # -- (de)serialisation --------------------------------------------------

@@ -87,10 +87,10 @@ class TestLevels:
         )
         slot = table.slots[0]
         # Level 3: at most one generated function per occupied stage,
-        # bound to the state/control pair through a partial.
+        # bound to the state/control pair as a zero-argument function.
         assert len(slot.ops_by_stage[2]) == 1
         assert len(slot.ops_by_stage[3]) == 1
-        assert slot.ops_by_stage[2][0].func.__name__.startswith("insn_")
+        assert slot.ops_by_stage[2][0].__name__.startswith("insn_")
 
     def test_both_levels_execute_identically(self, testmodel,
                                              testmodel_tools):
