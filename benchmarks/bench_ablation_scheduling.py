@@ -26,7 +26,8 @@ def test_scheduling_vs_branch_density_tinydsp(benchmark):
         "E6-sched-tinydsp",
         "static vs dynamic scheduling vs branch density (flushing "
         "pipeline)",
-        "static scheduling composes hazard-free windows at compile time",
+        "static scheduling composes windows free of control hazards at "
+        "compile time",
     )
     advantages = []
     for density in _DENSITIES:

@@ -12,12 +12,15 @@ Three passes over a (model, program) pair, sharing one report format:
    packets and dead writes.
 3. **Hazards** (:mod:`repro.analysis.hazards`): slides the
    pipeline-depth window over the CFG and detects cross-cycle
-   RAW/WAR/WAW conflicts, producing per-packet verdicts that gate
-   static scheduling (``hazard_free`` / ``conflicting`` / ``unknown``).
+   RAW/WAR/WAW conflicts, producing per-packet verdicts
+   (``hazard_free`` / ``conflicting`` / ``unknown``).
 
-:func:`analyze_program` runs all three; :func:`schedule_safety` is the
-narrow entry point the simulation compiler uses to attach verdicts to
-the simulation table.
+:func:`analyze_program` runs all three for ``repro-lint`` and
+:meth:`repro.api.Toolset.analyze`.  The verdicts are lint findings: a
+program whose packets read and write the same storage across cycles
+runs correctly, but probably not as its author meant.  No table build
+runs these passes; static scheduling composes every window without a
+control-capable packet (:mod:`repro.sim.static`).
 """
 
 from __future__ import annotations
@@ -99,17 +102,6 @@ def analyze_program(model, program, packet_lint=True, ir_lint=True,
     return AnalysisResult(report=report, safety=safety, cfg=cfg)
 
 
-def schedule_safety(front):
-    """Hazard verdicts per packet start of the program ``front`` (a
-    :class:`repro.simcc.frontend.ProgramFrontEnd`) holds, as stored on
-    simulation tables.
-
-    This is the analysis the static scheduler consumes; findings are
-    not collected (run :func:`analyze_program` for the full report).
-    """
-    return analyze_hazards(build_cfg(front))
-
-
 __all__ = [
     "AnalysisResult",
     "Finding",
@@ -117,7 +109,6 @@ __all__ = [
     "analyze_program",
     "build_cfg",
     "check_cfg",
-    "schedule_safety",
     "HAZARD_FREE",
     "CONFLICTING",
     "UNKNOWN",

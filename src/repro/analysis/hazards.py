@@ -1,9 +1,12 @@
-"""Cross-cycle pipeline hazard analysis.
+"""Cross-cycle pipeline data-hazard analysis (a lint pass).
 
-Static scheduling (paper Section 3) composes the operations of all
-instructions in flight into one flat column.  That composition is only
-provably order-insensitive when no two in-flight instructions touch the
-same storage out of program order -- a *hazard-free region*.  This pass
+An exposed pipeline executes each instruction's reads and writes in
+the stages the model gives them, so an instruction can read a cell
+before an older one has written it.  The simulators model that timing
+exactly -- static scheduling composes a column in the same
+deepest-stage-first order the dynamic path runs -- so a data hazard
+never changes a simulation result; it is a finding about the program,
+which probably does not mean what its author intended.  This pass
 slides the pipeline-depth window over the recovered CFG and checks, for
 every pair of packets that can be co-resident ``d`` fetches apart,
 whether any access pair violates program order under the simulator's
@@ -29,8 +32,8 @@ branches, including their delay slots, so loop back edges are covered.
 Every canonical packet receives a verdict: ``hazard_free`` (proven),
 ``conflicting`` (a concrete hazard pair was found) or ``unknown``
 (undecodable member, truncated effects, or an unknown branch target in
-flight).  The simulation compiler attaches the verdict map to the
-table; the static scheduler composes columns only over proven regions.
+flight).  ``repro-lint`` reports the verdicts and the findings behind
+them; ``--Werror`` fails a program with any cross-cycle hazard.
 """
 
 from __future__ import annotations

@@ -136,8 +136,7 @@ class Toolset:
             self._cache["simcc"] = generate_simulation_compiler(self.model)
         return self._cache["simcc"]
 
-    def new_simulator(self, kind="compiled", cache=None,
-                      verify_schedule=False, observer=None,
+    def new_simulator(self, kind="compiled", cache=None, observer=None,
                       on_self_modify=None, backend="auto"):
         """Create a fresh simulator.
 
@@ -147,9 +146,7 @@ class Toolset:
         instantiation).
 
         ``cache`` (see :func:`open_cache`) makes load-time simulation
-        compilation persistent across runs.  ``verify_schedule``
-        (static kinds) raises instead of falling back to dynamic
-        scheduling on unproven windows.
+        compilation persistent across runs.
         ``observer`` (see :func:`new_observer` / :mod:`repro.obs`)
         enables trace events, compile-phase spans and metrics.
         ``on_self_modify`` arms the program-memory write guard with a
@@ -162,7 +159,6 @@ class Toolset:
         from repro.sim import create_simulator
 
         return create_simulator(self.model, kind, cache=cache,
-                                verify_schedule=verify_schedule,
                                 observer=observer,
                                 on_self_modify=on_self_modify,
                                 backend=backend)

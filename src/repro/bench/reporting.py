@@ -1,11 +1,12 @@
 """Experiment-report output for the benchmark suite.
 
 pytest captures stdout, so each experiment writes its table both to
-stdout (visible with ``pytest -s``) and to ``benchmarks/results/<exp>.txt``
+stdout (visible with ``pytest -s``) and to ``<results_dir>/<exp>.txt``
 so the regenerated figures survive a quiet run.  Headline machine-
-readable results (``BENCH_*.json``) go through :func:`publish_json`,
-which also drops a copy at the repository root so CI artifacts and
-readers need not dig into ``benchmarks/results/``.
+readable results (``BENCH_*.json``) go through :func:`publish_json`.
+Everything lands in :func:`results_dir`: ``$REPRO_RESULTS_DIR`` when
+set, so a run can keep the tracked ``benchmarks/results/`` files as
+they are, else ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -23,24 +24,10 @@ def results_dir():
 
 
 def publish_json(name, payload):
-    """Write a headline ``BENCH_*.json`` result.
-
-    The canonical copy lands in :func:`results_dir`; a second copy goes
-    to the current working directory (the repository root under the
-    standard ``pytest benchmarks/`` invocation).  The root copy is best
-    effort -- an unwritable directory must not fail the experiment.
-    """
-    text = json.dumps(payload, indent=2) + "\n"
+    """Write a headline ``BENCH_*.json`` result into :func:`results_dir`."""
     path = os.path.join(results_dir(), name)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    root_copy = os.path.abspath(os.path.join(os.getcwd(), name))
-    if root_copy != os.path.abspath(path):
-        try:
-            with open(root_copy, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError:
-            pass
+        handle.write(json.dumps(payload, indent=2) + "\n")
     return path
 
 

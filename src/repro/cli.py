@@ -325,12 +325,6 @@ def sim_main(argv=None):
         "or $REPRO_CACHE_DIR is set",
     )
     parser.add_argument(
-        "--verify-schedule", action="store_true",
-        help="with -k static/unfolded_static: fail instead of falling "
-        "back to dynamic scheduling when a pipeline window is not "
-        "proven hazard-free",
-    )
-    parser.add_argument(
         "--verify-ir", action="store_true",
         help="verify SimIR well-formedness before and after every "
         "optimisation pass (also enabled by REPRO_VERIFY_IR=1); a "
@@ -372,14 +366,6 @@ def sim_main(argv=None):
     )
     _add_werror(parser)
     args = parser.parse_args(argv)
-    if args.verify_schedule and args.kind not in (
-        "static", "unfolded_static"
-    ):
-        parser.exit(
-            2,
-            "error: --verify-schedule requires -k static or "
-            "unfolded_static\n",
-        )
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         parser.exit(2, "error: --checkpoint-every must be at least 1\n")
     if args.verify_ir:
@@ -421,8 +407,7 @@ def sim_main(argv=None):
             backend = "auto"  # untabled kinds reject a stamped backend
         observer = _make_observer(args, model, program)
         simulator = create_simulator(
-            model, args.kind, cache=cache,
-            verify_schedule=args.verify_schedule, observer=observer,
+            model, args.kind, cache=cache, observer=observer,
             on_self_modify=args.on_self_modify, backend=backend,
         )
         load_start = time.perf_counter()
@@ -573,7 +558,7 @@ def lint_main(argv=None):
         "description: VLIW packet write collisions, control-flow "
         "defects (branches into packet middles or delay slots, "
         "out-of-segment targets, unreachable code, dead writes) and "
-        "cross-cycle pipeline hazards gating static scheduling.",
+        "cross-cycle pipeline data hazards.",
     )
     parser.add_argument("model", help="model name or .lisa path")
     parser.add_argument("program", help="object file (.dspo) or assembly "

@@ -287,14 +287,11 @@ class Observer:
 
     # -- scheduler / analysis hooks -------------------------------------------
 
-    def on_fallback(self, pcs, pc, reason, verdict=None):
+    def on_fallback(self, pcs, pc, reason):
         """A pipeline window could not be statically composed."""
         self.metrics.inc("sched.fallback_windows")
         self.metrics.bump("sched.fallbacks_by_reason", reason)
-        self.emit(
-            FALLBACK, window=_window_text(pcs), pc=pc, reason=reason,
-            verdict=verdict,
-        )
+        self.emit(FALLBACK, window=_window_text(pcs), pc=pc, reason=reason)
 
     def on_hazard_verdict(self, pc, verdict):
         self.metrics.bump("analysis.verdicts", verdict)

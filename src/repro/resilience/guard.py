@@ -350,8 +350,6 @@ class TableGuardTarget:
         table = self._sim.table
         for pc in pcs:
             table.has_control[pc] = True
-            if table.schedule_safety is not None:
-                table.schedule_safety[pc] = "unknown"
         # The engine drops whatever it memoised from the stale slots:
         # interned static windows are re-fetched through the guarded
         # front-end, and native bursts demote the packets to the Python
@@ -379,11 +377,6 @@ class TableGuardTarget:
         for pc, slot in mini.slots.items():
             table.slots[pc] = slot
             table.has_control[pc] = mini.has_control.get(pc, True)
-            if table.schedule_safety is not None:
-                # The incremental compile cannot see cross-packet hazards
-                # against untouched neighbours, so force these packets
-                # onto the dynamically-composed path.
-                table.schedule_safety[pc] = "unknown"
             if table.ir_by_stage is not None:
                 # Same route as the table itself, so both carry IR --
                 # except a trap packet, which has none.

@@ -45,18 +45,14 @@ SIM_KINDS = (
 SIM_BACKENDS = ("auto", "native")
 
 
-def create_simulator(model, kind="compiled", cache=None,
-                     verify_schedule=False, observer=None,
+def create_simulator(model, kind="compiled", cache=None, observer=None,
                      on_self_modify=None, backend="auto"):
     """Instantiate a simulator of the given ``kind`` for ``model``.
 
     ``cache`` (a :class:`repro.simcc.cache.SimulationCache`) makes
     load-time simulation compilation persistent and only applies to
     the table-based kinds; the interpretive and predecoded simulators
-    do no load-time compilation and ignore it.  ``verify_schedule``
-    (static kinds only) raises :class:`repro.support.errors.
-    SimulationError` instead of falling back to dynamic scheduling when
-    a pipeline window is not proven hazard-free.  ``observer`` (a
+    do no load-time compilation and ignore it.  ``observer`` (a
     :class:`repro.obs.Observer`) enables trace events, phase spans and
     metrics for this simulator; omitted, the process-wide observer
     installed via :func:`repro.obs.install` applies.  ``on_self_modify``
@@ -94,15 +90,11 @@ def create_simulator(model, kind="compiled", cache=None,
                                       backend=backend)
     elif kind == "static":
         simulator = StaticScheduledSimulator(model, level="sequenced",
-                                             cache=cache,
-                                             verify_schedule=verify_schedule,
-                                             observer=observer,
+                                             cache=cache, observer=observer,
                                              backend=backend)
     elif kind == "unfolded_static":
         simulator = StaticScheduledSimulator(model, level="instantiated",
-                                             cache=cache,
-                                             verify_schedule=verify_schedule,
-                                             observer=observer,
+                                             cache=cache, observer=observer,
                                              backend=backend)
     else:
         raise ReproError(

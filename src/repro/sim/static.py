@@ -25,13 +25,11 @@ squashed window.  PC redirection needs no special handling: the fetch
 address is read from the live PC, so delay-slot branches work inside
 static columns.
 
-When the simulation table carries ``schedule_safety`` verdicts (from
-:mod:`repro.analysis`), composition is additionally gated on every
-in-flight instruction being proven ``hazard_free``: a window touching a
-``conflicting`` or ``unknown`` packet falls back to the dynamic
-per-stage path, which is always order-correct.  ``verify_schedule``
-turns that fallback into a :class:`SimulationError`, for running a
-program as a proof that its schedule is fully static.
+That is the only rule.  A composed column runs the same ops in the same
+deepest-stage-first order as the dynamic per-stage path, so a window
+whose in-flight packets read and write the same storage across cycles
+(a cross-cycle data hazard, which :mod:`repro.analysis` reports as a
+lint finding) composes and still delivers every value at the same time.
 """
 
 from __future__ import annotations
@@ -73,20 +71,17 @@ class StaticPipeline:
         "_model", "_state", "_control", "_table", "_frontend",
         "_column_compiler", "_pc_name", "_depth", "_read_pc",
         "_write_pc", "_active", "_interned", "_root", "_node", "cycles",
-        "instructions_retired", "_safety", "_verify_schedule",
-        "_observer", "step",
+        "instructions_retired", "_observer", "step",
     )
 
     def __init__(self, model, state, control, table, column_compiler=None,
-                 verify_schedule=False, observer=None):
+                 observer=None):
         self._model = model
         self._state = state
         self._control = control
         self._table = table
         self._frontend = table.make_frontend(model)
         self._column_compiler = column_compiler
-        self._safety = table.schedule_safety
-        self._verify_schedule = verify_schedule
         self._pc_name = model.pc_name
         self._depth = model.pipeline.depth
         # Bound accessors: the hot loop reads/writes the PC every cycle
@@ -202,9 +197,8 @@ class StaticPipeline:
         return next_node
 
     def _compose_column(self, pcs, slots):
-        """Statically schedule one occupancy, or None if it contains
-        control-capable (or unknown/trap) instructions, or instructions
-        the hazard analysis could not prove safe to reorder."""
+        """Statically schedule one occupancy, or None if it contains a
+        control-capable (or unknown/trap) instruction."""
         observer = self._observer
         has_control = self._table.has_control
         for pc in pcs:
@@ -212,29 +206,6 @@ class StaticPipeline:
                 if observer is not None:
                     observer.on_fallback(pcs, pc, "control")
                 return None
-        safety = self._safety
-        if safety is not None:
-            for pc in pcs:
-                if pc is not None and safety.get(pc) != "hazard_free":
-                    if observer is not None:
-                        observer.on_fallback(
-                            pcs, pc, "hazard",
-                            verdict=safety.get(pc, "unknown"),
-                        )
-                    if self._verify_schedule:
-                        raise SimulationError(
-                            "schedule verification failed: window %s "
-                            "contains 0x%x with hazard verdict %r -- the "
-                            "region cannot be statically scheduled"
-                            % (
-                                "/".join(
-                                    "-" if p is None else "0x%x" % p
-                                    for p in pcs
-                                ),
-                                pc, safety.get(pc, "unknown"),
-                            )
-                        )
-                    return None
         if self._column_compiler is not None:
             return self._column_compiler(pcs, slots)
         ops = []
@@ -419,16 +390,14 @@ class StaticScheduledSimulator(Simulator):
     """
 
     def __init__(self, model, level="sequenced", cache=None,
-                 verify_schedule=False, observer=None, backend="auto"):
+                 observer=None, backend="auto"):
         super().__init__(model, observer=observer)
         self._level = level
         self._simcc = generate_simulation_compiler(model, validate=False)
         self._cache = cache
-        self._verify_schedule = verify_schedule
         self.backend = backend
         self.table = None
         self._column_counter = 0
-        self._backend = ir.PythonExecBackend()
         self.column_stats = ir.PassStats()
 
     @property
@@ -463,7 +432,6 @@ class StaticScheduledSimulator(Simulator):
         engine = StaticPipeline(
             self.model, self.state, self.control, self.table,
             column_compiler=column_compiler,
-            verify_schedule=self._verify_schedule,
         )
         return maybe_wrap_native(self, engine)
 
@@ -496,5 +464,4 @@ class StaticScheduledSimulator(Simulator):
             "column_%d" % self._column_counter, ops, self.model,
             stats=self.column_stats,
         )
-        fn = self._backend.compile_function(func, self.state, self.control)
-        return (fn,)
+        return (ir.compile_function(func, self.state, self.control),)

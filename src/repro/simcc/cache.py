@@ -51,7 +51,7 @@ from repro.lisa.database import model_to_json
 from repro.simcc.portable import PortableTable
 
 #: Bump when the entry layout or the portable-table payload changes.
-#: 2: portable tables carry per-packet ``schedule_safety`` verdicts.
+#: 2: portable tables carry per-packet hazard verdicts.
 #: 3: portable tables store SimIR payloads instead of source text.
 #: 4: native burst artifacts (.c source + shared object + metadata)
 #:    ride alongside portable tables; older entries are clean misses.
@@ -76,7 +76,11 @@ from repro.simcc.portable import PortableTable
 #: 9: packet proofs drop their element-store targets and loop flag
 #:    (six fields, not eight); v8 entries are clean misses, and native
 #:    artifacts record the format and rebuild once.
-FORMAT_VERSION = 9
+#: 10: portable tables drop the per-packet hazard verdicts (static
+#:    scheduling composes every window without control, so no table
+#:    build runs the hazard pass); v9 entries are clean misses, and
+#:    native artifacts record the format and rebuild once.
+FORMAT_VERSION = 10
 
 _MAGIC = b"repro-simtab\n"
 

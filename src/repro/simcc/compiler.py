@@ -14,9 +14,9 @@ function.  Building it performs, at simulation-compile time:
 
 Steps 1-4 come from the program front end
 (:class:`repro.simcc.frontend.ProgramFrontEnd`), which decodes and
-lowers each word once for the table, its control flags and its hazard
-verdicts alike.  A packet with an undecodable member gets the
-interpretive fetch's trap slot.
+lowers each word once for the table and its control flags alike.  A
+packet with an undecodable member gets the interpretive fetch's trap
+slot.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ class SimulationTable:
     has it; only the level-2 table :meth:`SimulationCompiler.compile`
     builds directly has ``None``.
 
-    ``schedule_safety`` maps canonical packet starts to hazard verdicts
-    from :func:`repro.analysis.schedule_safety` (``hazard_free`` /
-    ``conflicting`` / ``unknown``); the static scheduler composes
-    columns only over proven regions.  ``None`` (hand-built or legacy
-    tables) disables the gate.
-
     ``proofs`` maps packet starts to
     :class:`repro.analysis.absint.PacketProof` facts (nativisability,
     per-resource value intervals).  Portable tables carry them through
@@ -67,7 +61,6 @@ class SimulationTable:
     has_control: Dict[int, bool]
     instruction_count: int = 0
     word_count: int = 0
-    schedule_safety: Optional[Dict[int, str]] = None
     ir_by_stage: Optional[Dict[int, Tuple[Tuple[object, ...], ...]]] = None
     proofs: Optional[Dict[int, object]] = None
     active_stages: Optional[Tuple[int, ...]] = None
@@ -134,9 +127,8 @@ class SimulationCompiler:
         ``instantiated`` is :meth:`compile_portable` bound to the pair.
 
         ``observer`` records one phase-timing span per simulation-
-        compilation step (decoding, sequencing, packet formation, hazard
-        analysis) plus a ``hazard.verdict`` trace event per analysed
-        packet -- the paper's Figure 6 measurement as a built-in.
+        compilation step (decoding, sequencing, packet formation) -- the
+        paper's Figure 6 measurement as a built-in.
         """
         if level not in LEVELS:
             raise ReproError(
@@ -148,7 +140,6 @@ class SimulationCompiler:
                 program, level=level, observer=observer
             ).bind(state, control)
         from repro import obs as _obs
-        from repro.analysis import schedule_safety
         from repro.simcc.frontend import ProgramFrontEnd
 
         model = self._model
@@ -202,19 +193,12 @@ class SimulationCompiler:
                     )
                     has_control[pc] = front.control_capable(pc)
 
-            with _obs.span(observer, "simcc.analyze"):
-                safety = schedule_safety(front)
-            if observer is not None and safety:
-                for pc, verdict in sorted(safety.items()):
-                    observer.on_hazard_verdict(pc, verdict)
-
         return SimulationTable(
             level=level,
             slots=slots,
             has_control=has_control,
             instruction_count=len(front.words),
             word_count=len(front.words),
-            schedule_safety=safety,
             active_stages=tuple(sorted(active, reverse=True)),
         )
 

@@ -145,11 +145,6 @@ def render_module(model, program, portable):
         "HAS_CONTROL = %r\n" % (dict(sorted(portable.has_control.items())),)
     )
     chunks.append("TRAPS = %r\n" % (dict(sorted(portable.traps.items())),))
-    safety = portable.schedule_safety
-    chunks.append(
-        "SCHEDULE_SAFETY = %r\n"
-        % (dict(sorted(safety.items())) if safety is not None else None,)
-    )
     chunks.append(
         "PROGRAM = _Program.from_dict(%r)\n" % (program.to_dict(),)
     )

@@ -25,11 +25,11 @@ constant folding of decoded operands, width-canonicalisation
 coalescing, dead local/resource-write elimination, runtime-helper
 hoisting -- and two backends consume the *same* lowered IR:
 
-* :class:`PythonExecBackend` renders an :class:`IRFunction` and
-  ``compile``/``exec``\\ s it in-process (the compiled simulator and the
-  static column fuser), and
-* :class:`ModuleBackend` renders the functions as standalone
-  module-level source (the emitted simulator module).
+* :class:`ModuleBackend` renders the functions as ``(s, c)``
+  module-level source (the portable table's shared namespace and the
+  emitted simulator module), and
+* :func:`compile_function` execs that same source for one function and
+  binds it to a state/control pair (the static column fuser).
 
 The coalescing pass asks the abstract interpreter
 (:mod:`repro.analysis.absint`) which stores are already canonical and
@@ -56,6 +56,7 @@ from repro.behavior.runtime import (
     CODEGEN_INTRINSIC_NAMES,
     CONTROL_INTRINSICS,
     PURE_INTRINSICS,
+    bind_function,
 )
 from repro.support.bitutils import canonical_source, canonicalize
 from repro.support.errors import BehaviorError
@@ -1119,18 +1120,12 @@ def render_ops(ops, indent=1):
     return lines
 
 
-def render_function_source(func, bind=None):
-    """A complete ``def`` for one IR function.
+def render_function_source(func):
+    """A complete ``def`` for one IR function, over ``(s, c)``.
 
-    ``bind`` maps the state/control parameters to default-argument
-    expressions (closure-free binding for the exec backend); ``None``
-    produces the plain ``(s, c)`` signature emitted modules use.  The
-    hoisted runtime helpers always bind as trailing defaults.
+    The hoisted runtime helpers bind as trailing defaults.
     """
-    if bind is None:
-        params = "s, c"
-    else:
-        params = "s=%s, c=%s" % bind
+    params = "s, c"
     for helper in func.helpers:
         params += ", %s=%s" % (helper, helper)
     lines = ["def %s(%s):" % (func.name, params)]
@@ -1144,30 +1139,19 @@ def render_function_source(func, bind=None):
 # ---------------------------------------------------------------------------
 
 
-class PythonExecBackend:
-    """Backend 1: in-process ``compile``/``exec`` of rendered IR.
-
-    Used by the compiled simulator's operation-instantiation level and
-    by the static scheduler's column fusion.  Binding happens through
-    default arguments, so calls are closure-free and zero-argument.
-    """
-
-    def render(self, func, bind=("__state", "__ctrl")):
-        return render_function_source(func, bind=bind)
-
-    def compile_function(self, func, state, control):
-        """Compile ``func`` into a no-argument callable bound to
-        ``state`` and ``control``."""
-        source = self.render(func)
-        namespace = dict(CODEGEN_GLOBALS)
-        namespace["__state"] = state
-        namespace["__ctrl"] = control
-        exec(compile(source, "<simir:%s>" % func.name, "exec"), namespace)
-        return namespace[func.name]
+def compile_function(func, state, control):
+    """Compile ``func`` into a no-argument callable bound to ``state``
+    and ``control``: its ``(s, c)`` source is exec'd over
+    :data:`repro.behavior.runtime.CODEGEN_GLOBALS` and bound with
+    :func:`repro.behavior.runtime.bind_function`, as table ops are."""
+    namespace = dict(CODEGEN_GLOBALS)
+    exec(compile(render_function_source(func), "<simir:%s>" % func.name,
+                 "exec"), namespace)
+    return bind_function(namespace[func.name], state, control)
 
 
 class ModuleBackend:
-    """Backend 2: standalone module-level source over the same IR.
+    """Standalone module-level source over the IR.
 
     Produces ``(s, c)``-parameterised function source suitable for the
     emitted simulator module and the portable table's shared namespace;
@@ -1427,7 +1411,7 @@ __all__ = [
     "dead_writes", "eliminate_dead_writes", "hoist_helpers", "DEFAULT_PASSES",
     "run_passes", "optimize_column",
     "render_value", "render_ops", "render_function_source",
-    "PythonExecBackend", "ModuleBackend",
+    "compile_function", "ModuleBackend",
     "value_to_payload", "value_from_payload", "op_to_payload",
     "op_from_payload", "function_to_payload", "function_from_payload",
     "format_ops", "format_function", "dump_program_ir",

@@ -74,7 +74,6 @@ class PortableTable:
     has_control: Dict[int, bool]
     instruction_count: int
     word_count: int
-    schedule_safety: Optional[Dict[int, str]] = None
     proofs: Optional[Dict[int, object]] = None
     traps: Dict[int, str] = field(default_factory=dict)
     _code: Optional[object] = field(default=None, repr=False, compare=False)
@@ -165,10 +164,6 @@ class PortableTable:
             has_control=dict(self.has_control),
             instruction_count=self.instruction_count,
             word_count=self.word_count,
-            schedule_safety=(
-                dict(self.schedule_safety)
-                if self.schedule_safety is not None else None
-            ),
             ir_by_stage=ir_by_stage,
             proofs=(
                 dict(self.proofs) if self.proofs is not None else None
@@ -196,10 +191,6 @@ class PortableTable:
                 for pc, (per_stage, words, insns) in self.table_spec.items()
             },
             "has_control": dict(self.has_control),
-            "schedule_safety": (
-                dict(self.schedule_safety)
-                if self.schedule_safety is not None else None
-            ),
             "proofs": self._proofs_payload(),
             "code": self.code() if with_code else None,
         }
@@ -242,13 +233,6 @@ class PortableTable:
                 int(pc): bool(flag)
                 for pc, flag in payload["has_control"].items()
             },
-            schedule_safety=(
-                {
-                    int(pc): str(verdict)
-                    for pc, verdict in payload["schedule_safety"].items()
-                }
-                if payload.get("schedule_safety") is not None else None
-            ),
             instruction_count=payload["instruction_count"],
             word_count=payload["word_count"],
             traps={
@@ -268,7 +252,7 @@ def build_portable_table(model, program, level="sequenced", observer=None):
     ``observer`` records one phase-timing span per compilation step.
     """
     from repro import obs as _obs
-    from repro.analysis import absint, schedule_safety
+    from repro.analysis import absint
     from repro.simcc import verify
     from repro.simcc.compiler import LEVELS
     from repro.simcc.frontend import ProgramFrontEnd
@@ -333,12 +317,6 @@ def build_portable_table(model, program, level="sequenced", observer=None):
                 table_spec[pc] = (per_stage, extent, extent)
                 has_control[pc] = front.control_capable(pc)
 
-        with _obs.span(observer, "simcc.analyze"):
-            safety = schedule_safety(front)
-        if observer is not None and safety:
-            for pc, verdict in sorted(safety.items()):
-                observer.on_hazard_verdict(pc, verdict)
-
         if verify.enabled():
             with _obs.span(observer, "simcc.verify",
                            functions=len(functions)):
@@ -368,7 +346,6 @@ def build_portable_table(model, program, level="sequenced", observer=None):
         has_control=has_control,
         instruction_count=len(front.words),
         word_count=len(front.words),
-        schedule_safety=safety,
         proofs=proofs,
         traps=traps,
     )

@@ -57,7 +57,7 @@ def run_codegen(model, node, source, setup=None):
     func = stage_function_of(
         model, [(node, _FakeBehavior(stmts(source)))], "test_fn"
     )
-    ir.PythonExecBackend().compile_function(func, state, control)()
+    ir.compile_function(func, state, control)()
     return state, control
 
 
@@ -302,7 +302,7 @@ OPERATION double { CODING { 0b1 } BEHAVIOR { R[0] = R[0] * 2; } }
 
         state2 = ProcessorState(model)
         control2 = PipelineControl()
-        ir.PythonExecBackend().compile_function(
+        ir.compile_function(
             stage_function_of(model, [(node, behavior)]), state2, control2
         )()
         assert state2.R[2] == expected

@@ -1,5 +1,7 @@
 """Tests for the experiment harness used by the benchmark suite."""
 
+import json
+
 import pytest
 
 from repro.apps import build_fir
@@ -13,7 +15,7 @@ from repro.bench import (
     speedup,
     standard_apps,
 )
-from repro.bench.reporting import ExperimentReport
+from repro.bench.reporting import ExperimentReport, publish_json
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +90,15 @@ class TestReporting:
         written = (tmp_path / "e0-test.txt").read_text()
         assert written == text
         assert "unit test experiment" in capsys.readouterr().out
+
+    def test_json_written_only_to_results_dir(self, tmp_path, monkeypatch):
+        results = tmp_path / "results"
+        checkout = tmp_path / "checkout"
+        checkout.mkdir()
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(results))
+        monkeypatch.chdir(checkout)
+        path = publish_json("BENCH_unit.json", {"speedup": 2.5})
+        assert path == str(results / "BENCH_unit.json")
+        assert json.loads((results / "BENCH_unit.json").read_text()) == {
+            "speedup": 2.5}
+        assert list(checkout.iterdir()) == []

@@ -273,24 +273,22 @@ class TestLintMain:
         assert capsys.readouterr().out == first
 
 
-class TestVerifySchedule:
-    def test_requires_static_kind(self, tmp_path):
+class TestVerifyScheduleRemoved:
+    """Static scheduling has no hazard gate left to verify: whether a
+    program has cross-cycle data hazards is ``repro-lint --Werror``'s
+    question (``test_werror_promotes_warnings``)."""
+
+    def test_flag_is_rejected(self, capsys, tmp_path):
         prog = tmp_path / "p.asm"
         prog.write_text(CLEAN_C62X)
         with pytest.raises(SystemExit) as excinfo:
-            sim_main(["c62x", str(prog), "--verify-schedule"])
-        assert excinfo.value.code == 2
-
-    def test_clean_program_verifies(self, capsys, tmp_path):
-        prog = tmp_path / "p.asm"
-        prog.write_text(CLEAN_C62X)
-        assert sim_main(["c62x", str(prog), "-k", "static",
-                         "--verify-schedule"]) == 0
-        assert "halted" in capsys.readouterr().out
-
-    def test_conflicting_program_fails(self, capsys, tmp_path):
-        prog = tmp_path / "p.asm"
-        prog.write_text(RAW_C62X)
-        with pytest.raises(SystemExit):
             sim_main(["c62x", str(prog), "-k", "static",
                       "--verify-schedule"])
+        assert excinfo.value.code == 2
+        assert "--verify-schedule" in capsys.readouterr().err
+
+    def test_option_is_gone(self, c62x):
+        from repro.sim import create_simulator
+
+        with pytest.raises(TypeError):
+            create_simulator(c62x, "static", verify_schedule=True)

@@ -1,7 +1,8 @@
 """Cross-backend and pass tests for the SimIR layer.
 
-The tentpole guarantee of the IR refactor: the in-process exec backend
-(``PythonExecBackend``) and the standalone module emitter
+The tentpole guarantee of the IR refactor: the in-process code (the
+portable table's shared namespace, and ``ir.compile_function`` for
+fused static columns) and the standalone module emitter
 (``ModuleBackend``) consume the *same* lowered, post-pass IR, so they
 are bit-identical by construction.  These tests check the construction:
 

@@ -106,8 +106,7 @@ class TestSpans:
         observer, _, _ = traced
         names = {span.name for span in observer.spans}
         assert {"sim.load", "simcc.compile", "simcc.decode",
-                "simcc.sequence", "simcc.packetize",
-                "simcc.analyze"} <= names
+                "simcc.sequence", "simcc.packetize"} <= names
 
     def test_instantiated_level_records_instantiate_span(
             self, testmodel, testmodel_tools):
@@ -115,7 +114,7 @@ class TestSpans:
         # abstract interpretation included, and no level-2 sequencing.
         observer, _, _ = run_traced(testmodel, testmodel_tools, "unfolded")
         names = {span.name for span in observer.spans}
-        assert {"simcc.decode", "simcc.packetize", "simcc.analyze",
+        assert {"simcc.decode", "simcc.packetize",
                 "simcc.absint"} <= names
         assert not observer.spans_of("simcc.sequence")
 
@@ -207,20 +206,33 @@ class TestCacheEvents:
 
 
 class TestStaticScheduling:
-    def test_fallback_and_verdict_events(self, testmodel, testmodel_tools):
-        observer, _, _ = run_traced(testmodel, testmodel_tools, "static")
-        verdicts = observer.events_of(obs.HAZARD)
-        assert verdicts  # emitted at simulation-compile time
-        assert all(
-            e.args["verdict"] in ("hazard_free", "conflicting", "unknown")
-            for e in verdicts
-        )
+    @pytest.mark.parametrize("kind", ["static", "unfolded_static"])
+    def test_load_runs_no_hazard_analysis(self, testmodel, testmodel_tools,
+                                          kind):
+        observer, _, _ = run_traced(testmodel, testmodel_tools, kind)
+        assert observer.spans_of("simcc.compile")
+        assert not observer.spans_of("simcc.analyze")
+        assert not observer.events_of(obs.HAZARD)
         # The loop program branches, so control-capable windows fall
-        # back to the dynamic path and say why.
+        # back to the dynamic path and say why: control is the only
+        # reason there is.
         fallbacks = observer.events_of(obs.FALLBACK)
         assert fallbacks
-        assert {e.args["reason"] for e in fallbacks} <= {
-            "control", "hazard"}
+        assert {e.args["reason"] for e in fallbacks} == {"control"}
+        assert observer.metrics.family("sched.fallbacks_by_reason") == {
+            "control": len(fallbacks)}
+
+    def test_analyzer_emits_one_verdict_per_packet(self, testmodel,
+                                                   testmodel_tools):
+        from repro.analysis import analyze_program
+
+        program = testmodel_tools.assembler.assemble_text(SOURCE)
+        observer = obs.Observer()
+        result = analyze_program(testmodel, program, observer=observer)
+        verdicts = observer.events_of(obs.HAZARD)
+        assert len(verdicts) == len(result.cfg.order)
+        assert {e.args["pc"]: e.args["verdict"] for e in verdicts} \
+            == result.safety
 
 
 class TestExporters:

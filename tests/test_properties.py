@@ -179,7 +179,7 @@ class TestBackendAgreementFuzz:
 
         behavior = _B()
         behavior.statements = statements
-        fn = ir.PythonExecBackend().compile_function(
+        fn = ir.compile_function(
             stage_function_of(testmodel, [(node, behavior)], "fuzz"),
             cg_state, PipelineControl(),
         )

@@ -131,7 +131,6 @@ class TestLevels:
         slot = table.slots[0]
         assert (slot.words, slot.insn_count, slot.label) == (1, 1, "<trap>")
         assert table.has_control[0]
-        assert table.schedule_safety[0] == "unknown"
         with pytest.raises(SimulationError,
                            match="no operation coding matches"):
             for ops in slot.ops_by_stage:

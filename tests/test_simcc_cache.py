@@ -483,55 +483,6 @@ class TestNativeArtifacts:
         assert second.state.differences(first.state) == []
 
 
-class TestScheduleSafetyRoundTrip:
-    """Hazard verdicts survive the portable payload and the disk cache."""
-
-    def test_portable_table_carries_verdicts(self, testmodel, program):
-        portable = build_portable_table(testmodel, program)
-        assert portable.schedule_safety is not None
-        assert set(portable.schedule_safety.values()) <= {
-            "hazard_free", "conflicting", "unknown"
-        }
-
-    def test_payload_round_trip(self, testmodel, program):
-        from repro.simcc.portable import PortableTable
-
-        portable = build_portable_table(testmodel, program)
-        clone = PortableTable.from_payload(portable.to_payload())
-        assert clone.schedule_safety == portable.schedule_safety
-
-    def test_bound_table_inherits_verdicts(self, testmodel, program):
-        portable = build_portable_table(testmodel, program)
-        state, control = _fresh_engine(testmodel, program)
-        table = portable.bind(state, control)
-        assert table.schedule_safety == portable.schedule_safety
-
-    def test_disk_round_trip(self, testmodel, program, cache):
-        fresh = _load(testmodel, program, cache)
-        reopened = SimulationCache(cache.root)
-        warmed = _load(testmodel, program, reopened)
-        assert reopened.stats["disk_hits"] == 1
-        assert warmed.schedule_safety == fresh.schedule_safety
-        assert warmed.schedule_safety is not None
-
-    def test_cached_and_compiled_verdicts_agree(self, testmodel, program,
-                                                cache):
-        cached = _load(testmodel, program, cache)
-        simcc = generate_simulation_compiler(testmodel, validate=False)
-        state, control = _fresh_engine(testmodel, program)
-        compiled = simcc.compile(program, state, control)
-        assert cached.schedule_safety == compiled.schedule_safety
-
-    def test_emitted_module_carries_verdicts(self, testmodel, program):
-        from repro.simcc.emit import render_module
-
-        portable = build_portable_table(testmodel, program)
-        source = render_module(testmodel, program, portable)
-        namespace = {}
-        exec(compile(source, "<emitted>", "exec"), namespace)
-        assert namespace["SCHEDULE_SAFETY"] == portable.schedule_safety
-
-
 def _race_store(root, rounds):
     """Worker for the concurrent-writer stress test (spawn-safe).
 
@@ -779,18 +730,18 @@ class TestExistingEntriesStayWarm:
     ``"window": None`` key (written by older writers) is ignored on
     load."""
 
-    #: ``table_digest`` values of the test model/program at format 9,
+    #: ``table_digest`` values of the test model/program at format 10,
     #: keyed by the LISA text.
     PINNED = {
         "sequenced":
-            "d38ff2bd75c814843be5c4840411ce623acaffff9ac011a45fbd6b08a97bde96",
+            "8b44d7a1dc1f006d907a2d4800d75ba1d07dd1ba0afd588a04b428d6e0bd8c2e",
         "instantiated":
-            "12b9af0c2bbdd2bfe2be50dfad1cb59ac3e8a3c13ef71a1fe3e5145ecc713f5c",
+            "0b043f9912bf9811b881285162a17d326de7e2906c6b3a40f91151d4a3fac284",
     }
 
     @pytest.mark.parametrize("level", sorted(PINNED))
     def test_digest_is_pinned(self, testmodel, program, level):
-        assert cache_mod.FORMAT_VERSION == 9
+        assert cache_mod.FORMAT_VERSION == 10
         assert table_digest(testmodel, program, level) == self.PINNED[level]
 
     def test_payload_with_window_key_loads(self, testmodel, program, cache):

@@ -399,7 +399,7 @@ def _execute(func, model):
     state.ACC = 5
     for i in range(8):
         state.R[i] = i * 3 - 7
-    ir.PythonExecBackend().compile_function(func, state, control)()
+    ir.compile_function(func, state, control)()
     return state.snapshot()
 
 
