@@ -4,7 +4,9 @@ The paper's core claim is *retargetable* compiled simulation: the same
 generator flow serves any LISA model.  We run the identical FIR problem
 through the full flow on all three shipped models -- 4-stage flushing
 scalar, 6-stage accumulator DSP, 11-stage VLIW -- and report, per model:
-tool-generation time, simulation-compilation speed, and the
+tool-generation time (the LISA compile plus the simulation-compiler
+generator), assembler-generation time with the number of SYNTAX forms it
+generates, simulation-compilation speed, and the
 compiled-over-interpretive speed-up.
 
 Shape assertion: the deeper the front-end (more fetch/decode work per
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import time
 
+import repro.tools.asm  # noqa: F401  (asmgen_s times generation, not the import)
+from repro.api import build_toolset
 from repro.apps import build_fir
 from repro.bench import compilation_speed, simulation_speed
 from repro.bench.reporting import ExperimentReport
@@ -45,6 +49,9 @@ def test_retargeting(benchmark):
         model = compile_ast(parse_source(text, path), path)
         generate_simulation_compiler(model)
         toolgen_s = time.perf_counter() - start
+        start = time.perf_counter()
+        assembler = build_toolset(model).assembler
+        asmgen_s = time.perf_counter() - start
         app = build_fir(name, **_FIR_ARGS[name])
         compile_metrics = compilation_speed(app)
         interp = simulation_speed(app, "interpretive", min_runtime=0.8)
@@ -56,6 +63,8 @@ def test_retargeting(benchmark):
             model=name,
             pipeline_depth=model.pipeline.depth,
             toolgen_s=toolgen_s,
+            asmgen_s=asmgen_s,
+            asm_forms=assembler.form_count,
             simcc_insn_per_s=compile_metrics["insn_per_s"],
             interpretive_cps=interp["cycles_per_s"],
             compiled_cps=compiled["cycles_per_s"],

@@ -127,6 +127,16 @@ main:   halt
         program = testmodel_tools.assembler.assemble_text("nop")
         assert program.entry == 0
 
+    @pytest.mark.parametrize("text, line", [
+        (".entry nowhere\nnop\n", 1), ("nop\nhalt\n.entry nowhere\n", 3),
+    ])
+    def test_undefined_entry_reports_its_line(self, testmodel_tools, text,
+                                              line):
+        with pytest.raises(AssemblerError) as exc_info:
+            testmodel_tools.assembler.assemble_text(text)
+        assert str(exc_info.value) == \
+            "line %d: undefined symbol 'nowhere'" % line
+
     def test_section_and_word(self, testmodel_tools):
         program = testmodel_tools.assembler.assemble_text("""
         .section dmem
@@ -170,6 +180,40 @@ vals:   .word 1, -2, 0x30
             testmodel_tools.assembler.assemble_text(
                 ".equ A, 1\n.equ A, 2\n"
             )
+
+    @pytest.mark.parametrize("text, message", [
+        (".org -2\nnop\n", "line 1: .org address -2 is negative"),
+        (".section dmem\n.org -1\n.word 5\n",
+         "line 2: .org address -1 is negative"),
+        (".equ TOP, 4\n.org TOP - 6\n", "line 2: .org address -2 is negative"),
+        (".org 0x7fffff\nnop\n",
+         "line 2: address 0x7fffff is outside memory 'pmem' (8192 words)"),
+        ("nop\n.org 8191\nnop\nnop\n",
+         "line 4: address 0x2000 is outside memory 'pmem' (8192 words)"),
+        (".section dmem\n.org 16383\n.word 1, 2\n",
+         "line 3: address 0x4000 is outside memory 'dmem' (16384 words)"),
+        (".section dmem\n.org 16383\n.word 1, 2 + 0\n",
+         "line 3: address 0x4000 is outside memory 'dmem' (16384 words)"),
+        (".section dmem\n.org 16380\n.space 8\n",
+         "line 3: address 0x4000 is outside memory 'dmem' (16384 words)"),
+        (".section dmem\n.org 20000\n.word 1\n",
+         "line 3: address 0x4e20 is outside memory 'dmem' (16384 words)"),
+    ])
+    def test_placement_outside_memory_rejected_at_its_line(
+            self, c62x_tools, text, message):
+        with pytest.raises(AssemblerError) as exc_info:
+            c62x_tools.assembler.assemble_text(text)
+        assert str(exc_info.value) == message
+
+    def test_placement_up_to_the_last_word_accepted(self, c62x_tools):
+        program = c62x_tools.assembler.assemble_text(
+            ".org 8191\nend: nop\n.org 8192\nafter:\n.section dmem\n"
+            ".org 16382\n.word 1, 2\n.org 16384\n"
+        )
+        assert [(s.memory, s.base, len(s.words))
+                for s in program.segments] == [("pmem", 8191, 1),
+                                               ("dmem", 16382, 2)]
+        assert program.symbols == {"end": 8191, "after": 8192}
 
     def test_double_assembly_at_same_address_rejected(self, testmodel_tools):
         with pytest.raises(AssemblerError):
