@@ -68,7 +68,8 @@ def analyze_program(model, program, packet_lint=True, ir_lint=True,
     """Run effects, CFG, hazard and IR analysis over one program.
 
     ``packet_lint`` additionally runs the VLIW write-collision check
-    (the :mod:`repro.tools.lint` pass) into the same report;
+    (``packet.collision``: two members of one execute packet writing
+    the same storage) into the same report;
     ``ir_lint`` runs the IR-level abstract-interpretation diagnostics
     (:func:`repro.analysis.absint.check_ir`: ``ir.trap`` /
     ``ir.dead-write``), which lowers the program through the simulation
@@ -86,8 +87,7 @@ def analyze_program(model, program, packet_lint=True, ir_lint=True,
             for pc in cfg.order:
                 packet = cfg.packets[pc]
                 if packet.extent > 1:
-                    packet_collisions(packet.members, report=report,
-                                      packet_pc=packet.pc)
+                    packet_collisions(packet.members, report, packet.pc)
     check_cfg(cfg, report)
     with _obs.span(observer, "analysis.hazards"):
         safety = analyze_hazards(cfg, report=report)

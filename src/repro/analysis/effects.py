@@ -1,7 +1,8 @@
 """Effects analysis: per-instruction, per-stage read and write sets.
 
-The write-collision packet linter (:mod:`repro.tools.lint`) needs only
-the write sets of one instruction; static scheduling needs much more:
+The write-collision packet check (:func:`packet_collisions`,
+``repro-lint``'s ``packet.collision``) needs only the write sets of one
+instruction; the hazard pass needs much more:
 *which pipeline stage* each access happens in, the *read* sets (for
 RAW/WAR detection), whether the instruction may raise pipeline-control
 requests, and the constant PC targets it can assign (for control-flow
@@ -193,16 +194,11 @@ def _const_target(value, ir):
     return folded.value if isinstance(folded, ir.Const) else None
 
 
-def packet_collisions(members, report=None, packet_pc=None):
-    """Write-set collisions between the members of one execute packet.
-
-    ``members`` is a sequence of ``(address, InstructionEffects)``
-    pairs.  Returns the findings as a list; when ``report`` is given the
-    findings are also recorded there (check id ``packet.collision``).
-    """
-    from repro.analysis.report import Finding
-
-    findings = []
+def packet_collisions(members, report, packet_pc):
+    """Record into ``report`` (check id ``packet.collision``) each
+    write-set collision between the members of the execute packet at
+    ``packet_pc``; ``members`` is a sequence of ``(address,
+    InstructionEffects)`` pairs."""
     seen = set()
     indexed = [(addr, fx.writes) for addr, fx in members]
     for i, (addr_a, cells_a) in enumerate(indexed):
@@ -214,18 +210,14 @@ def packet_collisions(members, report=None, packet_pc=None):
                     message = (
                         "packet at 0x%x: parallel instructions at 0x%x "
                         "and 0x%x both write %s"
-                        % (packet_pc if packet_pc is not None else addr_a,
-                           addr_a, addr_b, cell_text(cell_a, cell_b))
+                        % (packet_pc, addr_a, addr_b,
+                           cell_text(cell_a, cell_b))
                     )
                     if message in seen:
                         continue
                     seen.add(message)
-                    if report is not None:
-                        report.add("warning", addr_a, "packet.collision",
-                                   message)
-                    findings.append(Finding("warning", addr_a,
-                                            "packet.collision", message))
-    return findings
+                    report.add("warning", addr_a, "packet.collision",
+                               message)
 
 
 __all__ = [

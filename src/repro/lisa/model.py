@@ -383,6 +383,16 @@ class Operation:
                 results.append((syntax, bindings, usable))
         return results
 
+    def guard_bindings(self, model):
+        """Every ``(name, value)`` some guard path of this operation
+        binds (``IF (mode == 1)``, ``CASE 1:`` of ``SWITCH (mode)``),
+        sorted."""
+        return sorted({
+            binding
+            for _items, bindings, _usable in _variant_paths(self.items, model)
+            for binding in bindings.items()
+        })
+
     def all_section_variants(self):
         """Enumerate every (path of guard choices -> flat item list).
 

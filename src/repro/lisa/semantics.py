@@ -16,7 +16,7 @@ from repro.behavior.runtime import INTRINSIC_NAMES
 from repro.lisa import ast
 from repro.lisa import model as m
 from repro.lisa.parser import parse_source
-from repro.support.bitutils import BitPattern
+from repro.support.bitutils import BitPattern, fits_field
 from repro.support.diagnostics import DiagnosticSink
 from repro.support.errors import BehaviorError, CodingError, LisaSemanticError
 
@@ -580,6 +580,7 @@ class _Analyzer:
             self._check_operation(model, op)
         self._check_references(model)
         self._check_coding_ambiguity(model)
+        self._warn_unfit_guards(model)
         self._warn_unused(model)
 
     def _check_operation(self, model, op):
@@ -699,6 +700,27 @@ class _Analyzer:
                     return True
                 frontier.append(parent_name)
         return False
+
+    # -- guard constants ----------------------------------------------------
+
+    def _warn_unfit_guards(self, model):
+        """Warn about each guard constant its coding field cannot hold
+        (the assembler's range rule): decoding never selects that arm,
+        and the assembler rejects its lines.  A name coded at several
+        widths is not judged, as for negated guards."""
+        widths = {}
+        for op in self._operations.values():
+            for name, value in op.guard_bindings(model):
+                if name not in widths:
+                    widths[name] = m.label_width(model, name)
+                width = widths[name]
+                if width is not None and not fits_field(value, width):
+                    self._sink.warn(
+                        "guard of operation %r compares %r with %d, which "
+                        "its %d-bit coding field cannot hold: decoding "
+                        "never selects that arm"
+                        % (op.name, name, value, width)
+                    )
 
     # -- coding ambiguity ---------------------------------------------------
 

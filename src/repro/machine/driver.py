@@ -5,7 +5,10 @@ One driver serves every simulator level; only the *front-end* differs:
 * interpretive: the front-end fetches, decodes, schedules and binds
   behaviours on every call (all work at run-time),
 * compiled levels: the front-end is a table lookup into pre-computed
-  issue slots (work moved to simulation-compile time).
+  issue slots (work moved to simulation-compile time).  Every table --
+  level 2, level 3 and the emitted standalone module alike -- gets its
+  slots from one binder, :func:`bind_table`, and its front-end from
+  :func:`table_frontend`.
 
 Cycle semantics (one :meth:`Pipeline.step`):
 
@@ -81,16 +84,104 @@ def trap_slot(model, message):
     never fires.  If one *does* reach its execute stage, the program
     really ran into undefined memory and the trap reports it.
     """
-    stage = model.execute_stage_index
+    return _trap_slot(message, model.pipeline.depth,
+                      model.execute_stage_index)
+
+
+def _trap_slot(message, depth, stage):
+    """:func:`trap_slot` for a ``depth``-stage pipeline that raises at
+    ``stage``: the one trap constructor, which tables without a model
+    (the emitted standalone module) reach through :func:`bind_table`
+    and :func:`table_frontend`."""
 
     def trap():
         raise SimulationError(message)
 
-    ops = tuple(
-        (trap,) if index == stage else ()
-        for index in range(model.pipeline.depth)
-    )
+    ops = tuple((trap,) if index == stage else () for index in range(depth))
     return IssueSlot(ops_by_stage=ops, words=1, insn_count=1, label="<trap>")
+
+
+# -- simulation tables -------------------------------------------------------
+
+
+def map_cells(spec, value_of):
+    """``{pc: per-stage tuples of value_of(cell)}`` over a table spec.
+
+    A spec maps each entry pc to ``(per_stage_cells, words,
+    insn_count)``: per stage, the cells of the packet's members in
+    member order.  A cell is a schedule item at level 2 and a generated
+    function's name at level 3; the levels differ in nothing else.
+    ``value_of`` runs once per distinct cell, and every entry holding
+    the cell shares the value.
+    """
+    values = {}
+    mapped = {}
+    empty = ()
+    for pc, (per_stage, _words, _insns) in spec.items():
+        stages = []
+        for cells in per_stage:
+            if not cells:
+                stages.append(empty)
+                continue
+            row = []
+            for cell in cells:
+                value = values.get(cell)
+                if value is None:
+                    value = values[cell] = value_of(cell)
+                row.append(value)
+            stages.append(tuple(row))
+        mapped[pc] = tuple(stages)
+    return mapped
+
+
+def bind_table(spec, traps, bind, depth, trap_stage):
+    """The issue slots of a simulation table: ``{pc: IssueSlot}``.
+
+    ``bind(cell)`` makes a cell's op (see :func:`map_cells`).  Each pc
+    of ``traps`` (the decoder's message of an entry pc whose packet has
+    an undecodable member) gets a trap slot raising that message at
+    ``trap_stage``.
+    """
+    ops = map_cells(spec, bind)
+    slots = {
+        pc: IssueSlot(ops_by_stage=ops[pc], words=words,
+                      insn_count=insn_count)
+        for pc, (_cells, words, insn_count) in spec.items()
+    }
+    for pc, message in traps.items():
+        slots[pc] = _trap_slot(message, depth, trap_stage)
+    return slots
+
+
+def table_frontend(slots, depth, trap_stage):
+    """A pipeline front-end over a table's slots.
+
+    An address the table does not hold fetches a trap slot instead of
+    raising, so fetches past a not-yet-executed halt or branch behave
+    as on the interpretive simulator (squashed before they execute).
+    """
+
+    def frontend(pc):
+        slot = slots.get(pc)
+        if slot is None:
+            return _trap_slot(
+                "fetch outside the compiled region (pc=0x%x)" % pc,
+                depth, trap_stage,
+            )
+        return slot
+
+    return frontend
+
+
+def active_stages(spec, trap_stage):
+    """The stages where some entry of a table spec has a cell, plus
+    ``trap_stage`` (where trap slots raise), deepest first."""
+    stages = {trap_stage}
+    for per_stage, _words, _insns in spec.values():
+        stages.update(
+            stage for stage, cells in enumerate(per_stage) if cells
+        )
+    return tuple(sorted(stages, reverse=True))
 
 
 def all_stages(depth):

@@ -17,8 +17,11 @@ simulation compiler calls this once per program location
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
+from repro.behavior.evaluator import execute_behavior
 from repro.coding.decoder import DecodedNode
+from repro.machine.driver import IssueSlot
 from repro.support.errors import LisaSemanticError
 
 
@@ -43,6 +46,24 @@ def build_schedule(node, model):
     _visit(node, model, _root_stage(node, model), items, guard=set())
     items.sort(key=lambda item: item.stage)
     return tuple(items)
+
+
+def sequence_slot(model, nodes, ctx):
+    """The issue slot of one packet whose members decoded to ``nodes``,
+    scheduled and bound to ``ctx`` now: the run-time operation
+    sequencing of the interpretive and predecoded fetches."""
+    stages = [[] for _ in range(model.pipeline.depth)]
+    for node in nodes:
+        for item in build_schedule(node, model):
+            stages[item.stage].append(
+                partial(execute_behavior, item.behavior.statements,
+                        item.node, ctx)
+            )
+    return IssueSlot(
+        ops_by_stage=tuple(tuple(stage) for stage in stages),
+        words=len(nodes),
+        insn_count=len(nodes),
+    )
 
 
 def _root_stage(node, model):

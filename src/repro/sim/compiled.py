@@ -8,6 +8,9 @@ pipeline cycle by cycle -- the paper's *dynamic scheduling*.
 ``level="sequenced"`` (kind ``compiled``) reproduces exactly what the
 paper implemented (steps 1+2); ``level="instantiated"`` (kind
 ``unfolded``) adds the announced third step, operation instantiation.
+Both tables come from one packet scan and one slot binder; the levels
+differ only in what a table cell binds to: a schedule item the AST
+evaluator runs, or a generated function (:mod:`repro.simcc.compiler`).
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ def build_simulation_table(simulator, program):
     * With a cache attached, the cache serves (or compiles and stores)
       a portable table and binds it.
     * Level ``sequenced`` on the Python path without a cache is the
-      paper's level-2 table: the simulation compiler binds
-      :class:`~repro.simcc.compiler._BoundBehavior` operations that
-      the AST evaluator runs.
+      paper's level-2 table: :meth:`~repro.simcc.compiler.
+      SimulationCompiler.compile` binds each schedule item to the AST
+      evaluator.
     * Everything else -- every level-3 table and every native table --
-      compiles a portable table and binds it.  ``compile_portable`` is
-      called directly (not through ``compile``) so each load runs
-      exactly one simulation compile.
+      compiles a portable table and binds it.
+
+    Either way one simulation compile runs per load.
     """
     simcc = simulator._simcc
     level = simulator._level
@@ -41,7 +44,7 @@ def build_simulation_table(simulator, program):
         )
     if level == "sequenced" and simulator.backend != "native":
         return simcc.compile(
-            program, simulator.state, simulator.control, level=level,
+            program, simulator.state, simulator.control,
             observer=simulator.observer,
         )
     portable = simcc.compile_portable(

@@ -10,14 +10,12 @@ which compiled simulation is measured.
 
 from __future__ import annotations
 
-from functools import partial
-
-from repro.behavior.evaluator import EvalContext, execute_behavior
+from repro.behavior.evaluator import EvalContext
 from repro.coding.decoder import InstructionDecoder
-from repro.machine.driver import IssueSlot, Pipeline, trap_slot
-from repro.machine.schedule import build_schedule
-from repro.sim.base import Simulator
+from repro.machine.driver import Pipeline, trap_slot
 from repro.machine.packets import packet_extent
+from repro.machine.schedule import sequence_slot
+from repro.sim.base import Simulator
 from repro.support.errors import DecodeError
 
 
@@ -34,7 +32,6 @@ class InterpretiveFetch:
         self._state = state
         self._control = control
         self._decoder = InstructionDecoder(model)
-        self._depth = model.pipeline.depth
         self._pmem_name = model.config.program_memory
         self._pmem_size = model.memories[self._pmem_name].size
 
@@ -49,24 +46,17 @@ class InterpretiveFetch:
         extent = packet_extent(
             self._model, pmem.__getitem__, pc, self._pmem_size
         )
-        ctx = EvalContext(self._state, self._control, self._model)
-        stages = [[] for _ in range(self._depth)]
+        nodes = []
         for address in range(pc, pc + extent):
             try:
-                node = self._decoder.decode(pmem[address], address=address)
+                nodes.append(
+                    self._decoder.decode(pmem[address], address=address)
+                )
             except DecodeError as exc:
                 return trap_slot(self._model, str(exc))
-            for item in build_schedule(node, self._model):
-                stages[item.stage].append(
-                    partial(
-                        execute_behavior, item.behavior.statements,
-                        item.node, ctx,
-                    )
-                )
-        return IssueSlot(
-            ops_by_stage=tuple(tuple(stage) for stage in stages),
-            words=extent,
-            insn_count=extent,
+        return sequence_slot(
+            self._model, nodes,
+            EvalContext(self._state, self._control, self._model),
         )
 
 

@@ -12,11 +12,9 @@ issues the interpretive fetch's trap slot.
 
 from __future__ import annotations
 
-from functools import partial
-
-from repro.behavior.evaluator import EvalContext, execute_behavior
-from repro.machine.driver import IssueSlot, Pipeline, trap_slot
-from repro.machine.schedule import build_schedule
+from repro.behavior.evaluator import EvalContext
+from repro.machine.driver import Pipeline, trap_slot
+from repro.machine.schedule import sequence_slot
 from repro.sim.base import Simulator
 
 
@@ -25,7 +23,6 @@ class PredecodedSimulator(Simulator):
 
     def __init__(self, model, observer=None):
         super().__init__(model, observer=observer)
-        self._depth = model.pipeline.depth
         self.front = None
         self._ctx = None
 
@@ -55,21 +52,10 @@ class PredecodedSimulator(Simulator):
                 "fetch outside the pre-decoded region (pc=0x%x)" % pc,
             )
         nodes = front.nodes
-        ctx = self._ctx
-        stages = [[] for _ in range(self._depth)]
+        members = []
         for address in range(pc, pc + extent):
             node = nodes.get(address)
             if node is None:
                 return trap_slot(self.model, front.errors[address])
-            for item in build_schedule(node, self.model):
-                stages[item.stage].append(
-                    partial(
-                        execute_behavior, item.behavior.statements,
-                        item.node, ctx,
-                    )
-                )
-        return IssueSlot(
-            ops_by_stage=tuple(tuple(stage) for stage in stages),
-            words=extent,
-            insn_count=extent,
-        )
+            members.append(node)
+        return sequence_slot(self.model, members, self._ctx)

@@ -14,22 +14,30 @@ function.  Building it performs, at simulation-compile time:
 
 Steps 1-4 come from the program front end
 (:class:`repro.simcc.frontend.ProgramFrontEnd`), which decodes and
-lowers each word once for the table and its control flags alike.  A
-packet with an undecodable member gets the interpretive fetch's trap
-slot.
+lowers each word once, and whose one packet scan
+(:meth:`~repro.simcc.frontend.ProgramFrontEnd.table_layout`) lays out
+every table.  One binder (:func:`repro.machine.driver.bind_table`)
+turns a layout's cells into issue slots, so the levels differ only in
+what a cell binds to: :meth:`SimulationCompiler.compile` binds schedule
+items to the AST evaluator (level 2), a portable table binds generated
+functions (level 3).  A packet with an undecodable member gets the
+interpretive fetch's trap slot.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 from repro.behavior.evaluator import EvalContext, execute_behavior
-from repro.machine.driver import IssueSlot, trap_slot
-from repro.support.errors import ReproError, SimulationError
-
-LEVELS = ("sequenced", "instantiated")
+from repro.machine.driver import (
+    IssueSlot,
+    active_stages,
+    bind_table,
+    table_frontend,
+)
+from repro.support.errors import SimulationError
 
 
 @dataclass
@@ -76,26 +84,11 @@ class SimulationTable:
         return slot
 
     def make_frontend(self, model):
-        """A pipeline front-end over this table.
-
-        Unknown addresses yield trap slots instead of raising, so fetches
-        past a not-yet-executed halt/branch behave like on the
-        interpretive simulator (squashed before they execute).
-        """
-        from repro.machine.driver import trap_slot
-
-        slots = self.slots
-
-        def frontend(pc):
-            slot = slots.get(pc)
-            if slot is None:
-                return trap_slot(
-                    model,
-                    "fetch outside the compiled region (pc=0x%x)" % pc,
-                )
-            return slot
-
-        return frontend
+        """A pipeline front-end over this table
+        (:func:`repro.machine.driver.table_frontend`): unknown addresses
+        yield trap slots instead of raising."""
+        return table_frontend(self.slots, model.pipeline.depth,
+                              model.execute_stage_index)
 
 
 class SimulationCompiler:
@@ -113,42 +106,29 @@ class SimulationCompiler:
     def model(self):
         return self._model
 
-    def compile(self, program, state, control, level="sequenced",
-                observer=None):
-        """Compile ``program`` into a :class:`SimulationTable`.
+    def compile(self, program, state, control, observer=None):
+        """Compile ``program`` into the level-2 :class:`SimulationTable`.
 
         The produced micro-operations are bound to ``state`` and
         ``control``; the table is only valid for that pair (this is the
         compiled-simulation trade-off: per-application, per-simulator
-        specialisation in exchange for run-time speed).
-
-        Level ``sequenced`` binds :class:`_BoundBehavior` operations run
-        by the AST evaluator -- the paper's level 2.  Level
-        ``instantiated`` is :meth:`compile_portable` bound to the pair.
+        specialisation in exchange for run-time speed).  A cell of the
+        layout is already an op: one schedule item bound to the AST
+        evaluator, ``partial(execute_behavior, statements, node, ctx)``,
+        with its variant resolved once -- the paper's level 2.  Level 3
+        is :meth:`compile_portable` bound to the pair.
 
         ``observer`` records one phase-timing span per simulation-
         compilation step (decoding, sequencing, packet formation) -- the
         paper's Figure 6 measurement as a built-in.
         """
-        if level not in LEVELS:
-            raise ReproError(
-                "unknown simulation level %r (expected one of %s)"
-                % (level, ", ".join(LEVELS))
-            )
-        if level == "instantiated":
-            return self.compile_portable(
-                program, level=level, observer=observer
-            ).bind(state, control)
         from repro import obs as _obs
         from repro.simcc.frontend import ProgramFrontEnd
 
         model = self._model
         ctx = EvalContext(state, control, model, {})
-        slots = {}
-        has_control = {}
-        active = {model.execute_stage_index}
 
-        with _obs.span(observer, "simcc.compile", level=level):
+        with _obs.span(observer, "simcc.compile", level="sequenced"):
             front = ProgramFrontEnd(model, program)
             # Step 1+2+3: decode and schedule every word once.
             with _obs.span(observer, "simcc.decode", words=len(front.words)):
@@ -158,7 +138,8 @@ class SimulationCompiler:
                 bound = {
                     pc: tuple(
                         tuple(
-                            _BoundBehavior(behavior.statements, node, ctx)
+                            partial(execute_behavior, behavior.statements,
+                                    node, ctx)
                             for node, behavior in items
                         )
                         for items in front.stage_items(pc)
@@ -169,37 +150,20 @@ class SimulationCompiler:
             # Step 4: form execute packets for every possible entry pc.
             with _obs.span(observer, "simcc.packetize",
                            words=len(front.words)):
-                for pc, extent in front.extents.items():
-                    message = front.trap_message(pc)
-                    if message is not None:
-                        slots[pc] = trap_slot(model, message)
-                        has_control[pc] = True
-                        continue
-                    members = range(pc, pc + extent)
-                    ops_by_stage = tuple(
-                        tuple(itertools.chain.from_iterable(
-                            bound[member][stage] for member in members
-                        ))
-                        for stage in range(model.pipeline.depth)
-                    )
-                    active.update(
-                        stage for stage, ops in enumerate(ops_by_stage)
-                        if ops
-                    )
-                    slots[pc] = IssueSlot(
-                        ops_by_stage=ops_by_stage,
-                        words=extent,
-                        insn_count=extent,
-                    )
-                    has_control[pc] = front.control_capable(pc)
+                layout = front.table_layout(bound.__getitem__)
+                slots = bind_table(
+                    layout.spec, layout.traps, lambda op: op,
+                    model.pipeline.depth, model.execute_stage_index,
+                )
 
         return SimulationTable(
-            level=level,
+            level="sequenced",
             slots=slots,
-            has_control=has_control,
+            has_control=layout.has_control,
             instruction_count=len(front.words),
             word_count=len(front.words),
-            active_stages=tuple(sorted(active, reverse=True)),
+            active_stages=active_stages(layout.spec,
+                                        model.execute_stage_index),
         )
 
     def compile_portable(self, program, level="sequenced", observer=None):
@@ -214,21 +178,3 @@ class SimulationCompiler:
 
         return build_portable_table(self._model, program, level,
                                     observer=observer)
-
-
-class _BoundBehavior:
-    """A pre-bound behaviour execution (level-2 micro-operation).
-
-    Equivalent to ``functools.partial(execute_behavior, ...)`` but also
-    carries its binding for inspection by tests and the emitter.
-    """
-
-    __slots__ = ("statements", "node", "ctx")
-
-    def __init__(self, statements, node, ctx):
-        self.statements = statements
-        self.node = node
-        self.ctx = ctx
-
-    def __call__(self):
-        execute_behavior(self.statements, self.node, self.ctx)

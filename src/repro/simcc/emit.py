@@ -11,13 +11,16 @@ that simulation compilation is a *translation*, not an interpretation.
 The emitter is a thin renderer over
 :class:`repro.simcc.portable.PortableTable` -- the same relocatable
 form the on-disk cache stores -- so :func:`render_module` can render a
-cached table without re-running the simulation compiler, and a cached
-table rehydrates through exactly the code paths this module's output
-uses.  The behaviour functions are the table's post-pass IR, so their
-stores are raw exactly where the IR passes proved the value canonical,
-as in every other backend.  A packet with an undecodable member
-(``traps``) raises the decoder's message if it executes, as the
-in-process simulators do.
+cached table without re-running the simulation compiler.  The module
+holds data and functions only: its ``build()`` and ``make_frontend()``
+call the run-time's table binder and table front end
+(:func:`repro.machine.driver.bind_table`,
+:func:`~repro.machine.driver.table_frontend`), the code a cached table
+rehydrates through.  The behaviour functions are the table's post-pass
+IR, so their stores are raw exactly where the IR passes proved the
+value canonical, as in every other backend.  A packet with an
+undecodable member (``traps``) raises the decoder's message if it
+executes, as the in-process simulators do.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ Usage::
 
 from repro.behavior.runtime import CODEGEN_GLOBALS as _G
 from repro.behavior.runtime import bind_function as _bind
-from repro.machine.driver import IssueSlot as _IssueSlot
-from repro.support.errors import SimulationError as _SimulationError
+from repro.machine.driver import bind_table as _bind_table
+from repro.machine.driver import table_frontend as _table_frontend
 from repro.tools.objfile import Program as _Program
 
 __sext = _G["__sext"]
@@ -57,53 +60,21 @@ def build(state, control):
     """Bind the generated functions to a state/control pair (each op a
     zero-argument function over the shared code).
 
-    Returns a dict mapping program addresses to IssueSlots.
+    Returns a dict mapping program addresses to IssueSlots; a pc in
+    TRAPS (a packet with an undecodable member) gets a trap slot that
+    raises the decoder's message if it executes.
     """
     namespace = globals()
-    slots = {}
-    for pc, (per_stage, words, insn_count) in TABLE_SPEC.items():
-        ops_by_stage = tuple(
-            tuple(
-                _bind(namespace[name], state, control)
-                for name in stage_names
-            )
-            for stage_names in per_stage
-        )
-        slots[pc] = _IssueSlot(
-            ops_by_stage=ops_by_stage, words=words, insn_count=insn_count
-        )
-    return slots
-
-
-def _trap_slot(pc):
-    """A fetch of an undecodable packet (the decoder's message, from
-    TRAPS) or outside the compiled table: raises only if it executes
-    (fetches behind taken branches/halt are squashed first)."""
-    message = TRAPS.get(pc)
-    if message is None:
-        message = "fetch outside the compiled region (pc=0x%x)" % pc
-
-    def fire():
-        raise _SimulationError(message)
-
-    ops = tuple(
-        (fire,) if index == TRAP_STAGE else () for index in range(DEPTH)
+    return _bind_table(
+        TABLE_SPEC, TRAPS,
+        lambda name: _bind(namespace[name], state, control),
+        DEPTH, TRAP_STAGE,
     )
-    return _IssueSlot(ops_by_stage=ops, words=1, insn_count=1,
-                      label="<trap>")
 
 
 def make_frontend(state, control):
     """A ready-to-use pipeline front-end over the compiled table."""
-    slots = build(state, control)
-
-    def frontend(pc):
-        slot = slots.get(pc)
-        if slot is None:
-            return _trap_slot(pc)
-        return slot
-
-    return frontend
+    return _table_frontend(build(state, control), DEPTH, TRAP_STAGE)
 '''
 
 
@@ -124,16 +95,15 @@ def render_module(model, program, portable):
     """Render a portable table as standalone module source.
 
     The behaviour functions are rendered from the table's lowered IR by
-    :class:`repro.simcc.ir.ModuleBackend` -- the same IR the in-process
-    exec backend compiles, so the emitted module is bit-identical in
-    behaviour by construction.
+    :func:`repro.simcc.ir.render_function_source` -- the same IR the
+    in-process exec backend compiles, so the emitted module is
+    bit-identical in behaviour by construction.
     """
-    from repro.simcc.ir import ModuleBackend
+    from repro.simcc.ir import render_function_source
 
-    backend = ModuleBackend()
     chunks = [_HEADER % {"model": model.name, "program": program.name}]
     for func in portable.functions:
-        chunks.append(backend.render_function(func))
+        chunks.append(render_function_source(func))
 
     spec_entries = [
         "    %d: (%r, %d, %d)," % (pc, per_stage, words, insn_count)

@@ -17,10 +17,13 @@ only load-time code that does it:
   and the per-stage :class:`~repro.analysis.effects.InstructionEffects`
   read off that IR.
 
-The level-2 compiler, the portable builder (level 3 and native), CFG
-recovery with its hazard verdicts, and the VLIW packet lint all read
-their words from one front end.  Both layers are lazy, so the assembler's
-lint decodes and lowers only the members of multi-word packets.
+The level-2 compiler, the portable builder (level 3 and native), and
+CFG recovery with its hazard verdicts and packet-collision check
+(``repro-lint``) all read their words from one front end.  Both layers
+are lazy.  Both table builders lay out their table with one packet
+scan, :meth:`ProgramFrontEnd.table_layout`, and differ only in the
+*cells* it places: schedule items at level 2, generated functions'
+names at level 3.
 
 An entry pc whose packet has an undecodable member issues the slot the
 interpretive simulator's fetch makes for it:
@@ -34,7 +37,7 @@ reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.analysis.effects import InstructionEffects, read_effects
 from repro.coding.decoder import InstructionDecoder
@@ -57,6 +60,22 @@ class LoweredWord:
     ops: Tuple[Tuple[object, ...], ...]
     effects: InstructionEffects
     error: Optional[ReproError]
+
+
+class TableLayout(NamedTuple):
+    """A simulation table before binding: the paper's Figure 1 with
+    cells where the ops go.
+
+    ``spec`` maps each entry pc whose members all decode to
+    ``(per_stage_cells, extent, extent)`` (the table spec
+    :func:`repro.machine.driver.bind_table` binds); ``traps`` maps every
+    other entry pc to the decoder's message; ``has_control`` covers
+    both, a trap pc being control-capable.
+    """
+
+    spec: Dict[int, Tuple[Tuple[Tuple[object, ...], ...], int, int]]
+    has_control: Dict[int, bool]
+    traps: Dict[int, str]
 
 
 def lower_stages(model, lowerer, stages):
@@ -191,6 +210,37 @@ class ProgramFrontEnd:
     def effects(self, pc):
         return self.lowered(pc).effects
 
+    def table_layout(self, cells_of):
+        """Scan every entry pc into a :class:`TableLayout`.
+
+        ``cells_of(pc)`` gives, per stage, the cells of the decoded word
+        at ``pc``.  It runs once per word, the first time a packet holds
+        the word: in address order of the packets, member by member.
+        """
+        word_cells = {}
+        spec, has_control, traps = {}, {}, {}
+        for pc, extent in self.extents.items():
+            message = self.trap_message(pc)
+            if message is not None:
+                traps[pc] = message
+                has_control[pc] = True
+                continue
+            members = []
+            for member in range(pc, pc + extent):
+                cells = word_cells.get(member)
+                if cells is None:
+                    cells = word_cells[member] = cells_of(member)
+                members.append(cells)
+            if extent == 1:
+                per_stage = members[0]
+            else:  # per stage, the members' cells back to back
+                per_stage = tuple(
+                    sum(column, ()) for column in zip(*members)
+                )
+            spec[pc] = (per_stage, extent, extent)
+            has_control[pc] = self.control_capable(pc)
+        return TableLayout(spec, has_control, traps)
+
     def control_capable(self, pc):
         """Whether the packet at ``pc``, every member of which decodes,
         may raise pipeline control: a member requests it, or its
@@ -205,5 +255,6 @@ class ProgramFrontEnd:
 __all__ = [
     "LoweredWord",
     "ProgramFrontEnd",
+    "TableLayout",
     "lower_stages",
 ]

@@ -25,7 +25,7 @@ constant folding of decoded operands, width-canonicalisation
 coalescing, dead local/resource-write elimination, runtime-helper
 hoisting -- and two backends consume the *same* lowered IR:
 
-* :class:`ModuleBackend` renders the functions as ``(s, c)``
+* :func:`render_function_source` renders a function as ``(s, c)``
   module-level source (the portable table's shared namespace and the
   emitted simulator module), and
 * :func:`compile_function` execs that same source for one function and
@@ -1150,22 +1150,6 @@ def compile_function(func, state, control):
     return bind_function(namespace[func.name], state, control)
 
 
-class ModuleBackend:
-    """Standalone module-level source over the IR.
-
-    Produces ``(s, c)``-parameterised function source suitable for the
-    emitted simulator module and the portable table's shared namespace;
-    the runtime helpers referenced by the default parameters are bound
-    at module top (see :mod:`repro.simcc.emit`).
-    """
-
-    def render_function(self, func):
-        return render_function_source(func)
-
-    def render_functions(self, funcs):
-        return "\n".join(self.render_function(func) for func in funcs)
-
-
 # ---------------------------------------------------------------------------
 # Serialisation (marshal-compatible tagged tuples)
 # ---------------------------------------------------------------------------
@@ -1411,7 +1395,7 @@ __all__ = [
     "dead_writes", "eliminate_dead_writes", "hoist_helpers", "DEFAULT_PASSES",
     "run_passes", "optimize_column",
     "render_value", "render_ops", "render_function_source",
-    "compile_function", "ModuleBackend",
+    "compile_function",
     "value_to_payload", "value_from_payload", "op_to_payload",
     "op_from_payload", "function_to_payload", "function_from_payload",
     "format_ops", "format_function", "dump_program_ir",

@@ -20,14 +20,19 @@ instantiation) expressed as
 :func:`build_portable_table` reads every word from the program front
 end (:mod:`repro.simcc.frontend`), which decodes and lowers each word
 once; the IR passes then run over those raw ops, one function per
-(pc, stage), after the effects have been read off them.
+(pc, stage), after the effects have been read off them.  The front
+end's packet scan lays the function names out as the table spec, the
+layout the level-2 table is built from too.
 
-A portable table can be bound to any state/control pair (:meth:`bind`),
-serialised byte-for-byte (:mod:`repro.simcc.cache`), or rendered as a
-standalone module (:mod:`repro.simcc.emit`).  The persisted form is the
-*IR*, not source text: both backends render from it on demand, and
-binding never re-runs the simulation compiler -- warm loads cost one
-``exec`` of pre-compiled code plus argument binding.
+A portable table can be bound to any state/control pair (:meth:`bind`,
+through the run-time's one table binder,
+:func:`repro.machine.driver.bind_table`), serialised byte-for-byte
+(:mod:`repro.simcc.cache`), or rendered as a standalone module
+(:mod:`repro.simcc.emit`) that binds through the same binder.  The
+persisted form is the *IR*, not source text: both backends render from
+it on demand, and binding never re-runs the simulation compiler --
+warm loads cost one ``exec`` of pre-compiled code plus argument
+binding.
 
 Note one deliberate asymmetry: a portable table is always *operation
 instantiated* (generated code), even when built for level
@@ -45,14 +50,16 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.behavior.runtime import CODEGEN_GLOBALS, bind_function
-from repro.machine.driver import IssueSlot, trap_slot
+from repro.machine.driver import active_stages, bind_table, map_cells
 from repro.simcc.ir import (
     IRFunction,
-    ModuleBackend,
     function_from_payload,
     function_to_payload,
+    render_function_source,
     run_passes,
 )
+
+LEVELS = ("sequenced", "instantiated")
 
 
 @dataclass
@@ -78,15 +85,17 @@ class PortableTable:
     traps: Dict[int, str] = field(default_factory=dict)
     _code: Optional[object] = field(default=None, repr=False, compare=False)
     _namespace: Optional[dict] = field(default=None, repr=False, compare=False)
-    _stages: Optional[frozenset] = field(default=None, repr=False,
-                                         compare=False)
+    _stages: Optional[Tuple[int, ...]] = field(default=None, repr=False,
+                                               compare=False)
 
     # -- code ---------------------------------------------------------------
 
     def functions_source(self):
-        """All IR functions rendered by the module backend as one
-        module-sized string."""
-        return ModuleBackend().render_functions(self.functions)
+        """All IR functions rendered as one module-sized string of
+        ``(s, c)`` functions."""
+        return "\n".join(
+            render_function_source(func) for func in self.functions
+        )
 
     def code(self):
         """The compiled code object for :meth:`functions_source` (cached)."""
@@ -108,67 +117,42 @@ class PortableTable:
             self._namespace = namespace
         return self._namespace
 
-    def active_stages(self, model):
-        """The stages where some packet has a function, plus ``model``'s
-        execute stage (where trap slots raise), deepest first."""
-        if self._stages is None:
-            self._stages = frozenset(
-                stage
-                for per_stage, _words, _insns in self.table_spec.values()
-                for stage, stage_names in enumerate(per_stage)
-                if stage_names
-            )
-        return tuple(sorted(self._stages | {model.execute_stage_index},
-                            reverse=True))
-
     # -- binding ------------------------------------------------------------
 
     def bind(self, state, control):
         """Rehydrate into a :class:`SimulationTable` bound to a
         state/control pair, without re-running the simulation compiler.
 
-        Each op is a zero-argument function over the shared code
-        (:func:`repro.behavior.runtime.bind_function`).  The bound table
-        carries ``ir_by_stage`` rebuilt from the persisted IR, so static
-        level-3 column *fusion* works on cache-rehydrated tables too.
+        Each function binds once, as a zero-argument function over the
+        shared code (:func:`repro.behavior.runtime.bind_function`), and
+        :func:`repro.machine.driver.bind_table` assembles the slots.  The
+        bound table carries ``ir_by_stage`` rebuilt from the persisted
+        IR, so static level-3 column *fusion* works on cache-rehydrated
+        tables too.
         """
         from repro.simcc.compiler import SimulationTable
 
         namespace = self.namespace()
+        model = state.model
         by_name = {func.name: func for func in self.functions}
-        slots = {}
-        ir_by_stage = {}
-        empty = ()
-        for pc, (per_stage, words, insn_count) in self.table_spec.items():
-            ops_by_stage = tuple(
-                tuple(
-                    bind_function(namespace[name], state, control)
-                    for name in stage_names
-                ) if stage_names else empty
-                for stage_names in per_stage
-            )
-            slots[pc] = IssueSlot(
-                ops_by_stage=ops_by_stage,
-                words=words,
-                insn_count=insn_count,
-            )
-            ir_by_stage[pc] = tuple(
-                tuple(by_name[name] for name in stage_names)
-                for stage_names in per_stage
-            )
-        for pc, message in self.traps.items():
-            slots[pc] = trap_slot(state.model, message)
+        if self._stages is None:  # the same for every binding
+            self._stages = active_stages(self.table_spec,
+                                         model.execute_stage_index)
         return SimulationTable(
             level=self.level,
-            slots=slots,
+            slots=bind_table(
+                self.table_spec, self.traps,
+                lambda name: bind_function(namespace[name], state, control),
+                model.pipeline.depth, model.execute_stage_index,
+            ),
             has_control=dict(self.has_control),
             instruction_count=self.instruction_count,
             word_count=self.word_count,
-            ir_by_stage=ir_by_stage,
+            ir_by_stage=map_cells(self.table_spec, by_name.__getitem__),
             proofs=(
                 dict(self.proofs) if self.proofs is not None else None
             ),
-            active_stages=self.active_stages(state.model),
+            active_stages=self._stages,
         )
 
     # -- (de)serialisation --------------------------------------------------
@@ -254,7 +238,6 @@ def build_portable_table(model, program, level="sequenced", observer=None):
     from repro import obs as _obs
     from repro.analysis import absint
     from repro.simcc import verify
-    from repro.simcc.compiler import LEVELS
     from repro.simcc.frontend import ProgramFrontEnd
     from repro.support.errors import ReproError
 
@@ -263,7 +246,6 @@ def build_portable_table(model, program, level="sequenced", observer=None):
             "unknown simulation level %r (expected one of %s)"
             % (level, ", ".join(LEVELS))
         )
-    depth = model.pipeline.depth
     pmem_name = model.config.program_memory
 
     with _obs.span(observer, "simcc.compile", level=level, portable=True):
@@ -273,49 +255,28 @@ def build_portable_table(model, program, level="sequenced", observer=None):
                 if front.decode(pc) is not None:
                     front.lowered(pc)
 
-        names_by_pc = {}
         functions = []
 
         def word_names(pc):
             # Each word's functions, built the first time a packet uses
             # them: pc-major, stage-minor, as the packets are scanned.
-            names = names_by_pc.get(pc)
-            if names is None:
-                lowered = front.lowered(pc)
-                if lowered.error is not None:
-                    raise lowered.error
-                names = []
-                for stage, ops in enumerate(lowered.ops):
-                    if not front.stage_items(pc)[stage]:
-                        names.append(None)
-                        continue
-                    name = "insn_%x_stage_%d" % (pc, stage)
-                    functions.append(
-                        run_passes(IRFunction(name=name, ops=ops), model)
-                    )
-                    names.append(name)
-                names = names_by_pc[pc] = tuple(names)
-            return names
-
-        table_spec = {}
-        has_control = {}
-        traps = {}
-        with _obs.span(observer, "simcc.packetize", words=len(front.words)):
-            for pc, extent in front.extents.items():
-                message = front.trap_message(pc)
-                if message is not None:
-                    traps[pc] = message
-                    has_control[pc] = True
+            lowered = front.lowered(pc)
+            if lowered.error is not None:
+                raise lowered.error
+            names = []
+            for stage, ops in enumerate(lowered.ops):
+                if not front.stage_items(pc)[stage]:
+                    names.append(())
                     continue
-                members = [word_names(member)
-                           for member in range(pc, pc + extent)]
-                per_stage = tuple(
-                    tuple(names[stage] for names in members
-                          if names[stage] is not None)
-                    for stage in range(depth)
+                name = "insn_%x_stage_%d" % (pc, stage)
+                functions.append(
+                    run_passes(IRFunction(name=name, ops=ops), model)
                 )
-                table_spec[pc] = (per_stage, extent, extent)
-                has_control[pc] = front.control_capable(pc)
+                names.append((name,))
+            return tuple(names)
+
+        with _obs.span(observer, "simcc.packetize", words=len(front.words)):
+            layout = front.table_layout(word_names)
 
         if verify.enabled():
             with _obs.span(observer, "simcc.verify",
@@ -325,16 +286,11 @@ def build_portable_table(model, program, level="sequenced", observer=None):
 
         by_name = {func.name: func for func in functions}
         with _obs.span(observer, "simcc.absint",
-                       packets=len(table_spec)):
+                       packets=len(layout.spec)):
             proofs = {
-                pc: absint.analyze_packet(
-                    [
-                        [by_name[name] for name in stage_names]
-                        for stage_names in per_stage
-                    ],
-                    model, pmem_name,
-                )
-                for pc, (per_stage, _words, _insns) in table_spec.items()
+                pc: absint.analyze_packet(funcs_by_stage, model, pmem_name)
+                for pc, funcs_by_stage
+                in map_cells(layout.spec, by_name.__getitem__).items()
             }
 
     return PortableTable(
@@ -342,10 +298,10 @@ def build_portable_table(model, program, level="sequenced", observer=None):
         model_name=model.name,
         program_name=program.name,
         functions=tuple(functions),
-        table_spec=table_spec,
-        has_control=has_control,
+        table_spec=layout.spec,
+        has_control=layout.has_control,
         instruction_count=len(front.words),
         word_count=len(front.words),
         proofs=proofs,
-        traps=traps,
+        traps=layout.traps,
     )

@@ -30,6 +30,17 @@ def bit_length_for(value):
     return max(1, value.bit_length())
 
 
+def fits_field(value, width):
+    """Whether ``value`` fits a ``width``-bit coding field, signed or
+    unsigned (``None``, an unbound constant, does not): the range rule
+    of the assembler and of the LISA guard check alike."""
+    if value is None:
+        return False
+    if value < 0:
+        return value >= -(1 << (width - 1))
+    return not value >> width
+
+
 def to_unsigned(value, width):
     """Two's-complement encode ``value`` into ``width`` bits."""
     return value & mask(width)

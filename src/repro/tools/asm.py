@@ -46,7 +46,7 @@ from repro.coding.encoder import InstructionEncoder, OperandSpec
 from repro.coding.layout import layout_of
 from repro.lisa import model as m
 from repro.lisa.lexer import tokenize
-from repro.support.bitutils import mask
+from repro.support.bitutils import fits_field, mask
 from repro.support.errors import AssemblerError, CodingError, LisaSyntaxError
 from repro.tools.objfile import Program
 
@@ -155,26 +155,20 @@ class Assembler:
         """How many flat SYNTAX forms the model's assembler matches."""
         return len(self._forms[0])
 
-    def assemble_text(self, text, name="program", lint=True):
+    def assemble_text(self, text, name="program"):
         """Assemble source text into a :class:`Program`.
 
-        On VLIW models the result is linted for same-packet write
-        collisions (see :mod:`repro.tools.lint`); warnings are attached
-        as ``program.lint_warnings``.
+        Same-packet write collisions on VLIW models are ``repro-lint``'s
+        to report (:func:`repro.analysis.analyze_program`).
         """
         symbols = {}
         instructions = []
         data = []
         entry = [None]
         self._first_pass(text, symbols, instructions, data, entry)
-        program = self._second_pass(
+        return self._second_pass(
             name, symbols, instructions, data, entry[0]
         )
-        if lint and self._model.is_vliw:
-            from repro.tools.lint import lint_vliw_packets
-
-            program.lint_warnings = lint_vliw_packets(self._model, program)
-        return program
 
     def assemble_file(self, path):
         with open(path, "r", encoding="utf-8") as handle:
@@ -556,7 +550,7 @@ def _encode(match, symbols, line_no):
         value = values[slot]
         if isinstance(value, _SymbolicValue):
             value = value.resolve(symbols, line_no)
-        if not _fits(value, width):
+        if not fits_field(value, width):
             raise AssemblerError(
                 "line %d: value %d does not fit in %d-bit field %r"
                 % (line_no, value, width, name)
@@ -805,7 +799,7 @@ class _FormBuilder:
             for name, cell in fields.items():
                 placed = layout.find(name)
                 value = 0 if cell is None else pins.get(cell)
-                if cell not in written and _fits(value, placed.width):
+                if cell not in written and fits_field(value, placed.width):
                     spec.fields[name] = value & mask(placed.width)
                     continue
                 spec.fields[name] = 0
@@ -838,16 +832,6 @@ class _FormBuilder:
 def _with(fields, name, cell):
     """``fields`` with ``name`` bound to ``cell`` unless already bound."""
     return fields if name in fields else {**fields, name: cell}
-
-
-def _fits(value, width):
-    """Whether ``value`` fits a ``width``-bit field, signed or unsigned
-    (``None``, an unbound constant, does not)."""
-    if value is None:
-        return False
-    if value < 0:
-        return value >= -(1 << (width - 1))
-    return not value >> width
 
 
 def _misplaced_bar(line_no):

@@ -39,17 +39,12 @@ class Segment:
 
 @dataclass
 class Program:
-    """An executable target program.
-
-    ``lint_warnings`` carries assembler diagnostics (e.g. VLIW packet
-    write-collisions); it is advisory and not serialised.
-    """
+    """An executable target program."""
 
     name: str = "program"
     entry: int = 0
     segments: List[Segment] = field(default_factory=list)
     symbols: Dict[str, int] = field(default_factory=dict)
-    lint_warnings: List[str] = field(default_factory=list, repr=False)
 
     def add_segment(self, memory, base, words):
         segment = Segment(memory, base, list(words))

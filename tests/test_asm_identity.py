@@ -3,10 +3,11 @@ bytes.
 
 Every program the three gated ledger workloads assemble (at seeds 11
 and 23) and every application of the cross-backend ``APP_MATRIX`` is
-assembled and hashed as its segments, symbols, entry point and lint
-warnings.  The digests were recorded with the backtracking assembler
-that matched and encoded every line afresh, before the per-line match
-memo, the per-spec encoding memo and the plain ``.word`` fast path.
+assembled and hashed as its segments, symbols, entry point and the
+packet collisions ``repro-lint`` finds in it.  The digests were
+recorded with the backtracking assembler that matched and encoded
+every line afresh, before the per-line match memo, the per-spec
+encoding memo and the plain ``.word`` fast path.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import json
 
 import pytest
 
+from repro.analysis import analyze_program
 from repro.api import build_toolset
 from repro.apps import build_adpcm, build_fir, build_gsm, build_synthetic
 from repro.models import load_model
@@ -59,14 +61,18 @@ for _seed in (11, 23):
         PROGRAMS["s%d/%s" % (_seed, _name)] = _builder
 
 
-def image_digest(program):
-    """SHA-256 of everything the assembler decides about a program."""
+def image_digest(model, program):
+    """SHA-256 of everything the assembler decides about a program,
+    plus the packet collisions ``repro-lint`` finds in it (the
+    assembler reported those itself when the digests were recorded)."""
+    report = analyze_program(model, program, ir_lint=False).report
     record = {
         "segments": [[s.memory, s.base, list(s.words)]
                      for s in program.segments],
         "symbols": sorted(program.symbols.items()),
         "entry": program.entry,
-        "lint_warnings": list(program.lint_warnings),
+        "lint_warnings": [finding.message for finding in report
+                          if finding.check == "packet.collision"],
     }
     return hashlib.sha256(
         json.dumps(record, sort_keys=True).encode("utf-8")
@@ -74,9 +80,12 @@ def image_digest(program):
 
 
 def assemble(name):
+    """The program ``name`` assembled, with its model."""
     app = PROGRAMS[name]()
-    assembler = build_toolset(load_model(app.model_name)).assembler
-    return assembler.assemble_text(app.source, name=app.name)
+    model = load_model(app.model_name)
+    return model, build_toolset(model).assembler.assemble_text(
+        app.source, name=app.name
+    )
 
 
 IMAGE_DIGESTS = {
@@ -135,4 +144,4 @@ IMAGE_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_assembled_image_is_pinned(name):
-    assert image_digest(assemble(name)) == IMAGE_DIGESTS[name]
+    assert image_digest(*assemble(name)) == IMAGE_DIGESTS[name]

@@ -7,6 +7,7 @@ from repro.machine.driver import Pipeline
 from repro.machine.state import ProcessorState
 from repro.sim import create_simulator
 from repro.simcc.emit import emit_simulator_module
+from repro.support.errors import SimulationError
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +83,48 @@ class TestEmittedExecution:
         pipe = Pipeline(c62x, state, control, frontend)
         pipe.run_chunk(1000)
         assert state.A[3] == 11
+
+
+class TestEmittedTraps:
+    """``build()`` holds a slot for every TABLE_SPEC and TRAPS pc; a
+    trap slot raises the decoder's message only when it executes."""
+
+    @pytest.fixture(scope="class")
+    def trapping(self, testmodel, testmodel_tools):
+        program = testmodel_tools.assembler.assemble_text("""
+start:  ldi r1, 5
+        nop
+        .word 0xFFFF
+        st r1, 3
+        halt
+""", name="emitted_trap")
+        namespace = {"__name__": "emitted_trap"}
+        exec(compile(emit_simulator_module(testmodel, program),
+                     "<emitted_trap>", "exec"), namespace)
+        return namespace
+
+    @staticmethod
+    def _raised(slot):
+        for ops in slot.ops_by_stage:
+            for op in ops:
+                with pytest.raises(SimulationError) as info:
+                    op()
+                return str(info.value)
+        return None
+
+    def test_build_covers_spec_and_traps(self, testmodel, trapping):
+        slots = trapping["build"](ProcessorState(testmodel),
+                                  PipelineControl())
+        assert trapping["TRAPS"]
+        assert set(slots) == (set(trapping["TABLE_SPEC"])
+                              | set(trapping["TRAPS"]))
+        for pc, message in trapping["TRAPS"].items():
+            assert slots[pc].label == "<trap>"
+            assert self._raised(slots[pc]) == message
+
+    def test_frontend_traps_outside_the_table(self, testmodel, trapping):
+        frontend = trapping["make_frontend"](ProcessorState(testmodel),
+                                             PipelineControl())
+        assert self._raised(frontend(0x7FF)) == (
+            "fetch outside the compiled region (pc=0x7ff)"
+        )

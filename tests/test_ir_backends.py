@@ -3,8 +3,8 @@
 The tentpole guarantee of the IR refactor: the in-process code (the
 portable table's shared namespace, and ``ir.compile_function`` for
 fused static columns) and the standalone module emitter
-(``ModuleBackend``) consume the *same* lowered, post-pass IR, so they
-are bit-identical by construction.  These tests check the construction:
+(``ir.render_function_source``) consume the *same* lowered, post-pass
+IR, so they are bit-identical by construction.  These tests check the construction:
 
 * every supported application x model pair runs to identical
   architectural state and cycle counts on both backends,
@@ -29,6 +29,7 @@ import os
 import pytest
 
 from repro.apps import build_adpcm, build_fir, build_gsm, build_synthetic
+from repro.behavior.evaluator import execute_behavior
 from repro.bench import load_app_program
 from repro.lisa.semantics import compile_source
 from repro.machine.control import PipelineControl
@@ -37,7 +38,6 @@ from repro.machine.state import ProcessorState
 from repro.sim import create_simulator
 from repro.simcc import ir
 from repro.simcc.cache import SimulationCache
-from repro.simcc.compiler import _BoundBehavior
 from repro.simcc.emit import emit_simulator_module
 from repro.simcc.native import NativePipeline, native_available
 
@@ -517,8 +517,9 @@ def test_table_route_python_and_native(builder, kind, backend, cached,
     """Every table kind, backend and cache state runs bit-exact against
     the interpretive reference, on the route ``build_simulation_table``
     prescribes: only level 2 on the Python path without a cache is the
-    direct table of ``_BoundBehavior`` operations (no IR, no proofs);
-    every other table is a bound portable table carrying both."""
+    direct table of AST-evaluated operations (``partial``s of
+    ``execute_behavior``; no IR, no proofs); every other table is a
+    bound portable table carrying both."""
     app = builder()
     model, program = load_app_program(app)
     reference = create_simulator(model, "interpretive")
@@ -550,7 +551,7 @@ def test_table_route_python_and_native(builder, kind, backend, cached,
     assert (table.ir_by_stage is None) == direct
     assert (table.proofs is None) == direct
     bound_behaviors = {
-        isinstance(op, _BoundBehavior)
+        getattr(op, "func", None) is execute_behavior
         for slot in table.slots.values()
         for ops in slot.ops_by_stage
         for op in ops

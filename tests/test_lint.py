@@ -4,15 +4,24 @@ import json
 
 import pytest
 
+from repro.analysis import analyze_program
 from repro.apps import build_adpcm, build_fir, build_gsm
 from repro.simcc.frontend import ProgramFrontEnd
-from repro.tools.lint import lint_vliw_packets
 
 
 def _written_cells(model, tools, text):
     """The write set the packet lint reads for the one instruction."""
-    program = tools.assembler.assemble_text(text, lint=False)
+    program = tools.assembler.assemble_text(text)
     return ProgramFrontEnd(model, program).effects(0).writes
+
+
+def collisions(model, program, packet_lint=True):
+    """The ``packet.collision`` messages ``repro-lint`` reports for
+    ``program``, in report order."""
+    report = analyze_program(model, program, packet_lint=packet_lint,
+                             ir_lint=False).report
+    return [finding.message for finding in report
+            if finding.check == "packet.collision"]
 
 
 class TestWrittenCells:
@@ -31,14 +40,19 @@ class TestWrittenCells:
 
 
 class TestPacketLint:
+    """``repro-lint``'s packet pass over same-packet write collisions."""
+
     def test_parallel_loads_flagged(self, c62x, c62x_tools):
         program = c62x_tools.assembler.assemble_text("""
         ldw a5, a4, 0
      || ldw b5, b4, 0
         halt
 """)
-        assert len(program.lint_warnings) >= 1
-        assert "lsq" in program.lint_warnings[0]
+        assert collisions(c62x, program) == [
+            "packet at 0x0: parallel instructions at 0x0 and 0x1 both "
+            "write lsq[%d]" % index
+            for index in range(4)
+        ]
 
     def test_parallel_same_destination_flagged(self, c62x, c62x_tools):
         program = c62x_tools.assembler.assemble_text("""
@@ -46,7 +60,10 @@ class TestPacketLint:
      || addk a1, 2
         halt
 """)
-        assert any("A[1]" in w for w in program.lint_warnings)
+        assert collisions(c62x, program) == [
+            "packet at 0x0: parallel instructions at 0x0 and 0x1 both "
+            "write A[1]"
+        ]
 
     def test_clean_packet_not_flagged(self, c62x, c62x_tools):
         program = c62x_tools.assembler.assemble_text("""
@@ -55,7 +72,7 @@ class TestPacketLint:
      || mvk b1, 3
         halt
 """)
-        assert program.lint_warnings == []
+        assert collisions(c62x, program) == []
 
     def test_parallel_stores_flagged_as_wildcard(self, c62x, c62x_tools):
         program = c62x_tools.assembler.assemble_text("""
@@ -63,20 +80,33 @@ class TestPacketLint:
      || stw a2, b4, 0
         halt
 """)
-        assert any("dmem" in w for w in program.lint_warnings)
+        assert collisions(c62x, program) == [
+            "packet at 0x0: parallel instructions at 0x0 and 0x1 both "
+            "write dmem[...]"
+        ]
+
+    def test_collision_is_a_warning(self, c62x, c62x_tools):
+        program = c62x_tools.assembler.assemble_text("""
+        mvk a1, 1
+     || addk a1, 2
+        halt
+""")
+        report = analyze_program(c62x, program, ir_lint=False).report
+        (finding,) = [f for f in report if f.check == "packet.collision"]
+        assert (finding.severity, finding.address) == ("warning", 0)
+        assert report.exit_code(werror=True) == 1
 
     def test_scalar_model_always_clean(self, tinydsp, tinydsp_tools):
         program = tinydsp_tools.assembler.assemble_text("nop\nhalt\n")
-        assert lint_vliw_packets(tinydsp, program) == []
-        assert program.lint_warnings == []
+        assert collisions(tinydsp, program) == []
 
     def test_lint_can_be_disabled(self, c62x, c62x_tools):
         program = c62x_tools.assembler.assemble_text("""
         ldw a5, a4, 0
      || ldw b5, b4, 0
         halt
-""", lint=False)
-        assert program.lint_warnings == []
+""")
+        assert collisions(c62x, program, packet_lint=False) == []
 
 
 # A testmodel variant with a ``bad`` instruction whose behaviour stores
@@ -139,8 +169,6 @@ class TestDiagnosticCodes:
         return build_toolset(trap_model)
 
     def test_provable_trap_gets_ir002(self, trap_model, trap_tools):
-        from repro.analysis import analyze_program
-
         program = trap_tools.assembler.assemble_text(
             self.TRAPPING, name="trapping"
         )
@@ -157,8 +185,6 @@ class TestDiagnosticCodes:
 
     def test_dead_write_kept_for_trap_parity_gets_ir003(self, trap_model,
                                                         trap_tools):
-        from repro.analysis import analyze_program
-
         program = trap_tools.assembler.assemble_text(
             "ldi r1, 5\ndead r1\nhalt\n", name="dead"
         )
@@ -170,8 +196,6 @@ class TestDiagnosticCodes:
         assert "dead write to ACC survives elimination" in notes[0].message
 
     def test_unreachable_packet_gets_ir001(self, tinydsp, tinydsp_tools):
-        from repro.analysis import analyze_program
-
         program = tinydsp_tools.assembler.assemble_text(
             self.UNREACHABLE, name="unreachable"
         )
@@ -184,8 +208,6 @@ class TestDiagnosticCodes:
         assert unreachable[0].severity == "note"
 
     def test_finding_str_includes_code(self, trap_model, trap_tools):
-        from repro.analysis import analyze_program
-
         program = trap_tools.assembler.assemble_text(
             self.TRAPPING, name="trapping"
         )
@@ -235,8 +257,6 @@ class TestDiagnosticCodes:
     def test_clean_program_has_no_coded_findings(
         self, testmodel, testmodel_tools
     ):
-        from repro.analysis import analyze_program
-
         program = testmodel_tools.assembler.assemble_text(
             "ldi r1, 3\nst r1, 7\nhalt\n", name="clean"
         )
@@ -247,14 +267,14 @@ class TestDiagnosticCodes:
 class TestShippedAppsLintClean:
     """Our own benchmark programs must pass our own linter."""
 
-    def test_fir(self, c62x_tools):
+    def test_fir(self, c62x, c62x_tools):
         program = build_fir("c62x", taps=4, samples=8).assemble(c62x_tools)
-        assert program.lint_warnings == []
+        assert collisions(c62x, program) == []
 
-    def test_adpcm(self, c62x_tools):
+    def test_adpcm(self, c62x, c62x_tools):
         program = build_adpcm(samples=8).assemble(c62x_tools)
-        assert program.lint_warnings == []
+        assert collisions(c62x, program) == []
 
-    def test_gsm(self, c62x_tools):
+    def test_gsm(self, c62x, c62x_tools):
         program = build_gsm(target_words=600).assemble(c62x_tools)
-        assert program.lint_warnings == []
+        assert collisions(c62x, program) == []

@@ -205,9 +205,9 @@ def test_plain_source_untouched_by_telemetry_support():
     model, program = load_app_program(app)
     state = ProcessorState(model)
     program.load_into(state)
-    table = SimulationCompiler(model).compile(
-        program, state, PipelineControl(), level="instantiated"
-    )
+    table = SimulationCompiler(model).compile_portable(
+        program, level="instantiated"
+    ).bind(state, PipelineControl())
     layout = StateLayout.build(model)
 
     plain_source, plain_plan = cgen.render_native_source(

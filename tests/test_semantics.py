@@ -4,6 +4,7 @@ import uuid
 
 import pytest
 
+from repro.cli import lisa_main
 from repro.lisa import semantics
 from repro.lisa.parser import parse_source
 from repro.lisa.semantics import MODEL_MEMO_SIZE, compile_ast, compile_source
@@ -12,7 +13,9 @@ from repro.support.errors import (
     CodingError,
     LisaSemanticError,
 )
+from repro.models import load_model
 from tests.conftest import TESTMODEL_SOURCE
+from tests.test_asm_golden import EDGE_HEAD, EDGE_MODELS
 
 HEADER = """
 RESOURCE {
@@ -343,6 +346,72 @@ class TestDiagnostics:
         )
         warnings = [d.message for d in model.diagnostics.warnings]
         assert any("shadows" in w for w in warnings)
+
+
+class TestGuardConstants:
+    """A guard constant that no coding field it compares can hold is a
+    model warning, by the assembler's range rule
+    (:func:`repro.support.bitutils.fits_field`): decoding never selects
+    that arm, and the assembler rejects its lines."""
+
+    WIDE_GUARD = (
+        "guard of operation 'add' compares 'mode' with 5, which its "
+        "1-bit coding field cannot hold: decoding never selects that arm"
+    )
+
+    def test_wide_guard_warns_once(self):
+        source = EDGE_HEAD + EDGE_MODELS["wide_guard"]
+        model = compile_source(source, "wide_guard.lisa")
+        assert [str(d) for d in model.diagnostics] == [
+            "<unknown>:0:0: warning: " + self.WIDE_GUARD
+        ]
+
+    def test_werror_rejects_the_model(self, tmp_path, capsys):
+        path = tmp_path / "wide_guard.lisa"
+        path.write_text(EDGE_HEAD + EDGE_MODELS["wide_guard"])
+        with pytest.raises(SystemExit) as exc:
+            lisa_main([str(path), "--Werror"])
+        assert exc.value.code == 1
+        assert self.WIDE_GUARD in capsys.readouterr().err
+
+    def test_own_label_and_switch_case(self):
+        model = compile_ok(root="""
+OPERATION insn {
+    DECLARE { GROUP op = { pick || sel }; }
+    CODING { op }
+    ACTIVATION { op }
+}
+OPERATION pick IN pipe.EX {
+    DECLARE { LABEL k; }
+    CODING { 0b000000 k[2] }
+    IF (k == 3) { BEHAVIOR { R[0] = 1; } }
+    ELSE { BEHAVIOR { R[0] = 2; } }
+}
+OPERATION sel IN pipe.EX {
+    DECLARE { LABEL k; }
+    CODING { 0b000001 k[2] }
+    SWITCH (k) {
+        CASE 1: { BEHAVIOR { R[1] = 1; } }
+        CASE 4: { BEHAVIOR { R[1] = 4; } }
+    }
+}
+""")
+        assert [d.message for d in model.diagnostics] == [
+            "guard of operation 'sel' compares 'k' with 4, which its "
+            "2-bit coding field cannot hold: decoding never selects "
+            "that arm"
+        ]
+
+    @pytest.mark.parametrize("name", ["c54x", "c62x", "tinydsp"])
+    def test_shipped_models_stay_clean(self, name):
+        assert list(load_model(name).diagnostics) == []
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(EDGE_MODELS) - {"wide_guard"})
+    )
+    def test_other_edge_models_stay_clean(self, name):
+        source = EDGE_HEAD + EDGE_MODELS[name]
+        assert list(compile_source(source, name).diagnostics) == []
 
 
 def unique_source(source=TESTMODEL_SOURCE):

@@ -72,7 +72,7 @@ class TestLevels:
     def test_unknown_level_rejected(self, testmodel):
         simcc = SimulationCompiler(testmodel)
         with pytest.raises(ReproError):
-            simcc.compile(Program(), None, None, level="ludicrous")
+            simcc.compile_portable(Program(), level="ludicrous")
 
     def test_instantiated_level_fuses_per_stage(self, testmodel,
                                                 testmodel_tools):
@@ -82,9 +82,9 @@ class TestLevels:
         state = ProcessorState(testmodel)
         control = PipelineControl()
         program.load_into(state)
-        table = SimulationCompiler(testmodel).compile(
-            program, state, control, level="instantiated"
-        )
+        table = SimulationCompiler(testmodel).compile_portable(
+            program, level="instantiated"
+        ).bind(state, control)
         slot = table.slots[0]
         # Level 3: at most one generated function per occupied stage,
         # bound to the state/control pair as a zero-argument function.
@@ -104,9 +104,13 @@ class TestLevels:
             state = ProcessorState(testmodel)
             control = PipelineControl()
             program.load_into(state)
-            table = SimulationCompiler(testmodel).compile(
-                program, state, control, level=level
-            )
+            simcc = SimulationCompiler(testmodel)
+            if level == "sequenced":
+                table = simcc.compile(program, state, control)
+            else:
+                table = simcc.compile_portable(
+                    program, level=level
+                ).bind(state, control)
             # Drive the table directly through the generic driver.
             from repro.machine.driver import Pipeline
 
