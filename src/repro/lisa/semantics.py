@@ -95,6 +95,10 @@ class _Analyzer:
         self._pc_name = None
         self._config = m.ModelConfig()
         self._operations = {}
+        # Each operation's source location, for its diagnostics; kept
+        # here, not on the model, so the model (and its digest) stays
+        # free of source positions.
+        self._locations = {}
         self._width_cache = {}
         self._width_in_progress = set()
 
@@ -296,6 +300,7 @@ class _Analyzer:
                     "duplicate OPERATION %r" % op_ast.name, op_ast.location
                 )
             self._operations[op_ast.name] = self._build_operation(op_ast)
+            self._locations[op_ast.name] = op_ast.location
 
     def _build_operation(self, op_ast):
         stage = None
@@ -719,7 +724,8 @@ class _Analyzer:
                         "guard of operation %r compares %r with %d, which "
                         "its %d-bit coding field cannot hold: decoding "
                         "never selects that arm"
-                        % (op.name, name, value, width)
+                        % (op.name, name, value, width),
+                        self._locations[op.name],
                     )
 
     # -- coding ambiguity ---------------------------------------------------
@@ -837,5 +843,6 @@ class _Analyzer:
         for name in self._operations:
             if name not in used:
                 self._sink.warn(
-                    "operation %r is never referenced" % name
+                    "operation %r is never referenced" % name,
+                    self._locations[name],
                 )

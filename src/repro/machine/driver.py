@@ -199,16 +199,16 @@ class Pipeline:
     the slots a wrapper serves may carry code anywhere.
 
     Observability: with no observer attached, :meth:`run_chunk` runs
-    the cycle body inline (:meth:`_run_plain`) and ``step`` is its
-    one-cycle case, :meth:`_step_plain`; with one, both go through
-    :meth:`_step_traced`, which additionally emits fetch/bubble/squash
-    trace events and updates the metrics registry.
+    the cycle body inline (:meth:`_run_plain`) and :meth:`step` is its
+    one-cycle case; with one, both go through :meth:`_step_traced`,
+    which additionally emits fetch/bubble/squash trace events and
+    updates the metrics registry.
     """
 
     __slots__ = (
         "_model", "_state", "_control", "_frontend", "_pc_name",
         "_depth", "_read_pc", "_write_pc", "_active", "slots", "pcs",
-        "cycles", "instructions_retired", "_observer", "step",
+        "cycles", "instructions_retired", "_observer",
     )
 
     def __init__(self, model, state, control, frontend, observer=None,
@@ -234,17 +234,11 @@ class Pipeline:
         self.pcs = [None] * self._depth
         self.cycles = 0
         self.instructions_retired = 0
-        self._observer = None
-        self.step = self._step_plain
-        if observer is not None:
-            self.set_observer(observer)
+        self._observer = observer
 
     def set_observer(self, observer):
         """Attach (or detach, with None) a :class:`repro.obs.Observer`."""
         self._observer = observer
-        self.step = (
-            self._step_plain if observer is None else self._step_traced
-        )
 
     @property
     def state(self):
@@ -324,9 +318,15 @@ class Pipeline:
             if self.cycles >= end or (control.halted and self.drained):
                 return self.cycles - start
 
-    def _step_plain(self):
-        """Simulate one cycle: the plain loop's one-cycle case."""
-        self._run_plain(1)
+    def step(self):
+        """Simulate one cycle: the plain loop's one-cycle case, or a
+        traced cycle when an observer is attached.  A plain method, not
+        a bound method stored on the instance, which would keep every
+        finished pipeline in a reference cycle."""
+        if self._observer is None:
+            self._run_plain(1)
+        else:
+            self._step_traced()
 
     def _run_plain(self, cycles):
         """Run at least one and up to ``cycles`` cycles with no

@@ -32,7 +32,6 @@ Fault classes:
 
 from __future__ import annotations
 
-import marshal
 import os
 import signal
 from contextlib import contextmanager
@@ -211,7 +210,7 @@ class FaultInjector:
         by a different tool version), not as corruption: no quarantine
         counter, file left in place.
         """
-        from repro.simcc.cache import _MAGIC, table_digest
+        from repro.simcc.cache import entry_bytes, table_digest
 
         digest = table_digest(model, program, level)
         path = cache.entry_path(digest)
@@ -221,7 +220,7 @@ class FaultInjector:
             "table": None,
         }
         with open(path, "wb") as handle:
-            handle.write(_MAGIC + marshal.dumps(payload))
+            handle.write(entry_bytes(payload))
         self._record(
             "cache_format_spoof", format=format_version, path=path,
         )

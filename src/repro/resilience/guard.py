@@ -373,18 +373,23 @@ class TableGuardTarget:
 
     def _merge(self, mini):
         table = self._sim.table
+        ir_by_stage = table.ir_by_stage
+        if ir_by_stage is not None:
+            # A bound table shares its IR with the portable table it was
+            # bound from; patch a copy of its own (decoding what is left).
+            ir_by_stage = table.ir_by_stage = dict(ir_by_stage)
         updates = {}
         for pc, slot in mini.slots.items():
             table.slots[pc] = slot
             table.has_control[pc] = mini.has_control.get(pc, True)
-            if table.ir_by_stage is not None:
+            if ir_by_stage is not None:
                 # Same route as the table itself, so both carry IR --
                 # except a trap packet, which has none.
                 ir = mini.ir_by_stage.get(pc)
                 if ir is None:
-                    table.ir_by_stage.pop(pc, None)
+                    ir_by_stage.pop(pc, None)
                 else:
-                    table.ir_by_stage[pc] = ir
+                    ir_by_stage[pc] = ir
             updates[pc] = slot.words
         return updates
 

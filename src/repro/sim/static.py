@@ -64,14 +64,19 @@ class StaticPipeline:
     (see :class:`repro.machine.driver.Pipeline`), or every stage once
     :meth:`wrap_frontend` has interposed a front-end.  With no observer,
     :meth:`run_chunk` runs the cycle body inline (:meth:`_run_plain`)
-    and ``step`` is its one-cycle case.
+    and :meth:`step` is its one-cycle case.
+
+    A program's loops make the interned window graph cyclic (through
+    ``_WindowNode.next``); the pipeline unlinks it when it is freed, so
+    the graph, its slots and its columns go with it by reference
+    counting.
     """
 
     __slots__ = (
         "_model", "_state", "_control", "_table", "_frontend",
         "_column_compiler", "_pc_name", "_depth", "_read_pc",
         "_write_pc", "_active", "_interned", "_root", "_node", "cycles",
-        "instructions_retired", "_observer", "step",
+        "instructions_retired", "_observer",
     )
 
     def __init__(self, model, state, control, table, column_compiler=None,
@@ -92,22 +97,19 @@ class StaticPipeline:
             all_stages(self._depth) if table.active_stages is None
             else table.active_stages
         )
-        self._observer = None
-        self.step = self._step_plain
+        self._observer = observer
         self._interned = {}
         self._root = self._intern((None,) * self._depth, (None,) * self._depth)
         self._node = self._root
         self.cycles = 0
         self.instructions_retired = 0
-        if observer is not None:
-            self.set_observer(observer)
+
+    def __del__(self):
+        self._unlink()
 
     def set_observer(self, observer):
         """Attach (or detach, with None) a :class:`repro.obs.Observer`."""
         self._observer = observer
-        self.step = (
-            self._step_plain if observer is None else self._step_traced
-        )
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -146,12 +148,17 @@ class StaticPipeline:
         hardware, where instructions past fetch execute the code that
         was fetched.
         """
+        self._unlink()
+        depth = self._depth
+        self._root = self._intern((None,) * depth, (None,) * depth)
+
+    def _unlink(self):
+        """Cut every transition of the interned window graph and forget
+        the nodes (the current one keeps its window)."""
         for node in self._interned.values():
             node.next.clear()
         self._node.next.clear()
         self._interned = {}
-        depth = self._depth
-        self._root = self._intern((None,) * depth, (None,) * depth)
 
     def restore_window(self, pcs, cycles, instructions_retired):
         """Rebuild the in-flight window from checkpointed issue pcs by
@@ -217,9 +224,14 @@ class StaticPipeline:
 
     # -- execution ----------------------------------------------------------------
 
-    def _step_plain(self):
-        """One cycle: the plain loop's one-cycle case."""
-        self._run_plain(1)
+    def step(self):
+        """One cycle: the plain loop's one-cycle case, or a traced cycle
+        when an observer is attached (see
+        :meth:`repro.machine.driver.Pipeline.step`)."""
+        if self._observer is None:
+            self._run_plain(1)
+        else:
+            self._step_traced()
 
     def _run_plain(self, cycles):
         """Run at least one and up to ``cycles`` cycles with no
@@ -371,6 +383,62 @@ class StaticPipeline:
                 return self.cycles - start
 
 
+class _ColumnFuser:
+    """Level-3 column fusion for one bound table (see
+    :class:`StaticScheduledSimulator`).
+
+    It holds the table, state, control and the simulator's
+    ``column_stats``, never the simulator, so a finished simulator is
+    freed by reference counting.  ``count`` counts the fused columns.
+    """
+
+    __slots__ = ("_table", "_state", "_control", "_model", "_stats",
+                 "count")
+
+    def __init__(self, model, table, state, control, stats):
+        self._model = model
+        self._table = table
+        self._state = state
+        self._control = control
+        self._stats = stats
+        self.count = 0
+
+    def __call__(self, pcs, slots):
+        """Fuse a whole pipeline column into one generated function.
+
+        The column concatenates the lowered IR of each in-flight
+        instruction, deepest stage (oldest instruction) first, then
+        re-runs dead-write elimination: composition opens exactly one
+        new optimisation -- a write made dead by a younger instruction
+        writing the same cell later in the same cycle.  A column of one
+        function opens none (that function already went through the
+        passes), so it runs the slot's bound op as it stands.  A slot
+        binds one op per IR function, so only a column that fuses reads
+        its packets' IR (and, on a table loaded from the cache, decodes
+        it).
+        """
+        stages = [
+            stage for stage in range(self._model.pipeline.depth - 1, -1, -1)
+            if slots[stage] is not None and slots[stage].ops_by_stage[stage]
+        ]
+        if not stages:
+            return ()
+        first = slots[stages[0]].ops_by_stage[stages[0]]
+        if len(stages) == 1 and len(first) == 1:
+            return first
+        ir_by_stage = self._table.ir_by_stage
+        ops = [
+            op for stage in stages
+            for func in ir_by_stage[pcs[stage]][stage]
+            for op in func.ops
+        ]
+        self.count += 1
+        func = ir.optimize_column(
+            "column_%d" % self.count, ops, self._model, stats=self._stats,
+        )
+        return (ir.compile_function(func, self._state, self._control),)
+
+
 class StaticScheduledSimulator(Simulator):
     """Simulation-table simulator with static scheduling.
 
@@ -385,8 +453,7 @@ class StaticScheduledSimulator(Simulator):
     from a portable table, so the IR is always there, cached or not.
     ``column_stats`` accumulates the pass counters across every fused
     column (the ``dead_writes_removed`` count is the observable proof
-    that column DCE fires), and ``_column_counter`` counts the fused
-    columns.
+    that column DCE fires).
     """
 
     def __init__(self, model, level="sequenced", cache=None,
@@ -397,7 +464,6 @@ class StaticScheduledSimulator(Simulator):
         self._cache = cache
         self.backend = backend
         self.table = None
-        self._column_counter = 0
         self.column_stats = ir.PassStats()
 
     @property
@@ -426,42 +492,12 @@ class StaticScheduledSimulator(Simulator):
         )
 
         self.table = build_simulation_table(self, program)
-        column_compiler = None
+        fuser = None
         if self._level == "instantiated":
-            column_compiler = self._compile_column
+            fuser = _ColumnFuser(self.model, self.table, self.state,
+                                 self.control, self.column_stats)
         engine = StaticPipeline(
             self.model, self.state, self.control, self.table,
-            column_compiler=column_compiler,
+            column_compiler=fuser,
         )
         return maybe_wrap_native(self, engine)
-
-    def _compile_column(self, pcs, slots):
-        """Fuse a whole pipeline column into one generated function.
-
-        The column concatenates the lowered IR of each in-flight
-        instruction, deepest stage (oldest instruction) first, then
-        re-runs dead-write elimination: composition opens exactly one
-        new optimisation -- a write made dead by a younger instruction
-        writing the same cell later in the same cycle.  A column of one
-        function opens none (that function already went through the
-        passes), so it runs the slot's bound op as it stands.
-        """
-        table = self.table
-        cells = [
-            (stage, func)
-            for stage in range(self.model.pipeline.depth - 1, -1, -1)
-            if pcs[stage] is not None
-            for func in table.ir_by_stage[pcs[stage]][stage]
-        ]
-        if not cells:
-            return ()
-        if len(cells) == 1:
-            stage = cells[0][0]
-            return slots[stage].ops_by_stage[stage]
-        ops = [op for _stage, func in cells for op in func.ops]
-        self._column_counter += 1
-        func = ir.optimize_column(
-            "column_%d" % self._column_counter, ops, self.model,
-            stats=self.column_stats,
-        )
-        return (ir.compile_function(func, self.state, self.control),)

@@ -20,17 +20,25 @@ the same text must bump :data:`FORMAT_VERSION`;
 ``tests/test_frontend_golden.py`` pins both, side by side.  Keying by
 the text means a warm lookup never serialises the freshly compiled
 model.  A model built from an AST alone has no text and is keyed by its
-content instead (:func:`model_digest`).
+content instead (:func:`model_digest`).  The key is the level-free
+:func:`content_digest` (model, program, format) extended by the level
+(:func:`table_digest`); both levels compile the same code, so the
+native backend keys its artifacts by the content digest alone.
 
-Entry format (versioned): a magic line followed by one :mod:`marshal`
-payload holding the table spec, the generated function sources, and
-the pre-compiled code object.  Marshal is the same machinery behind
+Entry format (versioned): a magic line, a checksum line (the CRC-32 of
+what follows, eight hex digits), then one :mod:`marshal` payload
+holding the table spec, the IR function and proof payloads, and the
+pre-compiled code object.  Marshal is the same machinery behind
 ``.pyc`` files: loading is a single fast C pass and the code object
-needs no re-parse.  Because marshal bytecode is CPython-version
-specific, entries live under a ``v<format>-cp<maj><min>`` namespace;
-a different interpreter simply misses and recompiles rather than
-misreading.  Corrupt entries (truncation, bit-rot, concurrent writer
-crashes) are detected, quarantined (deleted) and treated as misses.
+needs no re-parse.  A load keeps the IR and the proofs as payloads and
+decodes each on first read (:class:`repro.simcc.portable.
+PortableTable`), so the checksum is what turns a flipped byte anywhere
+in them into a miss at lookup instead of an error mid-run.  Because
+marshal bytecode is CPython-version specific, entries live under a
+``v<format>-cp<maj><min>`` namespace; a different interpreter simply
+misses and recompiles rather than misreading.  Corrupt entries
+(truncation, bit-rot, concurrent writer crashes) are detected,
+quarantined (deleted) and treated as misses.
 
 An in-process LRU of rehydrated tables sits in front of the disk
 store, so repeated loads of the same program in one process skip even
@@ -45,6 +53,7 @@ import marshal
 import os
 import sys
 import tempfile
+import zlib
 from collections import OrderedDict
 
 from repro.lisa.database import model_to_json
@@ -80,7 +89,13 @@ from repro.simcc.portable import PortableTable
 #:    scheduling composes every window without control, so no table
 #:    build runs the hazard pass); v9 entries are clean misses, and
 #:    native artifacts record the format and rebuild once.
-FORMAT_VERSION = 10
+#: 11: entries carry a checksum of their marshalled bytes, checked
+#:    before unmarshalling, because a load no longer decodes the IR and
+#:    the proofs; table keys extend the level-free content digest; native
+#:    artifacts are keyed by it (not by their C source) and store their
+#:    plan in the metadata sidecar.  Payloads are unchanged; v10 entries
+#:    are clean misses.
+FORMAT_VERSION = 11
 
 _MAGIC = b"repro-simtab\n"
 
@@ -89,6 +104,32 @@ def _version_tag():
     return "v%d-cp%d%d" % (
         FORMAT_VERSION, sys.version_info[0], sys.version_info[1]
     )
+
+
+# -- entries -----------------------------------------------------------------
+
+_CHECKSUM_LINE = 9  # eight hex digits and a newline
+
+
+def entry_bytes(payload):
+    """One entry's bytes: the magic line, the checksum line and the
+    marshalled ``payload``."""
+    body = marshal.dumps(payload)
+    return _MAGIC + b"%08x\n" % zlib.crc32(body) + body
+
+
+def entry_payload(blob):
+    """The payload of an entry's bytes; raises ``ValueError`` on a bad
+    magic line or checksum, before anything is unmarshalled."""
+    if not blob.startswith(_MAGIC):
+        raise ValueError("bad magic")
+    start = len(_MAGIC) + _CHECKSUM_LINE
+    body = memoryview(blob)[start:]
+    if blob[start - 1:start] != b"\n" or (
+        int(blob[len(_MAGIC):start - 1], 16) != zlib.crc32(body)
+    ):
+        raise ValueError("checksum mismatch")
+    return marshal.loads(body)
 
 
 # -- digests -----------------------------------------------------------------
@@ -150,8 +191,10 @@ def _model_key(model):
     return "model:" + model_digest(model)
 
 
-def table_digest(model, program, level):
-    """The content address of one compiled simulation."""
+def content_digest(model, program):
+    """The level-free content address of a program's compiled
+    simulation: model, program and format.  Both levels compile the
+    same code from it (their payloads differ only in ``level``)."""
     digest = hashlib.sha256()
     digest.update(b"repro-simtab:%d\n" % FORMAT_VERSION)
     digest.update(_model_key(model).encode("ascii"))
@@ -159,9 +202,19 @@ def table_digest(model, program, level):
     digest.update(
         json.dumps(program.to_dict(), sort_keys=True).encode("utf-8")
     )
-    digest.update(b"\n")
-    digest.update(level.encode("utf-8"))
     return digest.hexdigest()
+
+
+def _level_digest(content, level):
+    return hashlib.sha256(
+        ("%s\n%s" % (content, level)).encode("utf-8")
+    ).hexdigest()
+
+
+def table_digest(model, program, level):
+    """The content address of one compiled simulation: the
+    :func:`content_digest` extended by the level."""
+    return _level_digest(content_digest(model, program), level)
 
 
 # -- the cache ---------------------------------------------------------------
@@ -238,13 +291,15 @@ class SimulationCache:
 
     def load_portable(self, model, program, level):
         """The cached portable table, or None on a miss."""
-        digest = table_digest(model, program, level)
+        content = content_digest(model, program)
+        digest = _level_digest(content, level)
         portable = self._memory_get(digest)
         if portable is not None:
             self.stats["memory_hits"] += 1
             return portable
         portable = self._disk_get(digest)
         if portable is not None:
+            portable.digest = content
             self.stats["disk_hits"] += 1
             self._memory_put(digest, portable)
             return portable
@@ -278,14 +333,15 @@ class SimulationCache:
         return base + ".c", base + ".so", base + ".json"
 
     def load_native_artifact(self, key, compiler_id):
-        """Paths of a valid cached native artifact, or ``None``.
+        """``(so_path, plan)`` of a valid cached native artifact, or
+        ``None``; ``plan`` is the JSON data the store was given.
 
         An artifact is valid only when its metadata matches the current
         payload format *and* the exact compiler identity (version line
         plus flags): a shared object built by a stale compiler must
         miss and be rebuilt, never loaded.
         """
-        c_path, so_path, meta_path = self._native_paths(key)
+        _, so_path, meta_path = self._native_paths(key)
         try:
             with open(meta_path, "r", encoding="utf-8") as handle:
                 meta = json.load(handle)
@@ -295,19 +351,23 @@ class SimulationCache:
         if (
             meta.get("format") != FORMAT_VERSION
             or meta.get("compiler") != compiler_id
+            or "plan" not in meta
             or not os.path.exists(so_path)
         ):
             self.stats["native_misses"] += 1
             return None
         self.stats["native_hits"] += 1
-        return c_path, so_path
+        return so_path, meta["plan"]
 
-    def store_native_artifact(self, key, compiler_id, source, compile_fn):
+    def store_native_artifact(self, key, compiler_id, source, plan,
+                              compile_fn):
         """Build and publish a native artifact under ``key``.
 
-        ``compile_fn(c_path, so_path)`` performs the actual compile.
-        The metadata file is written last (atomically), so a crashed
-        build can never be mistaken for a valid artifact.
+        ``compile_fn(c_path, so_path)`` performs the actual compile;
+        ``plan`` (JSON data) rides in the metadata sidecar, so a hit
+        needs no rendering.  The metadata file is written last
+        (atomically), so a crashed build can never be mistaken for a
+        valid artifact.
         """
         c_path, so_path, meta_path = self._native_paths(key)
         directory = os.path.dirname(c_path)
@@ -321,6 +381,7 @@ class SimulationCache:
             "format": FORMAT_VERSION,
             "compiler": compiler_id,
             "key": key,
+            "plan": plan,
         }
         fd, tmp_meta = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -360,9 +421,7 @@ class SimulationCache:
         except OSError:
             return None
         try:
-            if not blob.startswith(_MAGIC):
-                raise ValueError("bad magic")
-            payload = marshal.loads(blob[len(_MAGIC):])
+            payload = entry_payload(blob)
             if payload["meta"].get("format") != FORMAT_VERSION:
                 # An entry written by a different (older or newer)
                 # format that strayed into this version's namespace is
@@ -396,7 +455,7 @@ class SimulationCache:
             },
             "table": portable.to_payload(),
         }
-        blob = _MAGIC + marshal.dumps(payload)
+        blob = entry_bytes(payload)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
         # Atomic publish: a concurrent reader sees the old entry or the

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.behavior.evaluator import EvalContext, execute_behavior
 from repro.machine.driver import (
@@ -44,12 +44,13 @@ from repro.support.errors import SimulationError
 class SimulationTable:
     """The compiled image of one program for one (state, control) pair.
 
-    ``ir_by_stage`` carries the lowered :class:`repro.simcc.ir.
-    IRFunction` per packet member and stage -- the form the static
-    scheduler fuses whole columns from and the native backend renders.
-    Every table bound from a :class:`repro.simcc.portable.PortableTable`
-    has it; only the level-2 table :meth:`SimulationCompiler.compile`
-    builds directly has ``None``.
+    ``ir_by_stage`` maps each packet start to the lowered
+    :class:`repro.simcc.ir.IRFunction` per member and stage -- the form
+    the static scheduler fuses whole columns from and the native backend
+    renders.  Every table bound from a
+    :class:`repro.simcc.portable.PortableTable` has it (a mapping that
+    decodes each packet on first read); only the level-2 table
+    :meth:`SimulationCompiler.compile` builds directly has ``None``.
 
     ``proofs`` maps packet starts to
     :class:`repro.analysis.absint.PacketProof` facts (nativisability,
@@ -62,6 +63,9 @@ class SimulationTable:
     the only stages the Python drivers visit (``None``, for a hand-built
     table: every stage).  On a table whose packets are all native it
     equals the burst driver's ``NativePlan.active_stages``.
+
+    ``digest`` is the portable table's level-free content digest, which
+    keys the native artifact (``None`` on the direct level-2 table).
     """
 
     level: str
@@ -69,9 +73,10 @@ class SimulationTable:
     has_control: Dict[int, bool]
     instruction_count: int = 0
     word_count: int = 0
-    ir_by_stage: Optional[Dict[int, Tuple[Tuple[object, ...], ...]]] = None
-    proofs: Optional[Dict[int, object]] = None
+    ir_by_stage: Optional[Mapping[int, Tuple[Tuple[object, ...], ...]]] = None
+    proofs: Optional[Mapping[int, object]] = None
     active_stages: Optional[Tuple[int, ...]] = None
+    digest: Optional[str] = None
 
     def slot_at(self, pc):
         slot = self.slots.get(pc)

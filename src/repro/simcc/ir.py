@@ -1346,7 +1346,6 @@ def dump_program_ir(model, program, stream=None):
     from repro.simcc.portable import build_portable_table
 
     portable = build_portable_table(model, program, level="instantiated")
-    functions = {func.name: func for func in portable.functions}
     lines = [
         "# SimIR dump: model %s, program %s" % (model.name, program.name),
         "# %d instruction(s), stages %s" % (
@@ -1374,7 +1373,8 @@ def dump_program_ir(model, program, stream=None):
                 occupied = True
                 stage = model.pipeline.stages[stage_index]
                 lines.append("  stage %s:" % stage)
-                lines.extend(format_function(functions[name], indent=2))
+                lines.extend(format_function(portable.function(name),
+                                             indent=2))
         if not occupied:
             lines.append("  (no micro-operations)")
     text = "\n".join(lines) + "\n"

@@ -8,17 +8,22 @@ observability event, and the caller serves the run through the Python
 module backend instead.
 
 Artifacts (the generated ``.c``, the built ``.so`` and a metadata
-sidecar) persist through :class:`repro.simcc.cache.SimulationCache`
-keyed by a digest of the C source plus the state-layout contract; the
-compiler identity lives in the metadata so a shared object built by a
-stale compiler misses and is rebuilt rather than loaded.  Without a
-cache the build compiles in a private temporary directory, removed once
-the library is loaded (or the compile fails), and identical C from the
-same compiler compiles once per process.
+sidecar) persist through :class:`repro.simcc.cache.SimulationCache`,
+keyed by what determines the C (:func:`artifact_key`): the table's
+level-free content digest, the state-layout contract, the telemetry
+flag and a digest of the renderer's own source.  The sidecar holds the
+compiler identity, so a shared object built by a stale compiler misses
+and is rebuilt rather than loaded, and the :class:`~repro.simcc.native.
+cgen.NativePlan`, so a hit loads the shared object without rendering
+any C.  Without a cache the build compiles in a private temporary
+directory, removed once the library is loaded (or the compile fails),
+and an artifact this process already loaded (same key and compiler) is
+neither rendered nor compiled again.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import shutil
@@ -28,10 +33,11 @@ from repro.simcc.native import cgen
 from repro.simcc.native import layout as L
 from repro.simcc.native import toolchain
 
-#: Burst callables loaded in this process, keyed by (artifact key,
-#: compiler identity): re-dlopening the same artifact for every
+#: ``(burst callable, plan)`` per (artifact key, compiler identity)
+#: loaded in this process: re-dlopening the same artifact for every
 #: simulator is wasted work (and some platforms pin the mapping
-#: anyway), and a cache-less build of C already loaded skips ``cc``.
+#: anyway), and a cache-less build of a table already loaded skips
+#: rendering and ``cc``.
 _LOADED = {}
 
 
@@ -44,24 +50,37 @@ class NativeModule:
     for a cache-less build, whose shared object is deleted once loaded.
     """
 
-    def __init__(self, layout, plan, burst, so_path, source):
+    def __init__(self, layout, plan, burst, so_path):
         self.layout = layout
         self.plan = plan
         self.burst = burst
         self.so_path = so_path
-        self.source = source
         self.telemetry = plan.telemetry
         self.push_set = frozenset(plan.push_names)
         self.pull_set = frozenset(plan.pull_names)
 
 
-def artifact_key(source, state_layout):
-    """Content address of one native artifact: the generated C plus the
-    layout contract it was rendered against."""
+@functools.lru_cache(maxsize=None)
+def renderer_digest():
+    """SHA-256 of the C renderer's own source (:mod:`.cgen` and
+    :mod:`.layout`), read once per process: an edited renderer misses
+    instead of loading C it no longer renders."""
     digest = hashlib.sha256()
-    digest.update(source.encode("utf-8"))
-    digest.update(b"\n")
-    digest.update(state_layout.digest().encode("ascii"))
+    for module in (cgen, L):
+        with open(module.__file__, "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()
+
+
+def artifact_key(table_digest, state_layout, telemetry):
+    """Content address of one native artifact: everything its C is
+    rendered from -- the table's level-free content digest, the layout
+    contract, the telemetry flag and the renderer itself."""
+    digest = hashlib.sha256()
+    for part in (table_digest, state_layout.digest(),
+                 "telemetry" if telemetry else "plain", renderer_digest()):
+        digest.update(part.encode("ascii"))
+        digest.update(b"\n")
     return digest.hexdigest()
 
 
@@ -96,60 +115,68 @@ def build_native_module(model, table, cache=None, observer=None,
 
     ``telemetry=True`` builds the instrumented variant whose bursts
     count per-packet dispatches and attributed cycles into a side-region
-    of the state buffer; it caches under its own artifact key (the
-    generated C differs), so plain and instrumented artifacts coexist.
+    of the state buffer; it caches under its own artifact key, so plain
+    and instrumented artifacts coexist.
+
+    A hit (in the cache, or loaded in this process) takes the plan
+    from the sidecar or the loaded module and renders nothing; only a
+    miss renders the C, which decodes the table's IR and proofs.
     """
     from repro import obs as _obs
 
+    if table.digest is None:  # the direct level-2 table carries no IR
+        return _fallback(observer, "table has no lowered IR to render",
+                         model=model.name)
     try:
         state_layout = L.StateLayout.build(model)
-        source, plan = cgen.render_native_source(
-            table, model, state_layout, telemetry=telemetry
-        )
     except L.NativeUnsupported as exc:
         return _fallback(observer, str(exc), model=model.name)
-    if not plan.native_pcs:
-        return _fallback(observer, "no packet passed native analysis",
-                         model=model.name)
-
     cc = toolchain.find_compiler()
     if cc is None:
         return _fallback(
             observer, "no C compiler (set $CC or install cc)",
             model=model.name,
         )
-    packets = len(plan.native_pcs)
     try:
         identity = toolchain.compiler_identity(cc)
-        key = artifact_key(source, state_layout)
-
+        key = artifact_key(table.digest, state_layout, telemetry)
+        loaded = _LOADED.get((key, identity))
         so_path = None
-        burst = _LOADED.get((key, identity))
-        if cache is not None:
-            hit = cache.load_native_artifact(key, identity)
-            if hit is not None:
-                so_path, outcome = hit[1], "hit"
-            else:
-                with _obs.span(observer, "native.compile", model=model.name,
-                               packets=packets):
-                    _, so_path = cache.store_native_artifact(
-                        key, identity, source,
-                        lambda c, so: toolchain.compile_shared(cc, c, so),
-                    )
-                outcome = "compile"
-            if burst is None:
-                burst = toolchain.load_burst(so_path)
-        elif burst is not None:
+        hit = None if cache is None else cache.load_native_artifact(
+            key, identity)
+        if hit is not None:
+            so_path, plan = hit[0], cgen.NativePlan.from_json(hit[1])
+            outcome = "hit"
+        elif loaded is not None and cache is None:
+            plan = loaded[1]
             outcome = "load"
         else:
+            source, plan = cgen.render_native_source(
+                table, model, state_layout, telemetry=telemetry
+            )
+            if not plan.native_pcs:
+                return _fallback(observer,
+                                 "no packet passed native analysis",
+                                 model=model.name)
             with _obs.span(observer, "native.compile", model=model.name,
-                           packets=packets):
-                burst = _compile_uncached(cc, source, key)
+                           packets=len(plan.native_pcs)):
+                if cache is None:
+                    loaded = _compile_uncached(cc, source, key), plan
+                else:
+                    _, so_path = cache.store_native_artifact(
+                        key, identity, source, plan.to_json(),
+                        lambda c, so: toolchain.compile_shared(cc, c, so),
+                    )
             outcome = "compile"
-        _LOADED[key, identity] = burst
+        burst = (loaded[0] if loaded is not None
+                 else toolchain.load_burst(so_path))
+        _LOADED[key, identity] = burst, plan
+    except L.NativeUnsupported as exc:
+        return _fallback(observer, str(exc), model=model.name)
     except (OSError, toolchain.NativeToolchainError) as exc:
         return _fallback(observer, "native build failed: %s" % exc,
                          model=model.name)
     if observer is not None:
-        observer.on_native(outcome, key=key[:16], packets=packets)
-    return NativeModule(state_layout, plan, burst, so_path, source)
+        observer.on_native(outcome, key=key[:16],
+                           packets=len(plan.native_pcs))
+    return NativeModule(state_layout, plan, burst, so_path)

@@ -94,6 +94,46 @@ class NativePlan:
     def n_pc(self):
         return self.pc_limit - self.pc_base
 
+    def to_json(self):
+        """The plan as JSON data: the native artifact's metadata sidecar
+        carries it, so a cache hit needs no rendering."""
+        telemetry = self.telemetry
+        return {
+            "pc_base": self.pc_base,
+            "pc_limit": self.pc_limit,
+            "depth": self.depth,
+            "native_pcs": sorted(self.native_pcs),
+            "reasons": sorted(self.reasons.items()),
+            "push_names": list(self.push_names),
+            "pull_names": list(self.pull_names),
+            "telemetry": (
+                None if telemetry is None
+                else [telemetry.base, telemetry.n_pc]
+            ),
+            "metric_insns": list(self.metric_insns),
+            "active_stages": list(self.active_stages),
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        """The plan :meth:`to_json` wrote."""
+        telemetry = data["telemetry"]
+        return cls(
+            pc_base=data["pc_base"],
+            pc_limit=data["pc_limit"],
+            depth=data["depth"],
+            native_pcs=set(data["native_pcs"]),
+            reasons={pc: reason for pc, reason in data["reasons"]},
+            push_names=tuple(data["push_names"]),
+            pull_names=tuple(data["pull_names"]),
+            telemetry=(
+                None if telemetry is None
+                else L.TelemetryRegion(*telemetry)
+            ),
+            metric_insns=tuple(data["metric_insns"]),
+            active_stages=tuple(data["active_stages"]),
+        )
+
 
 # ---------------------------------------------------------------------------
 # C rendering
@@ -777,7 +817,6 @@ def dump_program_c(model, program, stream=None):
     state_layout = L.StateLayout.build(model)
     compiler = generate_simulation_compiler(model)
     portable = compiler.compile_portable(program, level="instantiated")
-    functions = {func.name: func for func in portable.functions}
     renderer = _CRenderer(model, state_layout)
     out.write("/* native rendering: model=%s program=%s layout=%s */\n"
               % (model.name, program.name, state_layout.digest()[:16]))
@@ -798,6 +837,6 @@ def dump_program_c(model, program, stream=None):
                 continue
             out.write(render_stage_function(
                 "f_%x_%d" % (pc, stage),
-                [functions[name] for name in names], renderer,
+                [portable.function(name) for name in names], renderer,
             ))
             out.write("\n")

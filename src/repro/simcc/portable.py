@@ -34,6 +34,13 @@ it on demand, and binding never re-runs the simulation compiler --
 warm loads cost one ``exec`` of pre-compiled code plus argument
 binding.
 
+A table read back from its payload (:meth:`PortableTable.from_payload`)
+keeps each IR function and each packet proof in its marshalled form
+until something reads it: static column fusion (one packet at a time),
+native rendering on a cache miss, the write guard's refresh,
+``--dump-c`` and :meth:`PortableTable.to_payload`.  A warm load that
+only binds the pre-compiled code decodes none of them.
+
 Note one deliberate asymmetry: a portable table is always *operation
 instantiated* (generated code), even when built for level
 ``sequenced``.  The level still participates in cache keys so that
@@ -46,8 +53,7 @@ benchmarks enforce it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from collections.abc import Mapping
 
 from repro.behavior.runtime import CODEGEN_GLOBALS, bind_function
 from repro.machine.driver import active_stages, bind_table, map_cells
@@ -62,31 +68,91 @@ from repro.simcc.ir import (
 LEVELS = ("sequenced", "instantiated")
 
 
-@dataclass
+class _Decoded(Mapping):
+    """A read-only mapping whose values are decoded the first time each
+    is read, then kept: ``payloads`` maps each key to its payload, and
+    ``decode`` turns one payload into its value."""
+
+    __slots__ = ("_payloads", "_decode", "_values")
+
+    def __init__(self, payloads, decode):
+        self._payloads = payloads
+        self._decode = decode
+        self._values = {}
+
+    def __getitem__(self, key):
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = self._decode(self._payloads[key])
+        return value
+
+    def __contains__(self, key):
+        return key in self._payloads
+
+    def __iter__(self):
+        return iter(self._payloads)
+
+    def __len__(self):
+        return len(self._payloads)
+
+
 class PortableTable:
     """A serialisable, state-independent compiled simulation.
 
-    ``functions`` is a tuple of lowered, post-pass
-    :class:`repro.simcc.ir.IRFunction` objects in a fixed (pc-major,
-    stage-minor) order; ``table_spec`` maps each program address to
-    ``(per_stage_names, words, insn_count)``, except the entry pcs in
-    ``traps``, which map to the decoder's message.
+    ``table_spec`` maps each program address to ``(per_stage_names,
+    words, insn_count)``, except the entry pcs in ``traps``, which map
+    to the decoder's message.  :attr:`functions` are the lowered,
+    post-pass :class:`repro.simcc.ir.IRFunction` objects in a fixed
+    (pc-major, stage-minor) order, :meth:`function` reads one by name,
+    and ``proofs`` maps each packet start to its
+    :class:`repro.analysis.absint.PacketProof`; on a table read back
+    from its payload both decode on first read.
+
+    ``digest`` is the level-free content digest of what the table was
+    compiled from (:func:`repro.simcc.cache.content_digest`): both
+    levels build the same code, so it keys the native artifact.
     """
 
-    level: str
-    model_name: str
-    program_name: str
-    functions: Tuple[object, ...]
-    table_spec: Dict[int, Tuple[Tuple[Tuple[str, ...], ...], int, int]]
-    has_control: Dict[int, bool]
-    instruction_count: int
-    word_count: int
-    proofs: Optional[Dict[int, object]] = None
-    traps: Dict[int, str] = field(default_factory=dict)
-    _code: Optional[object] = field(default=None, repr=False, compare=False)
-    _namespace: Optional[dict] = field(default=None, repr=False, compare=False)
-    _stages: Optional[Tuple[int, ...]] = field(default=None, repr=False,
-                                               compare=False)
+    def __init__(self, level, model_name, program_name, functions,
+                 table_spec, has_control, instruction_count, word_count,
+                 proofs=None, traps=None, code=None, digest=None):
+        self.level = level
+        self.model_name = model_name
+        self.program_name = program_name
+        self._functions = functions  # name -> IRFunction, in table order
+        self.table_spec = table_spec
+        self.has_control = has_control
+        self.instruction_count = instruction_count
+        self.word_count = word_count
+        self.proofs = proofs
+        self.traps = {} if traps is None else traps
+        self.digest = digest
+        self._code = code
+        self._namespace = None
+        self._stages = None
+        self._ir = None
+
+    # -- IR -----------------------------------------------------------------
+
+    @property
+    def functions(self):
+        """Every IR function, in table order."""
+        return tuple(self._functions.values())
+
+    def function(self, name):
+        """The IR function ``name``."""
+        return self._functions[name]
+
+    def ir_by_stage(self):
+        """``{pc: per-stage tuples of IR functions}`` over the table
+        spec (see :func:`repro.machine.driver.map_cells`), each packet
+        assembled the first time it is read; shared by every binding."""
+        if self._ir is None:
+            function = self._functions.__getitem__
+            self._ir = _Decoded(self.table_spec, lambda entry: tuple(
+                tuple(map(function, names)) for names in entry[0]
+            ))
+        return self._ir
 
     # -- code ---------------------------------------------------------------
 
@@ -126,15 +192,14 @@ class PortableTable:
         Each function binds once, as a zero-argument function over the
         shared code (:func:`repro.behavior.runtime.bind_function`), and
         :func:`repro.machine.driver.bind_table` assembles the slots.  The
-        bound table carries ``ir_by_stage`` rebuilt from the persisted
-        IR, so static level-3 column *fusion* works on cache-rehydrated
-        tables too.
+        bound table shares :meth:`ir_by_stage` and ``proofs``, so static
+        level-3 column *fusion* and native rendering work on
+        cache-rehydrated tables too, decoding only what they read.
         """
         from repro.simcc.compiler import SimulationTable
 
         namespace = self.namespace()
         model = state.model
-        by_name = {func.name: func for func in self.functions}
         if self._stages is None:  # the same for every binding
             self._stages = active_stages(self.table_spec,
                                          model.execute_stage_index)
@@ -148,11 +213,10 @@ class PortableTable:
             has_control=dict(self.has_control),
             instruction_count=self.instruction_count,
             word_count=self.word_count,
-            ir_by_stage=map_cells(self.table_spec, by_name.__getitem__),
-            proofs=(
-                dict(self.proofs) if self.proofs is not None else None
-            ),
+            ir_by_stage=self.ir_by_stage(),
+            proofs=self.proofs,
             active_stages=self._stages,
+            digest=self.digest,
         )
 
     # -- (de)serialisation --------------------------------------------------
@@ -194,36 +258,31 @@ class PortableTable:
 
     @classmethod
     def from_payload(cls, payload):
-        from repro.analysis import absint
+        """The table :meth:`to_payload` wrote.  The spec, control flags
+        and traps are used as marshal returns them (ints, strings and
+        tuples); the IR functions and the proofs stay payloads until
+        first read."""
+        from repro.analysis.absint import PacketProof
 
+        proofs = payload.get("proofs")
         return cls(
-            proofs=absint.proofs_from_payload(payload.get("proofs")),
             level=payload["level"],
             model_name=payload["model"],
             program_name=payload["program"],
-            functions=tuple(
-                function_from_payload(func) for func in payload["functions"]
+            functions=_Decoded(
+                {func[0]: func for func in payload["functions"]},
+                function_from_payload,
             ),
-            table_spec={
-                int(pc): (
-                    tuple(tuple(names) for names in per_stage),
-                    words,
-                    insns,
-                )
-                for pc, (per_stage, words, insns)
-                in payload["table_spec"].items()
-            },
-            has_control={
-                int(pc): bool(flag)
-                for pc, flag in payload["has_control"].items()
-            },
+            table_spec=payload["table_spec"],
+            has_control=payload["has_control"],
             instruction_count=payload["instruction_count"],
             word_count=payload["word_count"],
-            traps={
-                int(pc): str(message)
-                for pc, message in payload.get("traps", {}).items()
-            },
-            _code=payload.get("code"),
+            proofs=(
+                None if proofs is None
+                else _Decoded(proofs, PacketProof.from_payload)
+            ),
+            traps=payload.get("traps"),
+            code=payload.get("code"),
         )
 
 
@@ -238,6 +297,7 @@ def build_portable_table(model, program, level="sequenced", observer=None):
     from repro import obs as _obs
     from repro.analysis import absint
     from repro.simcc import verify
+    from repro.simcc.cache import content_digest
     from repro.simcc.frontend import ProgramFrontEnd
     from repro.support.errors import ReproError
 
@@ -297,11 +357,12 @@ def build_portable_table(model, program, level="sequenced", observer=None):
         level=level,
         model_name=model.name,
         program_name=program.name,
-        functions=tuple(functions),
+        functions=by_name,
         table_spec=layout.spec,
         has_control=layout.has_control,
         instruction_count=len(front.words),
         word_count=len(front.words),
         proofs=proofs,
         traps=layout.traps,
+        digest=content_digest(model, program),
     )

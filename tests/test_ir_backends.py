@@ -356,11 +356,10 @@ class TestCacheFormatVersion:
         """An entry whose payload says format 2 (e.g. written by an
         older build into this version's namespace) is a miss -- not an
         exception, and not quarantined as corruption."""
-        import marshal
         import os
 
         from repro.simcc.cache import (
-            SimulationCache, _MAGIC, table_digest,
+            SimulationCache, entry_bytes, entry_payload, table_digest,
         )
 
         program = testmodel_tools.assembler.assemble_text("""
@@ -377,10 +376,10 @@ class TestCacheFormatVersion:
         path = cache.entry_path(digest)
         with open(path, "rb") as handle:
             blob = handle.read()
-        payload = marshal.loads(blob[len(_MAGIC):])
+        payload = entry_payload(blob)
         payload["meta"]["format"] = 2
         with open(path, "wb") as handle:
-            handle.write(_MAGIC + marshal.dumps(payload))
+            handle.write(entry_bytes(payload))
 
         reopened = SimulationCache(cache.root)
         assert reopened.load_portable(

@@ -299,25 +299,41 @@ class TestExporters:
                    for key in snapshot["families"]["sim.fetch_by_pc"])
 
 
+def _step_paths(monkeypatch, engine):
+    """Record which cycle body each ``engine.step()`` runs."""
+    calls = []
+    cls = type(engine)
+    monkeypatch.setattr(cls, "_run_plain",
+                        lambda self, cycles: calls.append(("plain", cycles)))
+    monkeypatch.setattr(cls, "_step_traced",
+                        lambda self: calls.append("traced"))
+    return calls
+
+
 class TestDisabledPath:
     def test_no_observer_means_plain_step(self, testmodel,
-                                          testmodel_tools):
+                                          testmodel_tools, monkeypatch):
         program = testmodel_tools.assembler.assemble_text(SOURCE)
         simulator = create_simulator(testmodel, "compiled")
         simulator.load_program(program)
         engine = simulator.engine
-        assert engine.step.__func__ is engine._step_plain.__func__
+        calls = _step_paths(monkeypatch, engine)
+        engine.step()
+        assert calls == [("plain", 1)]
 
-    def test_attach_detach_swaps_step(self, testmodel, testmodel_tools):
+    def test_attach_detach_swaps_step(self, testmodel, testmodel_tools,
+                                      monkeypatch):
         program = testmodel_tools.assembler.assemble_text(SOURCE)
         simulator = create_simulator(testmodel, "static")
         simulator.load_program(program)
         engine = simulator.engine
+        calls = _step_paths(monkeypatch, engine)
         observer = obs.Observer()
         simulator.attach_observer(observer)
-        assert engine.step.__func__ is engine._step_traced.__func__
+        engine.step()
         simulator.attach_observer(None)
-        assert engine.step.__func__ is engine._step_plain.__func__
+        engine.step()
+        assert calls == ["traced", ("plain", 1)]
 
     def test_tracing_does_not_change_results(self, testmodel,
                                              testmodel_tools):

@@ -431,5 +431,5 @@ class TestColumns:
                 assert node.column[0].__name__.startswith("column_")
                 fused += 1
         assert single and fused
-        assert simulator._column_counter == fused
+        assert simulator.engine._column_compiler.count == fused
 

@@ -340,6 +340,15 @@ class TestDiagnostics:
         warnings = [d.message for d in model.diagnostics.warnings]
         assert any("lonely" in w for w in warnings)
 
+    def test_unused_operation_names_its_location(self):
+        source = HEADER + ROOT_OK + "\n  OPERATION lonely { CODING { 0b1 } }"
+        model = compile_source(source, "lonely.lisa")
+        line = source.count("\n") + 1
+        assert [str(d) for d in model.diagnostics] == [
+            "lonely.lisa:%d:3: warning: operation 'lonely' is never "
+            "referenced" % line
+        ]
+
     def test_operand_shadowing_resource_warned(self):
         model = compile_ok(
             "OPERATION shady { DECLARE { LABEL R; } CODING { R[2] } }"
@@ -363,7 +372,7 @@ class TestGuardConstants:
         source = EDGE_HEAD + EDGE_MODELS["wide_guard"]
         model = compile_source(source, "wide_guard.lisa")
         assert [str(d) for d in model.diagnostics] == [
-            "<unknown>:0:0: warning: " + self.WIDE_GUARD
+            "wide_guard.lisa:29:1: warning: " + self.WIDE_GUARD
         ]
 
     def test_werror_rejects_the_model(self, tmp_path, capsys):

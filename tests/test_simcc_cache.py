@@ -20,8 +20,10 @@ from repro.sim import create_simulator
 from repro.simcc import cache as cache_mod
 from repro.simcc.cache import SimulationCache, model_digest, table_digest
 from repro.simcc.generator import generate_simulation_compiler
+from repro.simcc.native import native_available
 from repro.simcc.portable import build_portable_table
 from tests.conftest import TESTMODEL_SOURCE
+from tests.test_ir_backends import APP_MATRIX
 
 PROGRAM_TEXT = """
 start:  ldi r1, 5
@@ -240,10 +242,7 @@ class TestFormatV3Migration:
     not quarantined -- exactly like the v2 entries before it."""
 
     def test_v3_entry_is_clean_miss(self, testmodel, program, cache):
-        import marshal
         import os
-
-        from repro.simcc.cache import _MAGIC
 
         _load(testmodel, program, cache)
         path = cache.entry_path(
@@ -251,10 +250,10 @@ class TestFormatV3Migration:
         )
         with open(path, "rb") as handle:
             blob = handle.read()
-        payload = marshal.loads(blob[len(_MAGIC):])
+        payload = cache_mod.entry_payload(blob)
         payload["meta"]["format"] = 3
         with open(path, "wb") as handle:
-            handle.write(_MAGIC + marshal.dumps(payload))
+            handle.write(cache_mod.entry_bytes(payload))
 
         reopened = SimulationCache(cache.root, max_memory_entries=0)
         assert reopened.load_portable(testmodel, program,
@@ -276,20 +275,16 @@ class TestFormatV4Migration:
     the v3 behaviour before it."""
 
     def _downgrade(self, testmodel, program, cache):
-        import marshal
-
-        from repro.simcc.cache import _MAGIC
-
         _load(testmodel, program, cache)
         path = cache.entry_path(
             table_digest(testmodel, program, "sequenced")
         )
         with open(path, "rb") as handle:
             blob = handle.read()
-        payload = marshal.loads(blob[len(_MAGIC):])
+        payload = cache_mod.entry_payload(blob)
         payload["meta"]["format"] = 4
         with open(path, "wb") as handle:
-            handle.write(_MAGIC + marshal.dumps(payload))
+            handle.write(cache_mod.entry_bytes(payload))
         return path
 
     def test_v4_entry_is_clean_miss(self, testmodel, program, cache):
@@ -350,6 +345,7 @@ class TestNativeArtifacts:
 
     KEY = "ab" * 32  # a well-formed sha256 hex key
     COMPILER = "fake-cc 1.0 | -O2 -shared -fPIC"
+    PLAN = {"native_pcs": [0, 1]}  # the sidecar stores any JSON plan
 
     @staticmethod
     def _compile_fn(c_path, so_path):
@@ -363,14 +359,15 @@ class TestNativeArtifacts:
         import os
 
         c_path, so_path = cache.store_native_artifact(
-            self.KEY, self.COMPILER, "/* burst */", self._compile_fn
+            self.KEY, self.COMPILER, "/* burst */", self.PLAN,
+            self._compile_fn
         )
         assert cache.stats["native_stores"] == 1
         assert open(c_path).read() == "/* burst */"
         assert os.path.exists(so_path)
         assert cache.load_native_artifact(
             self.KEY, self.COMPILER
-        ) == (c_path, so_path)
+        ) == (so_path, self.PLAN)
         assert cache.stats["native_hits"] == 1
 
     def test_missing_artifact_is_miss(self, cache):
@@ -381,7 +378,8 @@ class TestNativeArtifacts:
         """A shared object built by another compiler version must never
         be loaded -- it misses and gets rebuilt."""
         cache.store_native_artifact(
-            self.KEY, self.COMPILER, "/* burst */", self._compile_fn
+            self.KEY, self.COMPILER, "/* burst */", self.PLAN,
+            self._compile_fn
         )
         assert cache.load_native_artifact(
             self.KEY, "fake-cc 2.0 | -O2 -shared -fPIC"
@@ -435,7 +433,8 @@ class TestNativeArtifacts:
         import json
 
         _, so_path = cache.store_native_artifact(
-            self.KEY, self.COMPILER, "/* burst */", self._compile_fn
+            self.KEY, self.COMPILER, "/* burst */", self.PLAN,
+            self._compile_fn
         )
         meta_path = self._meta_path(so_path)
         with open(meta_path, "r", encoding="utf-8") as handle:
@@ -455,7 +454,7 @@ class TestNativeArtifacts:
 
         with pytest.raises(OSError):
             cache.store_native_artifact(
-                self.KEY, self.COMPILER, "/* burst */", boom
+                self.KEY, self.COMPILER, "/* burst */", self.PLAN, boom
             )
         assert cache.stats["native_stores"] == 0
         assert cache.load_native_artifact(self.KEY, self.COMPILER) is None
@@ -730,22 +729,21 @@ class TestExistingEntriesStayWarm:
     ``"window": None`` key (written by older writers) is ignored on
     load."""
 
-    #: ``table_digest`` values of the test model/program at format 10,
+    #: ``table_digest`` values of the test model/program at format 11,
     #: keyed by the LISA text.
     PINNED = {
         "sequenced":
-            "8b44d7a1dc1f006d907a2d4800d75ba1d07dd1ba0afd588a04b428d6e0bd8c2e",
+            "0b73fd45101169c35d6916cf29ffe82a16648fdf8402374f442e17cfe97285d9",
         "instantiated":
-            "0b043f9912bf9811b881285162a17d326de7e2906c6b3a40f91151d4a3fac284",
+            "4686a0be09204579962c0b8c8be5c90facfe41c429ca243caf2ac41456ca236f",
     }
 
     @pytest.mark.parametrize("level", sorted(PINNED))
     def test_digest_is_pinned(self, testmodel, program, level):
-        assert cache_mod.FORMAT_VERSION == 10
+        assert cache_mod.FORMAT_VERSION == 11
         assert table_digest(testmodel, program, level) == self.PINNED[level]
 
     def test_payload_with_window_key_loads(self, testmodel, program, cache):
-        import marshal
         import os
         import sys
 
@@ -767,7 +765,7 @@ class TestExistingEntriesStayWarm:
         path = cache.entry_path(digest)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as handle:
-            handle.write(cache_mod._MAGIC + marshal.dumps(payload))
+            handle.write(cache_mod.entry_bytes(payload))
 
         bound = _load(testmodel, program, cache)
         assert cache.stats["disk_hits"] == 1
@@ -833,3 +831,352 @@ class TestTrapEntries:
         assert 5 not in table.slots
         message = self._fire(table.make_frontend(testmodel)(5))
         assert "outside the compiled region" in message
+
+
+# -- the warm path decodes and renders only what it runs ----------------------
+
+
+def _c62x_fir():
+    from repro.apps import build_fir
+    from repro.bench import load_app_program
+
+    return load_app_program(build_fir("c62x", taps=4, samples=8))
+
+
+def _run(model, program, kind, cache=None, backend="auto"):
+    simulator = create_simulator(model, kind, cache=cache, backend=backend)
+    simulator.load_program(program)
+    stats = simulator.run()
+    return simulator, (stats.cycles, stats.instructions)
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Count every IR function and packet proof decoded from a payload."""
+    from repro.analysis.absint import PacketProof
+    from repro.simcc import portable as portable_mod
+
+    calls = {"functions": 0, "proofs": 0}
+    decode_function = portable_mod.function_from_payload
+    decode_proof = PacketProof.from_payload
+
+    def function_from_payload(payload):
+        calls["functions"] += 1
+        return decode_function(payload)
+
+    def proof_from_payload(payload):
+        calls["proofs"] += 1
+        return decode_proof(payload)
+
+    monkeypatch.setattr(portable_mod, "function_from_payload",
+                        function_from_payload)
+    monkeypatch.setattr(PacketProof, "from_payload",
+                        staticmethod(proof_from_payload))
+    return calls
+
+
+class TestLazyWarmLoad:
+    """A warm disk load binds the marshalled code; the IR functions and
+    proofs stay payloads until something reads them."""
+
+    @pytest.mark.parametrize("kind", ["compiled", "static", "unfolded"])
+    def test_warm_load_decodes_nothing(self, kind, tmp_path, decodes):
+        model, program = _c62x_fir()
+        root = tmp_path / "simtab"
+        _run(model, program, kind, cache=SimulationCache(root))
+        warm_cache = SimulationCache(root)
+        warm, warm_counts = _run(model, program, kind, cache=warm_cache)
+        assert warm_cache.stats["disk_hits"] == 1
+        assert decodes == {"functions": 0, "proofs": 0}
+
+        reference, counts = _run(model, program, kind)
+        assert warm_counts == counts
+        assert warm.state.differences(reference.state) == []
+
+    def test_fusion_decodes_only_fused_packets(self, tmp_path, decodes):
+        model, program = _c62x_fir()
+        root = tmp_path / "simtab"
+        _run(model, program, "unfolded_static", cache=SimulationCache(root))
+        warm, warm_counts = _run(model, program, "unfolded_static",
+                                 cache=SimulationCache(root))
+        portable = build_portable_table(model, program, "instantiated")
+        assert 0 < decodes["functions"] <= len(portable.functions)
+        assert decodes["proofs"] == 0
+        reference, counts = _run(model, program, "unfolded_static")
+        assert warm_counts == counts
+        assert warm.state.differences(reference.state) == []
+
+    @pytest.mark.parametrize("level", ["sequenced", "instantiated"])
+    def test_lazy_table_payload_equals_stored(self, level, tmp_path):
+        model, program = _c62x_fir()
+        root = tmp_path / "simtab"
+        _load(model, program, SimulationCache(root), level=level)
+        path = SimulationCache(root).entry_path(
+            table_digest(model, program, level))
+        with open(path, "rb") as handle:
+            stored = cache_mod.entry_payload(handle.read())["table"]
+        lazy = SimulationCache(root).load_portable(model, program, level)
+        assert lazy.to_payload(with_code=False) == dict(stored, code=None)
+
+    def test_flipped_function_byte_is_clean_miss(self, tmp_path):
+        """Without the entry checksum this flip would load and fail only
+        once column fusion decoded the function."""
+        model, program = _c62x_fir()
+        root = tmp_path / "simtab"
+        kind = "unfolded_static"
+        _run(model, program, kind, cache=SimulationCache(root))
+        path = SimulationCache(root).entry_path(
+            table_digest(model, program, "instantiated"))
+        with open(path, "rb") as handle:
+            blob = bytearray(handle.read())
+        blob[blob.index(b"insn_")] ^= 0x01  # the first function's name
+        with open(path, "wb") as handle:
+            handle.write(blob)
+
+        reader = SimulationCache(root)
+        recovered, counts = _run(model, program, kind, cache=reader)
+        assert reader.stats["corrupt_entries"] == 1
+        assert reader.stats["misses"] == 1
+        assert reader.stats["stores"] == 1
+        reference, reference_counts = _run(model, program, kind)
+        assert counts == reference_counts
+        assert recovered.state.differences(reference.state) == []
+        # the quarantined entry was replaced by the recompiled one
+        warm = SimulationCache(root)
+        assert warm.load_portable(model, program, "instantiated")
+        assert warm.stats["disk_hits"] == 1
+
+    def test_format_10_entries_are_clean_misses(self, tmp_path, monkeypatch):
+        model, program = _c62x_fir()
+        root = tmp_path / "simtab"
+        monkeypatch.setattr(cache_mod, "FORMAT_VERSION", 10)
+        _load(model, program, SimulationCache(root))
+        monkeypatch.undo()
+        reader = SimulationCache(root)
+        _load(model, program, reader)
+        assert cache_mod.FORMAT_VERSION == 11
+        assert reader.stats["disk_hits"] == 0
+        assert reader.stats["corrupt_entries"] == 0
+        assert reader.stats["misses"] == 1
+
+
+class TestNativeWarmPath:
+    """A native artifact is keyed by what determines its C -- the
+    table's level-free content digest, the layout, the telemetry flag
+    and the renderer's source -- and its sidecar holds the plan, so a
+    hit renders nothing.  The toolchain is faked: these tests run
+    without a C compiler too."""
+
+    IDENTITY = "fake-cc 1.0 | -O2 -shared -fPIC"
+
+    @pytest.fixture
+    def toolchain(self, monkeypatch):
+        """A fake compiler; counts renders and compiles."""
+        from repro.simcc.native import backend, cgen
+        from repro.simcc.native import toolchain as toolchain_mod
+
+        calls = {"render": 0, "compile": 0}
+        render = cgen.render_native_source
+
+        def counting_render(*args, **kwargs):
+            calls["render"] += 1
+            return render(*args, **kwargs)
+
+        def fake_compile(cc, c_path, so_path):
+            calls["compile"] += 1
+            with open(so_path, "wb") as handle:
+                handle.write(b"fake shared object")
+
+        monkeypatch.setattr(cgen, "render_native_source", counting_render)
+        monkeypatch.setattr(backend, "_LOADED", {})
+        monkeypatch.setattr(toolchain_mod, "find_compiler",
+                            lambda: "/fake/cc")
+        monkeypatch.setattr(toolchain_mod, "compiler_identity",
+                            lambda cc: self.IDENTITY)
+        monkeypatch.setattr(toolchain_mod, "compile_shared", fake_compile)
+        monkeypatch.setattr(toolchain_mod, "load_burst",
+                            lambda so_path: "burst:" + so_path)
+        return calls
+
+    @staticmethod
+    def _table(model, program, level="instantiated"):
+        state, control = _fresh_engine(model, program)
+        return build_portable_table(model, program, level).bind(
+            state, control)
+
+    @staticmethod
+    def _build(model, table, cache=None, telemetry=False):
+        from repro.simcc.native import build_native_module
+
+        module = build_native_module(model, table, cache=cache,
+                                     telemetry=telemetry)
+        assert module is not None
+        return module
+
+    @pytest.mark.parametrize("telemetry", [False, True],
+                             ids=["plain", "telemetry"])
+    @pytest.mark.parametrize(
+        "builder", [entry[1] for entry in APP_MATRIX],
+        ids=[entry[0] for entry in APP_MATRIX],
+    )
+    def test_sidecar_plan_equals_fresh_render(self, builder, telemetry,
+                                              toolchain, tmp_path):
+        import dataclasses
+
+        from repro.bench import load_app_program
+        from repro.simcc.native import cgen
+        from repro.simcc.native.layout import StateLayout
+
+        model, program = load_app_program(builder())
+        root = tmp_path / "simtab"
+        table = self._table(model, program)
+        self._build(model, table, SimulationCache(root), telemetry)
+        assert toolchain == {"render": 1, "compile": 1}
+
+        warm = SimulationCache(root)
+        module = self._build(model, self._table(model, program), warm,
+                             telemetry)
+        assert toolchain == {"render": 1, "compile": 1}
+        assert warm.stats["native_hits"] == 1
+        _, fresh = cgen.render_native_source(
+            table, model, StateLayout.build(model), telemetry=telemetry)
+        for spec in dataclasses.fields(fresh):
+            assert (getattr(module.plan, spec.name)
+                    == getattr(fresh, spec.name)), spec.name
+
+    def test_levels_and_cacheless_builds_share_the_key(self, toolchain,
+                                                       tmp_path):
+        """Both levels compile the same code, and a cache-less build keys
+        the artifact as a cached one does: neither renders again."""
+        model, program = _c62x_fir()
+        root = tmp_path / "simtab"
+        self._build(model, self._table(model, program),
+                    SimulationCache(root))
+        reader = SimulationCache(root)
+        self._build(model, self._table(model, program, "sequenced"),
+                    reader)
+        assert reader.stats["native_hits"] == 1
+        module = self._build(model, self._table(model, program))
+        assert module.so_path is None
+        assert toolchain == {"render": 1, "compile": 1}
+
+    def test_each_key_part_misses_and_rebuilds(self, toolchain, tmp_path):
+        from repro.simcc.native import backend, layout
+        from repro.simcc.native import toolchain as toolchain_mod
+
+        model, program = _c62x_fir()
+        table = self._table(model, program)
+        root = tmp_path / "simtab"
+        self._build(model, table, SimulationCache(root))
+        digest = layout.StateLayout.digest
+
+        def edit_layout(patch):
+            patch.setattr(layout.StateLayout, "digest",
+                          lambda self: "edited " + digest(self))
+
+        def edit_renderer(patch):
+            patch.setattr(backend, "renderer_digest",
+                          lambda: "edited renderer")
+
+        def edit_compiler(patch):
+            patch.setattr(toolchain_mod, "compiler_identity",
+                          lambda cc: "fake-cc 2.0 | -O2 -shared -fPIC")
+
+        variations = [("layout", edit_layout, False),
+                      ("telemetry", None, True),
+                      ("renderer", edit_renderer, False),
+                      ("compiler", edit_compiler, False)]
+        for rebuilt, (name, vary, telemetry) in enumerate(variations, 2):
+            reader = SimulationCache(root)
+            with pytest.MonkeyPatch.context() as patch:
+                if vary is not None:
+                    vary(patch)
+                self._build(model, table, reader, telemetry)
+            assert reader.stats["native_misses"] == 1, name
+            assert reader.stats["native_stores"] == 1, name
+            assert toolchain == {"render": rebuilt,
+                                 "compile": rebuilt}, name
+
+    def test_renderer_digest_reads_the_renderer_source(self):
+        import hashlib
+
+        from repro.simcc.native import backend, cgen, layout
+
+        digest = hashlib.sha256()
+        for module in (cgen, layout):
+            with open(module.__file__, "rb") as handle:
+                digest.update(handle.read())
+        assert backend.renderer_digest() == digest.hexdigest()
+
+
+@pytest.mark.skipif(not native_available(),
+                    reason="no usable C compiler on the host")
+class TestNativeWarmHit:
+    """End to end with a real compiler: a warm native hit renders no C,
+    and every kind runs bit-identically to an uncached run."""
+
+    @pytest.mark.parametrize("kind", ["compiled", "unfolded_static"])
+    def test_warm_hit_renders_nothing(self, kind, tmp_path, monkeypatch):
+        from repro.simcc.native import NativePipeline, backend, cgen
+
+        model, program = _c62x_fir()
+        root = tmp_path / "simtab"
+        _run(model, program, kind, cache=SimulationCache(root),
+             backend="native")
+        renders = []
+        render = cgen.render_native_source
+        monkeypatch.setattr(
+            cgen, "render_native_source",
+            lambda *args, **kwargs: renders.append(1) or render(
+                *args, **kwargs))
+        monkeypatch.setattr(backend, "_LOADED", {})  # a fresh process
+        warm_cache = SimulationCache(root)
+        warm, counts = _run(model, program, kind, cache=warm_cache,
+                            backend="native")
+        assert renders == []
+        assert warm_cache.stats["native_hits"] == 1
+        assert isinstance(warm.engine, NativePipeline)
+        reference, reference_counts = _run(model, program, kind)
+        assert counts == reference_counts
+        assert warm.state.differences(reference.state) == []
+
+
+class TestFinishedSimulatorIsFreed:
+    """A finished simulator holds no reference cycle, so its table goes
+    by reference counting, not at a later generation-2 collection.  What
+    the collector may still find are the exec'd namespaces (each
+    function refers to its globals, which hold the function)."""
+
+    @pytest.mark.parametrize("backend", ["auto", "native"])
+    @pytest.mark.parametrize(
+        "kind", ["compiled", "static", "unfolded", "unfolded_static"])
+    def test_warm_run_leaves_no_table_garbage(self, kind, backend,
+                                              tmp_path):
+        import gc
+
+        from repro.analysis.absint import PacketProof
+        from repro.machine.driver import IssueSlot, Pipeline
+        from repro.sim.base import Simulator
+        from repro.sim.static import StaticPipeline, _WindowNode
+        from repro.simcc.ir import IRFunction
+        from repro.simcc.native import NativePipeline
+
+        model, program = _c62x_fir()
+        root = tmp_path / "simtab"
+        _run(model, program, kind, cache=SimulationCache(root),
+             backend=backend)
+        kept = (IssueSlot, _WindowNode, IRFunction, PacketProof, Simulator,
+                Pipeline, StaticPipeline, NativePipeline)
+        flags = gc.get_debug()
+        gc.collect()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            _run(model, program, kind, cache=SimulationCache(root),
+                 backend=backend)
+            gc.collect()
+            garbage = sorted({type(obj).__name__ for obj in gc.garbage
+                              if isinstance(obj, kept)})
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert garbage == []
